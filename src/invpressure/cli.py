@@ -68,9 +68,21 @@ def _real(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (str, int, float)):
         raise ConfigError(f"{where}: expected a decimal string, got {value!r}")
     try:
-        return float(value)
+        x = float(value)
     except ValueError:
         raise ConfigError(f"{where}: cannot parse real {value!r}") from None
+    if not math.isfinite(x):
+        raise ConfigError(f"{where}: expected a finite real, got {value!r}")
+    return x
+
+
+def _int(value, where: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, (str, int)):
+        raise ConfigError(f"{where}: expected an integer, got {value!r}")
+    try:
+        return int(value)
+    except ValueError:
+        raise ConfigError(f"{where}: cannot parse integer {value!r}") from None
 
 
 def _fraction(value, where: str) -> Fraction:
@@ -108,8 +120,8 @@ class Run:
         self.threads = max(1, threads)
         # guard overrides from the config bind only behind the explicit flag
         guards = config.get("guards", {}) if force_guards else {}
-        self.max_words = int(guards.get("max_words", MAX_WORDS))
-        self.max_nodes = int(guards.get("max_tree_nodes", MAX_TREE_NODES))
+        self.max_words = _int(guards.get("max_words", MAX_WORDS), "max_words")
+        self.max_nodes = _int(guards.get("max_tree_nodes", MAX_TREE_NODES), "max_tree_nodes")
         self.seed = config.get("seed")
         self.crange = self._parse_range(config.get("control_range"))
         self.partition = self._parse_partition(_require(config, "partition", "config"))
@@ -136,11 +148,11 @@ class Run:
             raise ConfigError(str(e)) from None
 
     def _parse_partition(self, block) -> PartitionSpec:
-        tau = int(_require(block, "tau", "partition"))
+        tau = _int(_require(block, "tau", "partition"), "tau")
         words_block = _require(block, "control_words", "partition")
         words = {}
         for key, seq in words_block.items():
-            words[int(key)] = tuple(str(u) for u in seq)
+            words[_int(key, "control_words")] = tuple(str(u) for u in seq)
         try:
             return PartitionSpec(tau, words)
         except PreconditionError as e:
@@ -149,7 +161,11 @@ class Run:
     def _parse_system(self, block):
         kind = _require(block, "type", "system")
         if kind == "sft":
-            edges = [(int(i), int(j)) for i, j in _require(block, "transitions", "system")]
+            edges = []
+            for edge in _require(block, "transitions", "system"):
+                if not isinstance(edge, (list, tuple)) or len(edge) != 2:
+                    raise ConfigError(f"transitions: expected a pair [i, j], got {edge!r}")
+                edges.append(tuple(_int(s, "transitions") for s in edge))
             return ("sft", edges)
         if kind == "finite-state":
             states = tuple(str(s) for s in _require(block, "states", "system"))
@@ -158,7 +174,8 @@ class Run:
                 for u, y in row.items():
                     trans[(str(x), str(u))] = str(y)
             inv = tuple(str(s) for s in block.get("invariant_set", states))
-            cells = {str(x): int(i) for x, i in _require(block, "cell_of", "system").items()}
+            cell_of = _require(block, "cell_of", "system")
+            cells = {str(x): _int(i, "cell_of") for x, i in cell_of.items()}
             return FiniteStateSystem(states, trans, inv, cells)
         if kind == "affine-interval":
             cvals = {
@@ -205,8 +222,17 @@ class Run:
         if block is None or block.get("variant", "all") == "all":
             return SubsetSpec.whole_space()
         if block.get("variant") == "cylinders":
-            return SubsetSpec.cylinders([tuple(int(s) for s in w) for w in block.get("words", [])])
+            words = []
+            for word in block.get("words", []):
+                if not isinstance(word, (list, tuple)):
+                    raise ConfigError(f"subset word: expected a list of symbols, got {word!r}")
+                words.append(tuple(_int(s, "subset word") for s in word))
+            return SubsetSpec.cylinders(words)
         raise ConfigError(f"unknown subset variant {block.get('variant')!r}")
+
+    def task_int(self, key: str, default: int | None) -> int | None:
+        value = self.task.get(key, default)
+        return None if value is None else _int(value, key)
 
     def grid(self, key: str) -> list[float]:
         block = _require(self.task, key, "task")
@@ -242,8 +268,8 @@ class Run:
         return {"validate": (["symbol", "step", "witness"], rows)}
 
     def _cmd_pressure(self):
-        n_max = int(self.task.get("n_max", 120))
-        tail = int(self.task.get("tail_window", 10))
+        n_max = self.task_int("n_max", 120)
+        tail = self.task_int("tail_window", 10)
         est = capacity_pressure(self.lang, self.weights("phi"), n_max, tail)
         self.info.update(
             limsup_estimate=est.limsup_estimate,
@@ -268,7 +294,7 @@ class Run:
         w_phi = self.weights("phi", default_zero=True)
         w_psi = self.weights("psi")
         betas = self.grid("beta_grid")
-        n_max = int(self.task.get("n_max", 120))
+        n_max = self.task_int("n_max", 120)
         vals = self._pmap(
             lambda b: pressure_difference(self.lang, w_phi, w_psi, b, n_max), betas
         )
@@ -296,19 +322,16 @@ class Run:
         w_psi = self.weights("psi")
         T = _real(_require(self.task, "T", "task"), "T")
         betas = self.grid("beta_grid")
-        n_cap = self.task.get("n_cap")
-        results = characterization_scan(
-            self.lang, w_phi, w_psi, betas, T,
-            n_cap=int(n_cap) if n_cap is not None else None,
-        )
+        n_cap = self.task_int("n_cap", None)
+        results = characterization_scan(self.lang, w_phi, w_psi, betas, T, n_cap=n_cap)
         rows = [[_fmt(r.beta), r.verdict, _fmt(r.growth_rate)] for r in results]
         return {"characterize": (["beta", "verdict", "growth_rate"], rows)}
 
     def _cmd_pp_pressure(self):
         w = self.weights("phi")
         Z = self.subset()
-        N = int(self.task.get("N", 1))
-        D = int(self.task.get("D", 12))
+        N = self.task_int("N", 1)
+        D = self.task_int("D", 12)
         tol = _real(self.task.get("tol", "1e-9"), "tol")
         res = pp_pressure(self.lang, w, Z, N, D, tol)
         self.info["critical"] = res.value
@@ -323,9 +346,9 @@ class Run:
     def _cmd_bs_dim(self):
         w = self.weights("phi")
         Z = self.subset()
-        D = int(self.task.get("D", 12))
+        D = self.task_int("D", 12)
         tol = _real(self.task.get("tol", "1e-6"), "tol")
-        res = bs_dimension(self.lang, w, Z, tol, int(self.task.get("N", 1)), D)
+        res = bs_dimension(self.lang, w, Z, tol, self.task_int("N", 1), D)
         self.info["dimension"] = res.value
         header = ["value", "residual", "error_bound", "jump_critical", "root_jump_gap"]
         row = [
@@ -338,8 +361,8 @@ class Run:
         w = self.weights("phi")
         Z = self.subset()
         lam = _real(_require(self.task, "lambda", "task"), "lambda")
-        N = int(self.task.get("N", 1))
-        D = int(self.task.get("D", 12))
+        N = self.task_int("N", 1)
+        D = self.task_int("D", 12)
         fw = frostman_measure(self.lang, w, Z, lam, N, D, self.max_nodes)
         self.info["total"] = fw.total
         rows = [[_word_str(word), _fmt(mass)] for word, mass in sorted(fw.masses.items())]
@@ -351,7 +374,7 @@ class Run:
         lam = _real(_require(self.task, "lambda", "task"), "lambda")
         eps = _real(_require(self.task, "epsilon", "task"), "epsilon")
         rep = sandwich_check(
-            self.lang, w, Z, lam, eps, int(self.task.get("N", 1)), int(self.task.get("D", 12))
+            self.lang, w, Z, lam, eps, self.task_int("N", 1), self.task_int("D", 12)
         )
         self.info["holds"] = rep.holds
         header = ["lambda", "epsilon", "r_at_lam_plus_eps", "w_at_lam", "r_at_lam", "holds"]
@@ -364,7 +387,7 @@ class Run:
     def _cmd_vp_check(self):
         w = self.weights("phi")
         K = self.subset()
-        D = int(self.task.get("D", 12))
+        D = self.task_int("D", 12)
         tol = _real(self.task.get("tol", "1e-6"), "tol")
         cands = []
         for blk in self.task.get("candidates", []):

@@ -7,6 +7,14 @@ in D.  On the laminar cylinder family the fractional cover optimum equals
 the antichain optimum (min-cut on a tree), and the max-flow that certifies
 it doubles as the Frostman-type measure.
 
+One unit-factored table (``_CoverTable``) computes that min-cut: the
+optimal cost below a cylinder, relative to its own, depends only on the
+cylinder's continuation unit and depth, so it is memoized per (unit, depth)
+and never materializes L^D.  The cover value, the head prefactor, the
+optimal cover (an argmin walk) and the Frostman flow (a proportional push)
+are read-outs of it.  ``word_cover_value`` alone walks an explicit cylinder
+tree, as an independent reference route.
+
 Critical exponents (the pressure-like jump locations) are found by
 bisection on the lambda at which the truncated optimum crosses 1.  For
 cylinder-presented targets the crossing is measured relative to the target
@@ -113,78 +121,76 @@ def _steps(weights: PerSymbolWeights, length_coeff: float, weight_coeff: float) 
     return {s: length_coeff + weight_coeff * weights[s] for s in weights.symbols}
 
 
-def _log_cover_optimum(
-    lang: WordLanguage,
-    weights: PerSymbolWeights,
-    length_coeff: float,
-    weight_coeff: float,
-    Z: SubsetSpec,
-    N: int,
-    D: int,
-) -> float:
-    """log of the optimal cover cost, by a unit-factored min recursion.
+class _CoverTable:
+    """The unit-factored cover table of one cost law on one target set.
 
-    The cost of a word factors into per-symbol steps, so the optimal
-    multiplier below a node depends only on (continuation unit, depth);
-    memoizing it makes one evaluation O(units * D) regardless of |L^D|.
+    A cylinder's log cost ``length_coeff*depth + weight_coeff*weight(s)`` is
+    a sum of per-symbol steps, so the optimal cost below a node, relative to
+    the node's own cost, depends only on (continuation unit, depth).  A node
+    is a unit, a ``_Trie`` node while still inside the target words (a
+    terminal continues as its unit), or None for the root of the whole space.
+    ``alpha`` is memoized per (node, depth) and each node's children once, so
+    one table costs O(units * D) however large L^D is.  The value, the head,
+    the optimal cover and the Frostman flow are all read off this table.
     """
-    if not 1 <= N <= D:
-        raise PreconditionError(f"need 1 <= N <= D, got N={N}, D={D}")
-    if Z.is_empty:
-        return NEG_INF
-    step = _steps(weights, length_coeff, weight_coeff)
-    memo: dict[tuple[object, int], float] = {}
 
-    def alpha(unit: object, n: int) -> float:
-        if n == D:
+    def __init__(self, lang, weights, length_coeff, weight_coeff, Z: SubsetSpec, N: int, D: int):
+        if not 1 <= N <= D:
+            raise PreconditionError(f"need 1 <= N <= D, got N={N}, D={D}")
+        self.lang, self.N, self.D = lang, N, D
+        self.step = _steps(weights, length_coeff, weight_coeff)
+        self.root = None if Z.is_whole_space else _build_trie(lang, Z, self.step, D)
+        self._kids: dict[object, list[tuple[int, object, float]]] = {}
+        self._alpha: dict[tuple[object, int], float] = {}
+
+    def children(self, node) -> list[tuple[int, object, float]]:
+        """(symbol, child node, log step) of each child cylinder meeting the target."""
+        kids = self._kids.get(node)
+        if kids is None:
+            if isinstance(node, _Trie):
+                pairs = [(c.unit if c.terminal else c, s) for s, c in node.children.items()]
+            elif node is None:
+                pairs = self.lang.initial_units()
+            else:
+                pairs = self.lang.unit_successors(node)
+            kids = self._kids[node] = [(s, u, self.step[s]) for u, s in pairs]
+        return kids
+
+    def rel(self, node, n: int) -> float:
+        """log cost of the best cover strictly below a depth-n node, relative to its own."""
+        alpha = self.alpha
+        return logsumexp([st + alpha(c, n + 1) for _, c, st in self.children(node)])
+
+    def alpha(self, node, n: int) -> float:
+        """log of the optimal cost at a depth-n node relative to its own: 0 keeps the node."""
+        if n == self.D:
             return 0.0
-        key = (unit, n)
-        if key in memo:
-            return memo[key]
-        ls = logsumexp(
-            step[s] + alpha(u2, n + 1) for u2, s in lang.unit_successors(unit)
-        )
-        val = min(0.0, ls) if n >= N else ls
-        memo[key] = val
+        key = (node, n)
+        val = self._alpha.get(key)
+        if val is None:
+            val = self.rel(node, n)
+            if n >= self.N:
+                val = min(0.0, val)
+            self._alpha[key] = val
         return val
 
-    if Z.is_whole_space:
-        return logsumexp(step[s] + alpha(u, 1) for u, s in lang.initial_units())
+    @property
+    def total(self) -> float:
+        """log of the optimal cover cost."""
+        return self.rel(self.root, 0)
 
-    trie = _build_trie(lang, Z, step, D)
-
-    def tval(node: _Trie) -> float:
-        if node.terminal:
-            return node.acc + alpha(node.unit, node.depth)
-        ls = logsumexp(tval(c) for c in node.children.values())
-        return min(node.acc, ls) if node.depth >= N else ls
-
-    return logsumexp(tval(c) for c in trie.children.values())
-
-
-def _log_head(
-    lang: WordLanguage,
-    weights: PerSymbolWeights,
-    length_coeff: float,
-    weight_coeff: float,
-    Z: SubsetSpec,
-    D: int,
-) -> float:
-    """log cost of covering Z by its own defining words (the head prefactor)."""
-    if Z.is_whole_space:
-        return 0.0
-    step = _steps(weights, length_coeff, weight_coeff)
-    total = NEG_INF
-    for word in Z.words:
-        acc = 0.0
-        unit = None
-        for sym in word:
-            unit = _advance(lang, unit, sym)
-            if unit is None:
-                raise PreconditionError(f"target word {word} is not admissible")
-            acc += step[sym]
-        total = logsumexp([total, acc])
-    return total
+    @property
+    def head(self) -> float:
+        """log cost of covering the target by its own defining words."""
+        if self.root is None:
+            return 0.0
+        accs, stack = [], [self.root]
+        while stack:
+            node = stack.pop()
+            if node.terminal:
+                accs.append(node.acc)
+            stack.extend(node.children.values())
+        return logsumexp(accs)
 
 
 def cover_value(
@@ -196,7 +202,7 @@ def cover_value(
     D: int,
 ) -> float:
     """Optimal cover cost with per-cylinder cost exp(-lam*n*tau + weight(s))."""
-    return math.exp(_log_cover_optimum(lang, weights, -lam * weights.tau, 1.0, Z, N, D))
+    return math.exp(_CoverTable(lang, weights, -lam * weights.tau, 1.0, Z, N, D).total)
 
 
 def bs_cover_value(
@@ -209,7 +215,7 @@ def bs_cover_value(
 ) -> float:
     """Optimal cover cost with per-cylinder cost exp(-lam*weight(s)); weights > 0."""
     weights.require_positive("dimension weight")
-    return math.exp(_log_cover_optimum(lang, weights, 0.0, -lam, Z, N, D))
+    return math.exp(_CoverTable(lang, weights, 0.0, -lam, Z, N, D).total)
 
 
 def word_cover_value(
@@ -281,7 +287,12 @@ def cover_solution(
     variant: str = "time",
     max_nodes: int = MAX_TREE_NODES,
 ) -> CoverSolution:
-    """Materialize one optimal cover (ties resolve to the shallower cylinder)."""
+    """Read one optimal cover off the cover table (ties resolve to the shallower cylinder).
+
+    The argmin walk keeps a node once splitting it costs no less than keeping
+    it, so it visits only the cover and its ancestors; ``max_nodes`` bounds
+    the number of cylinders visited.
+    """
     if variant == "time":
         length_coeff, weight_coeff = -lam * weights.tau, 1.0
     elif variant == "weight":
@@ -289,50 +300,21 @@ def cover_solution(
         length_coeff, weight_coeff = 0.0, -lam
     else:
         raise PreconditionError(f"unknown cover variant {variant!r}")
-    if not 1 <= N <= D:
-        raise PreconditionError(f"need 1 <= N <= D, got N={N}, D={D}")
+    table = _CoverTable(lang, weights, length_coeff, weight_coeff, Z, N, D)
     chosen: list[tuple[tuple[int, ...], float]] = []
-    if not Z.is_empty:
-        tree = build_cylinder_tree(lang, [weights], D, max_nodes)
-        trie = _build_trie(lang, Z, _steps(weights, length_coeff, weight_coeff), D)
-
-        def logval(node: CylinderNode, zstate) -> float:
-            if zstate is None:
-                return NEG_INF
-            if isinstance(zstate, _Trie) and zstate.terminal:
-                zstate = "inside"
-            own = length_coeff * node.depth + weight_coeff * node.cum[0]
-            if node.depth == D:
-                return own
-            ls = logsumexp(
-                logval(c, zstate if zstate == "inside" else zstate.children.get(c.word[-1]))
-                for c in node.children
-            )
-            return min(own, ls) if node.depth >= N else ls
-
-        def collect(node: CylinderNode, zstate) -> None:
-            if zstate is None:
-                return
-            if isinstance(zstate, _Trie) and zstate.terminal:
-                zstate = "inside"
-            own = length_coeff * node.depth + weight_coeff * node.cum[0]
-            take_own = node.depth >= N and (
-                node.depth == D
-                or own
-                <= logsumexp(
-                    logval(c, zstate if zstate == "inside" else zstate.children.get(c.word[-1]))
-                    for c in node.children
-                )
-            )
-            if take_own:
-                chosen.append((node.word, math.exp(own)))
-                return
-            for c in node.children:
-                collect(c, zstate if zstate == "inside" else zstate.children.get(c.word[-1]))
-
-        zroot = "inside" if Z.is_whole_space else trie
-        for child in tree.root.children:
-            collect(child, zroot if zroot == "inside" else zroot.children.get(child.word[-1]))
+    visited = 0
+    stack = [(table.root, 0, (), 0.0)]
+    while stack:
+        node, n, word, acc = stack.pop()
+        for sym, child, st in table.children(node):
+            visited += 1
+            if visited > max_nodes:
+                raise GuardError(f"cover read-out exceeded {max_nodes} cylinders")
+            m, w, a = n + 1, word + (sym,), acc + st
+            if m >= N and (m == D or table.rel(child, m) >= 0.0):
+                chosen.append((w, math.exp(a)))
+            else:
+                stack.append((child, m, w, a))
     chosen.sort()
     words = tuple(w for w, _ in chosen)
     costs = tuple(c for _, c in chosen)
@@ -417,9 +399,8 @@ def pp_pressure(
         raise PreconditionError("resolution D too shallow for the target words")
 
     def detect(lam: float) -> float:
-        val = _log_cover_optimum(lang, weights, -lam * tau, 1.0, Z, n_detect, D)
-        head = _log_head(lang, weights, -lam * tau, 1.0, Z, D)
-        return val - head
+        table = _CoverTable(lang, weights, -lam * tau, 1.0, Z, n_detect, D)
+        return table.total - table.head
 
     span = weights.rate_absmax() + math.log(max(2, len(lang.symbols))) / tau + 1.0
     crit, iters, bracket = _bisect_jump(detect, -span, span, tol)
@@ -451,9 +432,8 @@ def bs_jump(
         raise PreconditionError("resolution D too shallow for the target words")
 
     def detect(lam: float) -> float:
-        val = _log_cover_optimum(lang, weights, 0.0, -lam, Z, n_detect, D)
-        head = _log_head(lang, weights, 0.0, -lam, Z, D)
-        return val - head
+        table = _CoverTable(lang, weights, 0.0, -lam, Z, n_detect, D)
+        return table.total - table.head
 
     hi0 = math.log(max(2, len(lang.symbols))) / (weights.tau * weights.rate_min()) + 1.0
     crit, iters, bracket = _bisect_jump(detect, -1.0, hi0, tol)
@@ -559,49 +539,6 @@ class FrostmanWeights:
         return {w: m / self.total for w, m in self.masses.items()}
 
 
-def _flow_tree(
-    lang: WordLanguage,
-    weights: PerSymbolWeights,
-    Z: SubsetSpec,
-    lam: float,
-    N: int,
-    D: int,
-    max_nodes: int,
-):
-    """Greedy capacity propagation on the cylinder tree restricted to Z."""
-    weights.require_positive("dimension weight")
-    if not 1 <= N <= D:
-        raise PreconditionError(f"need 1 <= N <= D, got N={N}, D={D}")
-    tree = build_cylinder_tree(lang, [weights], D, max_nodes)
-    trie = None if Z.is_whole_space else _build_trie(lang, Z, _steps(weights, 0.0, -lam), D)
-    logrho: dict[int, float] = {}
-
-    def rho(node: CylinderNode, zstate) -> float:
-        if zstate is None:
-            return NEG_INF
-        if isinstance(zstate, _Trie) and zstate.terminal:
-            zstate = "inside"
-        cap = -lam * node.cum[0]
-        if node.depth == D:
-            val = cap
-        else:
-            ls = logsumexp(
-                rho(c, zstate if zstate == "inside" else zstate.children.get(c.word[-1]))
-                for c in node.children
-            )
-            val = min(cap, ls) if node.depth >= N else ls
-        logrho[id(node)] = val
-        return val
-
-    zroot = "inside" if Z.is_whole_space else trie
-    top = [
-        (c, zroot if zroot == "inside" else zroot.children.get(c.word[-1]))
-        for c in tree.root.children
-    ]
-    total = logsumexp(rho(c, z) for c, z in top)
-    return tree, top, logrho, total
-
-
 def weighted_cover_value(
     lang: WordLanguage,
     weights: PerSymbolWeights,
@@ -609,18 +546,15 @@ def weighted_cover_value(
     lam: float,
     N: int,
     D: int,
-    max_nodes: int = MAX_TREE_NODES,
 ) -> float:
     """Fractional cover optimum at resolution D.
 
     On the laminar cylinder family the fractional and antichain optima
-    coincide (min-cut on a tree); the value is computed as the matching
-    max flow under caps exp(-lam*weight(s)).
+    coincide (min-cut on a tree), so this is the cover table's total under
+    caps exp(-lam*weight(s)): the value of the max flow ``frostman_measure``
+    pushes.
     """
-    if Z.is_empty:
-        return 0.0
-    _, _, _, total = _flow_tree(lang, weights, Z, lam, N, D, max_nodes)
-    return math.exp(total) if total != NEG_INF else 0.0
+    return bs_cover_value(lang, weights, Z, lam, N, D)
 
 
 def frostman_measure(
@@ -637,36 +571,36 @@ def frostman_measure(
     The flow saturates to total = weighted_cover_value (strong duality on
     trees), and every cylinder with N <= depth <= D holds mass at most
     exp(-lam*weight): dividing by the total yields the Frostman-type bounds
-    with constant 1/total.
+    with constant 1/total.  Each node passes its flow to its children in
+    proportion to their capped optima in the cover table; ``max_nodes``
+    bounds the number of cylinders visited.
     """
     if Z.is_empty:
         raise PreconditionError("target set is empty at this resolution")
-    tree, top, logrho, total = _flow_tree(lang, weights, Z, lam, N, D, max_nodes)
+    weights.require_positive("dimension weight")
+    table = _CoverTable(lang, weights, 0.0, -lam, Z, N, D)
+    total = table.total
     if total == NEG_INF:
         raise PreconditionError("target set carries no flow at this lambda")
     masses: dict[tuple[int, ...], float] = {}
-
-    def push(node: CylinderNode, zstate, logf: float) -> None:
-        if isinstance(zstate, _Trie) and zstate.terminal:
-            zstate = "inside"
-        if node.depth == D:
-            masses[node.word] = math.exp(logf)
-            return
-        parts = [
-            (c, zstate if zstate == "inside" else zstate.children.get(c.word[-1]))
-            for c in node.children
-        ]
-        ls = logsumexp(logrho[id(c)] for c, z in parts if z is not None and id(c) in logrho)
-        for c, z in parts:
-            if z is None or logrho.get(id(c), NEG_INF) == NEG_INF:
-                continue
-            push(c, z, logf + logrho[id(c)] - ls)
-
-    ls_top = logsumexp(logrho[id(c)] for c, z in top if z is not None)
-    for c, z in top:
-        if z is None or logrho.get(id(c), NEG_INF) == NEG_INF:
+    visited = 0
+    stack = [(table.root, 0, (), total)]
+    while stack:
+        node, n, word, logf = stack.pop()
+        if n == D:
+            masses[word] = math.exp(logf)
             continue
-        push(c, z, total + logrho[id(c)] - ls_top)
+        ls = table.rel(node, n)
+        pushed = []
+        for sym, child, st in table.children(node):
+            share = st + table.alpha(child, n + 1)
+            if share == NEG_INF:
+                continue
+            visited += 1
+            if visited > max_nodes:
+                raise GuardError(f"flow read-out exceeded {max_nodes} cylinders")
+            pushed.append((child, n + 1, word + (sym,), logf + share - ls))
+        stack.extend(reversed(pushed))
     return FrostmanWeights(masses, math.exp(total), lam, N, D)
 
 

@@ -57,6 +57,20 @@ class TestDeterminism:
                 assert b1 == b2
 
 
+#: tasks with one malformed integer field or one non-finite real
+MALFORMED = {
+    "D-not-integer": {"command": "bs-dim", "phi": "ones", "D": "abc"},
+    "N-not-integer": {"command": "pp-pressure", "phi": "ones", "N": "x"},
+    "subset-word-not-integer": {
+        "command": "pp-pressure", "phi": "ones",
+        "subset": {"variant": "cylinders", "words": [["a"]]},
+    },
+    "lambda-nan": {"command": "frostman", "phi": "ones", "lambda": "nan", "D": 6},
+    "epsilon-nan": {"command": "sandwich", "phi": "ones", "lambda": "0.4", "epsilon": "nan"},
+    "tol-nan": {"command": "bs-dim", "phi": "ones", "tol": "nan"},
+}
+
+
 class TestExitCodes:
     def test_ok(self, tmp_path, capsys):
         code = main([
@@ -88,6 +102,16 @@ class TestExitCodes:
         path = write_config(tmp_path, cfg)
         assert main(["--config", path, "--out", str(tmp_path / "a"), "--force-guards"]) == 3
         assert main(["--config", path, "--out", str(tmp_path / "b")]) == 0
+
+    @pytest.mark.parametrize("task", MALFORMED.values(), ids=MALFORMED.keys())
+    def test_malformed_field_is_2(self, tmp_path, capsys, task):
+        cfg = load("golden-mean.json")
+        cfg["control_range"]["potentials"]["ones"] = {"a": "1.0", "b": "1.0"}
+        cfg["task"] = task
+        path = write_config(tmp_path, cfg)
+        assert main(["--config", path, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
 
     def test_math_precondition_is_4(self, tmp_path):
         cfg = load("golden-mean.json")

@@ -214,6 +214,17 @@ class TestCoverSolution:
         sol = ip.cover_solution(lang, const_weights(lang, 0.0), ALL, math.log(2), 2, 8)
         assert all(len(word) == 2 for word in sol.words)
 
+    def test_deep_resolution_within_small_guard(self):
+        # the argmin walk visits only the cover and its ancestors, never L^48
+        lang = golden_mean()
+        w0 = const_weights(lang, 0.0)
+        sol = ip.cover_solution(lang, w0, ALL, 0.1, 1, 48, max_nodes=100)
+        assert sol.cost == pytest.approx(ip.cover_value(lang, w0, ALL, 0.1, 1, 48), rel=1e-12)
+        for a in sol.words:
+            for b in sol.words:
+                if a != b:
+                    assert a[: len(b)] != b and b[: len(a)] != a
+
     def test_solution_is_antichain_cover(self, rng):
         lang = sparse_sft(rng, 3)
         w = random_weights(rng, lang, -0.5, 0.5)
