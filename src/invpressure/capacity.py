@@ -1,17 +1,24 @@
 """Upper capacity pressure of weighted word languages and its Bowen-equation root.
 
 The separated-set sum over length-n words, log sum_{s in L^n} exp(sum_k w(s_k)),
-is finite-horizon data; its (1/(n*tau))-normalized limsup is the pressure.  For
-transition-relation languages the limit equals (1/tau) log of the spectral
-radius of the weighted transition matrix, which serves as the oracle.  The
-root solver inverts beta -> pressure(phi - beta*psi) by bisection, with an
-a-priori error certificate from the slope bound min_i w_psi(i)/tau.
+is finite-horizon data; its (1/(n*tau))-normalized limsup is the pressure.
+``level_log_sums`` runs the forward recursion on the language's compiled
+``unit_graph``: each level is one segment log-sum-exp over the edges, shifted
+by the maximum entering each unit, for a whole batch of weight tables at once.
+For transition-relation languages the limit equals (1/tau) log of the spectral
+radius of the weighted transition matrix, which serves as the oracle; the
+radius is the largest over the relation's cyclic strongly connected blocks,
+each balanced by a diagonal similarity and then found by power iteration with
+Collatz-Wielandt brackets.  The root solver
+inverts beta -> pressure(phi - beta*psi) by bisection, with an a-priori error
+certificate from the slope bound min_i w_psi(i)/tau.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -23,35 +30,66 @@ from .symbolic import (
     ItineraryLanguage,
     PerSymbolWeights,
     SftLanguage,
+    UnitGraph,
     WordLanguage,
     build_cylinder_tree,
     combine_weights,
+    cyclic_components,
     logsumexp,
     word_weight,
 )
 
 
-def level_log_sums(lang: WordLanguage, weights: PerSymbolWeights, n_max: int) -> list[float]:
-    """log sum_{s in L^n} exp(weight(s)) for n = 1..n_max, by forward recursion.
+#: Floats in one edge-by-table block of the level-sum recursion (8 MB).
+_BATCH_FLOATS = 1 << 20
+#: Shift of a unit with no mass, in place of its maximum -inf.
+_FLOOR = -np.finfo(float).max
 
-    Masses are aggregated per continuation unit, which is exact for additive
-    weights; no word is ever enumerated, so n_max in the hundreds is cheap.
+
+def level_log_sums(
+    lang: WordLanguage, weights_seq: Sequence[PerSymbolWeights], n_max: int
+) -> np.ndarray:
+    """log sum_{s in L^n} exp(weight_k(s)) for every table k and n = 1..n_max.
+
+    Returns a (len(weights_seq), n_max) array.  Masses are aggregated per
+    unit of the compiled ``lang.unit_graph(n_max)``, which is exact for
+    additive weights, so no word is ever enumerated.  A level is one
+    log-sum-exp per unit over its entering edges, shifted by that unit's own
+    maximum: no unit underflows against another, however far apart their
+    masses drift.  The level's total is a logaddexp reduction of the live
+    masses; only the current level's masses are kept.  Tables run in blocks
+    of at most _BATCH_FLOATS edge values; each row of the result depends on
+    its own table alone, so the blocking does not change it.
     """
     if n_max < 1:
         raise PreconditionError("n_max must be >= 1")
-    masses: dict[object, float] = {}
-    for unit, sym in lang.initial_units():
-        w = weights[sym]
-        masses[unit] = w if unit not in masses else np.logaddexp(masses[unit], w)
-    out = [logsumexp(masses.values())]
-    for _ in range(n_max - 1):
-        nxt: dict[object, float] = {}
-        for unit, mass in masses.items():
-            for u2, sym in lang.unit_successors(unit):
-                v = mass + weights[sym]
-                nxt[u2] = v if u2 not in nxt else float(np.logaddexp(nxt[u2], v))
-        masses = nxt
-        out.append(logsumexp(masses.values()))
+    g = lang.unit_graph(n_max)
+    table = np.array([[w[s] for s in lang.symbols] for w in weights_seq], dtype=float)
+    table = table.reshape(len(weights_seq), len(lang.symbols))
+    out = np.empty((len(table), n_max))
+    rows = max(1, _BATCH_FLOATS // len(g.src))
+    for k in range(0, len(table), rows):
+        out[k : k + rows] = _forward_sums(g, table[k : k + rows, g.sym], n_max)
+    return out
+
+
+def _forward_sums(g: UnitGraph, step: np.ndarray, n_max: int) -> np.ndarray:
+    """Level log-sums for the edge weights step[k, e] of each table k."""
+    live = np.full((len(step), g.n_units), NEG_INF)
+    live[:, 0] = 0.0
+    out = np.empty((len(step), n_max))
+    with np.errstate(divide="ignore"):  # log(0) = -inf marks units with no mass
+        for n in range(n_max):
+            vals = np.take(live, g.src, axis=1)
+            vals += step
+            top = np.maximum.reduceat(vals, g.starts, axis=1)
+            np.maximum(top, _FLOOR, out=top)  # a massless unit: -inf - _FLOOR stays -inf
+            vals -= np.take(top, g.seg, axis=1)
+            np.exp(vals, out=vals)
+            if n == 0:
+                live[:, 0] = NEG_INF  # the empty word only starts words
+            live[:, 1:] = np.log(np.add.reduceat(vals, g.starts, axis=1)) + top
+            out[:, n] = np.logaddexp.reduce(live, axis=1)
     return out
 
 
@@ -109,41 +147,124 @@ class PressureEstimate:
 def spectral_pressure(lang: SftLanguage, weights: PerSymbolWeights) -> float:
     """(1/tau) log of the spectral radius of M[i,j] = [i->j] * exp(w(i)).
 
-    Power iteration from the all-ones vector, with Collatz-Wielandt quotient
-    brackets as the stopping test at relative tolerance 1e-12.  The iteration
-    runs on M + I so that imprimitive relations still converge; the radius of
-    M is recovered by subtracting the shift.
+    M is the language's cached 0/1 adjacency with rows scaled by exp(w).  Its
+    radius is the largest radius among the cyclic strongly connected blocks
+    of the relation (Frobenius normal form), so reducible relations get the
+    exact block radius and no dense eigenvalue solve is needed; each block
+    goes to ``_log_radius``.
     """
     if not isinstance(lang, SftLanguage):
         raise PreconditionError("spectral pressure needs a transition-relation language")
-    syms = lang.symbols
-    q = len(syms)
-    idx = {s: k for k, s in enumerate(syms)}
-    M = np.zeros((q, q))
-    for i in syms:
-        for j in lang.successors(i):
-            M[idx[i], idx[j]] = math.exp(weights[i])
-    rtol = 1e-12
-    x = np.ones(q)
-    rho = None
-    for _ in range(200_000):
+    w = np.array([weights[s] for s in lang.symbols], dtype=float)
+    best = max((_log_radius(A, w[block]) for block, A in lang.cyclic_blocks), default=NEG_INF)
+    return best / weights.tau
+
+
+#: Weight spread of a block up to which the plain balancing keeps entries above e^-230.
+_EVEN_SPREAD = 230.0
+
+
+def _log_radius(A: np.ndarray, w: np.ndarray) -> float:
+    """log of the spectral radius of diag(exp(w)) A, for an irreducible 0/1 block A.
+
+    The block is balanced by a diagonal similarity before ``_perron_radius``
+    iterates on it.  When w spreads by at most _EVEN_SPREAD, the balance is
+    D^(1/2) A D^(1/2) with D = diag(exp(w - max w)), with entries in
+    [e^-230, 1].  Wider spreads take the max-plus balance of
+    ``_max_plus_balance``: every entry at most 1, the largest of each row 1,
+    so the radius lies in [1, len(A)].  Entries that underflow there are
+    below 1e-308 of the radius and are dropped; if that splits the block,
+    the radius is the largest among the cyclic components left, each
+    balanced afresh.
+    """
+    top = float(w.max())
+    if top - float(w.min()) <= _EVEN_SPREAD:
+        half = np.exp(0.5 * (w - top))
+        return top + math.log(_perron_radius(A * half[:, None] * half))
+    lam, v = _max_plus_balance(A, w)
+    B = np.exp(np.where(A > 0.0, w[:, None] - lam + v - v[:, None], NEG_INF))
+    parts = cyclic_components([np.flatnonzero(row) for row in B])
+    if len(parts[0]) == len(A):
+        return lam + math.log(_perron_radius(B))
+    return max(_log_radius(A[np.ix_(p, p)], w[p]) for p in parts)
+
+
+def _max_plus_balance(A: np.ndarray, w: np.ndarray) -> tuple[float, np.ndarray]:
+    """Max cycle mean lam of the edge weights w(i) on i -> j, and a potential v.
+
+    lam comes from Karp's formula (Discrete Math. 23, 1978) over the best
+    k-edge walks into vertex 0, k <= len(A).  v(i) is the best path weight
+    from i to a critical vertex under the weights w - lam (Floyd-Warshall),
+    so w(i) - lam + v(j) - v(i) <= 0 on every edge, with equality on the
+    best edge out of each vertex.
+    """
+    n = len(A)
+    C = np.where(A > 0.0, w[:, None], NEG_INF)
+    walks = np.full((n + 1, n), NEG_INF)  # walks[k, i]: best k-edge walk from i to 0
+    walks[0, 0] = 0.0
+    for k in range(1, n + 1):
+        walks[k] = (C + walks[k - 1]).max(axis=1)
+    ends = walks[n] > NEG_INF
+    gaps = (walks[n, ends] - walks[:n, ends]) / (n - np.arange(n))[:, None]
+    lam = float(gaps.min(axis=0).max())
+    best = C - lam  # best[i, j]: best path weight from i to j, after the loop
+    for k in range(n):
+        best = np.maximum(best, best[:, k, None] + best[k])
+    crit = int(np.argmax(np.diag(best)))
+    v = best[:, crit].copy()
+    v[crit] = 0.0
+    return lam, v
+
+
+#: Relative agreement of the Collatz-Wielandt brackets at which iteration stops.
+_RTOL = 1e-12
+#: Power-iteration steps after which an irreducible block is refused.
+_MAX_ITER = 200_000
+
+
+def _perron_radius(M: np.ndarray) -> float:
+    """Spectral radius of an irreducible nonnegative matrix by power iteration.
+
+    The Collatz-Wielandt quotients lo = min (Mx)_i/x_i and hi = max (Mx)_i/x_i
+    bracket the radius; the iteration stops when they agree to relative
+    tolerance _RTOL.  It runs on M + s*I with s = lo/4, from the all-ones
+    vector.  The positive shift makes imprimitive blocks converge; tying it
+    to lo, which never exceeds the radius, keeps it from swamping a small
+    radius the way a fixed identity shift does when a block's weights spread
+    widely, and a quarter of lo keeps primitive blocks near the unshifted
+    rate.  Each iterate is a polynomial in M with nonnegative coefficients
+    applied to the last, so the brackets only tighten.  Dividing by hi + s
+    keeps x <= 1; once x may span 150 decades it is folded into M by the
+    similarity diag(x)^-1 M diag(x), which leaves the quotients unchanged,
+    so x never underflows.
+
+    An irreducible block always converges; reaching _MAX_ITER raises
+    GuardError, and so does a block whose quotients leave the float range.
+    """
+    x = np.ones(len(M))
+    floor = 1.0  # lower bound on min(x)
+    for _ in range(_MAX_ITER):
         y = M @ x
         quot = y / x
         lo, hi = float(quot.min()), float(quot.max())
-        if hi <= 0.0:
-            return NEG_INF
-        if hi - lo <= rtol * hi:
-            rho = 0.5 * (lo + hi)
-            break
-        x = y + x
-        x /= x.max()
-    if rho is None:
-        # reducible relation: quotient brackets stall; fall back to the dense spectrum
-        eigs = np.linalg.eigvals(M)
-        rho = float(np.max(np.abs(eigs)))
-        if rho == 0.0:
-            return NEG_INF
-    return math.log(rho) / weights.tau
+        if not 0.0 < lo <= hi < math.inf:
+            raise GuardError(f"power iteration on a {len(M)}-symbol block left the float range")
+        if hi - lo <= _RTOL * hi:
+            return 0.5 * (lo + hi)
+        s = 0.25 * lo
+        x *= s
+        x += y
+        x /= hi + s
+        floor *= s / (hi + s)
+        if floor < 1e-150:
+            floor = float(x.min())
+            if floor < 1e-150:
+                M = M * (x / x[:, None])
+                x = np.ones(len(M))
+                floor = 1.0
+    raise GuardError(
+        f"power iteration on a {len(M)}-symbol block did not converge in {_MAX_ITER} steps"
+    )
 
 
 def cycle_mean_pressure(lang: ItineraryLanguage, weights: PerSymbolWeights) -> float:
@@ -185,7 +306,7 @@ def capacity_pressure(
     if not 1 <= tail_window <= n_max:
         raise PreconditionError("need n_max >= tail_window >= 1")
     tau = weights.tau
-    sums = level_log_sums(lang, weights, n_max)
+    sums = level_log_sums(lang, [weights], n_max)[0].tolist()
     values = tuple((n, sums[n - 1] / (n * tau)) for n in range(1, n_max + 1))
     tail = [v for _, v in values[-tail_window:]]
     return PressureEstimate(

@@ -27,6 +27,7 @@ from importlib import resources
 from . import __version__
 from .errors import ConfigError, GuardError, PreconditionError
 from .symbolic import (
+    MAX_GRID_POINTS,
     MAX_TREE_NODES,
     MAX_WORDS,
     ControlRange,
@@ -235,16 +236,22 @@ class Run:
         return None if value is None else _int(value, key)
 
     def grid(self, key: str) -> list[float]:
+        """Grid points; more than MAX_GRID_POINTS are refused before any is built."""
         block = _require(self.task, key, "task")
+        too_many = GuardError(f"{key}: more than {MAX_GRID_POINTS} grid points")
         if isinstance(block, list):
+            if len(block) > MAX_GRID_POINTS:
+                raise too_many
             return [_real(x, key) for x in block]
         start = _real(_require(block, "start", key), key)
         stop = _real(_require(block, "stop", key), key)
         step = _real(_require(block, "step", key), key)
         if step <= 0:
             raise ConfigError(f"{key}: step must be positive")
-        n = int(math.floor((stop - start) / step + 1e-9)) + 1
-        return [start + k * step for k in range(n)]
+        span = (stop - start) / step + 1e-9  # inf when the quotient overflows
+        if span >= MAX_GRID_POINTS:
+            raise too_many
+        return [start + k * step for k in range(math.floor(span) + 1)]
 
     def _pmap(self, fn, items):
         if self.threads == 1:

@@ -11,7 +11,7 @@ the growth sign of the exceed-level sums flips exactly at the root.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 from .errors import GuardError, PreconditionError
@@ -195,6 +195,45 @@ class CharacterizationResult:
     window: int
 
 
+def _scan_horizon(w_psi: PerSymbolWeights, T: float, n_cap: int | None, window: int):
+    """(n_full, n_cap): the first level past the budget, and the checked level cap."""
+    _check_budget(w_psi, T)
+    n_full = int(math.floor(T * w_psi.tau / min(w_psi.weights.values()))) + 1
+    if n_cap is None:
+        n_cap = n_full + window + 8
+    if n_cap < n_full + window + 2:
+        raise PreconditionError(
+            f"n_cap={n_cap} leaves no all-words tail window (need >= {n_full + window + 2})"
+        )
+    return n_full, n_cap
+
+
+def _verdict(
+    full: Sequence[float], beta: float, T: float, n_cap: int, window: int, margin: float
+) -> CharacterizationResult:
+    """Tail growth verdict from the all-words level sums full[n-1], n = 1..n_cap."""
+    growth = (full[n_cap - 1] - full[n_cap - 1 - window]) / window
+    tail_bound = None
+    if growth <= -margin:
+        verdict = CONVERGENT
+        r = math.exp(growth)
+        tail_bound = full[n_cap - 1] + math.log(r / (1.0 - r))
+    elif growth >= margin:
+        verdict = DIVERGENT
+    else:
+        verdict = INCONCLUSIVE
+    return CharacterizationResult(
+        beta=beta,
+        T=T,
+        verdict=verdict,
+        growth_rate=growth,
+        partial_log_sum=None,
+        tail_log_bound=tail_bound,
+        n_cap=n_cap,
+        window=window,
+    )
+
+
 def characterization_sum(
     lang: WordLanguage,
     w_phi: PerSymbolWeights,
@@ -217,44 +256,14 @@ def characterization_sum(
     length is divisible by every relation period up to 4, which washes out
     imprimitive oscillation.
     """
-    _check_budget(w_psi, T)
+    n_full, n_cap = _scan_horizon(w_psi, T, n_cap, window)
     tilt = combine_weights(w_phi, w_psi, beta)
-    budget = T * w_psi.tau
-    n_full = int(math.floor(budget / min(w_psi.weights.values()))) + 1
-    if n_cap is None:
-        n_cap = n_full + window + 8
-    if n_cap < n_full + window + 2:
-        raise PreconditionError(
-            f"n_cap={n_cap} leaves no all-words tail window (need >= {n_full + window + 2})"
-        )
-    full = level_log_sums(lang, tilt, n_cap)
-    growth = (full[n_cap - 1] - full[n_cap - 1 - window]) / window
-    if growth <= -margin:
-        verdict = CONVERGENT
-        r = math.exp(growth)
-        tail_bound = full[n_cap - 1] + math.log(r / (1.0 - r))
-    elif growth >= margin:
-        verdict = DIVERGENT
-        tail_bound = None
-    else:
-        verdict = INCONCLUSIVE
-        tail_bound = None
-
-    partial = None
-    if include_partial:
-        head = _restricted_head_sums(lang, tilt, w_psi, budget, n_full, max_cells)
-        pieces = head + full[n_full - 1 : n_cap]
-        partial = logsumexp(pieces)
-    return CharacterizationResult(
-        beta=beta,
-        T=T,
-        verdict=verdict,
-        growth_rate=growth,
-        partial_log_sum=partial,
-        tail_log_bound=tail_bound,
-        n_cap=n_cap,
-        window=window,
-    )
+    full = level_log_sums(lang, [tilt], n_cap)[0].tolist()
+    result = _verdict(full, beta, T, n_cap, window, margin)
+    if not include_partial:
+        return result
+    head = _restricted_head_sums(lang, tilt, w_psi, T * w_psi.tau, n_full, max_cells)
+    return replace(result, partial_log_sum=logsumexp(head + full[n_full - 1 : n_cap]))
 
 
 def _restricted_head_sums(
@@ -307,14 +316,16 @@ def characterization_scan(
     window: int = 12,
     margin: float = 1e-3,
 ) -> list[CharacterizationResult]:
-    """Boundedness verdict per grid point; the flip brackets the Bowen root."""
-    return [
-        characterization_sum(
-            lang, w_phi, w_psi, beta, T,
-            n_cap=n_cap, window=window, margin=margin, include_partial=False,
-        )
-        for beta in betas
-    ]
+    """Boundedness verdict per grid point; the flip brackets the Bowen root.
+
+    The level sums of the whole grid come from one batched recursion, and
+    each point's verdict reads its own row, so a point's result equals
+    ``characterization_sum`` at that point without the partial sum.
+    """
+    _n_full, n_cap = _scan_horizon(w_psi, T, n_cap, window)
+    tilts = [combine_weights(w_phi, w_psi, beta) for beta in betas]
+    rows = level_log_sums(lang, tilts, n_cap).tolist()
+    return [_verdict(full, beta, T, n_cap, window, margin) for beta, full in zip(betas, rows)]
 
 
 def verdict_flip(results: Sequence[CharacterizationResult]) -> tuple[float, float] | None:

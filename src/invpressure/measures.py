@@ -102,11 +102,7 @@ def parry_measure(lang: SftLanguage) -> MarkovMeasure:
         raise PreconditionError("the max-entropy chain needs a transition relation")
     syms = lang.symbols
     q = len(syms)
-    idx = {s: k for k, s in enumerate(syms)}
-    A = np.zeros((q, q))
-    for i in syms:
-        for j in lang.successors(i):
-            A[idx[i], idx[j]] = 1.0
+    A = lang.adjacency
     eigvals, eigvecs = np.linalg.eig(A)
     k = int(np.argmax(np.real(eigvals)))
     rho = float(np.real(eigvals[k]))

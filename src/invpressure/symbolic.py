@@ -12,7 +12,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 from .errors import GuardError, PreconditionError
 
@@ -21,6 +24,8 @@ NEG_INF = float("-inf")
 #: Default resource guards (overridable per call and from the CLI).
 MAX_WORDS = 5_000_000
 MAX_TREE_NODES = 10_000_000
+#: Points of a beta or T grid a CLI run accepts (fixed: no override).
+MAX_GRID_POINTS = 10_000
 
 
 def logsumexp(values: Iterable[float]) -> float:
@@ -198,6 +203,69 @@ def word_weight(word: Sequence[int], weights: PerSymbolWeights) -> float:
     return total
 
 
+@dataclass(frozen=True, eq=False)
+class UnitGraph:
+    """A word language compiled to integers, to some depth.
+
+    Units are numbered in breadth-first discovery order; unit 0 is the unit
+    of the empty word, whose out-edges are the initial units, and
+    ``n_units`` counts every unit discovered.  Edge e runs from unit
+    ``src[e]`` and spells ``lang.symbols[sym[e]]``.  Edges are sorted by
+    destination, and every unit but unit 0 was discovered through an edge:
+    segment k, edges ``starts[k]`` up to the next start, holds the edges
+    entering unit k + 1, and ``seg[e]`` is the segment of edge e.
+    """
+
+    n_units: int
+    src: np.ndarray
+    sym: np.ndarray
+    starts: np.ndarray
+    seg: np.ndarray
+
+
+class _UnitWalk:
+    """Breadth-first walk over a language's units, extended one depth at a time."""
+
+    def __init__(self, symbols: Sequence[int]):
+        self.sym_index = {s: k for k, s in enumerate(symbols)}
+        self.units: list[object] = [None]
+        self.index: dict[object, int] = {}
+        self.edges: list[tuple[int, int, int]] = []  # (dst, src, sym)
+        self.expanded = 0  # units[:expanded] have their out-edges
+        self.depth = 0  # every unit of depth < self.depth is expanded
+        self.graph: UnitGraph | None = None
+
+    def graph_to(self, lang: "WordLanguage", depth: int) -> UnitGraph:
+        if self.graph is None or (self.depth < depth and self.expanded < len(self.units)):
+            while self.depth < depth and self.expanded < len(self.units):
+                self._expand_level(lang)
+            self.graph = self._compile()
+        return self.graph
+
+    def _expand_level(self, lang: "WordLanguage") -> None:
+        end = len(self.units)
+        for k in range(self.expanded, end):
+            succ = lang.initial_units() if k == 0 else lang.unit_successors(self.units[k])
+            for u2, s in succ:
+                if u2 not in self.index:
+                    self.index[u2] = len(self.units)
+                    self.units.append(u2)
+                self.edges.append((self.index[u2], k, self.sym_index[s]))
+        self.expanded = end
+        self.depth += 1
+
+    def _compile(self) -> UnitGraph:
+        edges = np.array(self.edges, dtype=np.intp).reshape(-1, 3)
+        dst, src, sym = np.ascontiguousarray(edges[np.argsort(edges[:, 0], kind="stable")].T)
+        return UnitGraph(
+            n_units=len(self.units),
+            src=src,
+            sym=sym,
+            starts=np.flatnonzero(np.diff(dst, prepend=0)),
+            seg=dst - 1,
+        )
+
+
 class WordLanguage:
     """Admissible-word language of an invariant partition.
 
@@ -216,6 +284,21 @@ class WordLanguage:
 
     def unit_successors(self, unit: object) -> list[tuple[object, int]]:
         raise NotImplementedError
+
+    @cached_property
+    def _unit_walk(self) -> _UnitWalk:
+        return _UnitWalk(self.symbols)
+
+    def unit_graph(self, depth: int) -> UnitGraph:
+        """The units met by words shorter than ``depth``, with their labelled out-edges.
+
+        The breadth-first walk is kept on the language and only extended when
+        a later call asks for a deeper graph, so each unit is expanded once
+        per language.  Once no new unit turns up the graph is complete and
+        serves every depth; until then it holds at most the units of the
+        words shorter than ``depth`` plus their successors.
+        """
+        return self._unit_walk.graph_to(self, depth)
 
     def iter_words(self, n: int, max_words: int = MAX_WORDS) -> Iterator[tuple[int, ...]]:
         """Admissible words of length n, in lexicographic order."""
@@ -295,6 +378,80 @@ class SftLanguage(WordLanguage):
 
     def unit_successors(self, unit):
         return [(j, j) for j in self._succ[unit]]
+
+    @cached_property
+    def adjacency(self) -> np.ndarray:
+        """0/1 matrix A[i, j] = [symbols[i] -> symbols[j]]."""
+        idx = {s: k for k, s in enumerate(self.symbols)}
+        A = np.zeros((len(self.symbols), len(self.symbols)))
+        for i, js in self._succ.items():
+            A[idx[i], [idx[j] for j in js]] = 1.0
+        return A
+
+    @cached_property
+    def cyclic_blocks(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Strongly connected components that carry a cycle: (symbol indices, 0/1 block).
+
+        Every infinite path ends in one of these blocks, so the spectral radius
+        of any weighting of the relation is the largest radius among them.
+        """
+        idx = {s: k for k, s in enumerate(self.symbols)}
+        succ = [[idx[j] for j in self._succ[i]] for i in self.symbols]
+        blocks = []
+        for comp in cyclic_components(succ):
+            block = np.array(comp, dtype=np.intp)
+            blocks.append((block, self.adjacency[np.ix_(block, block)]))
+        return tuple(blocks)
+
+
+def cyclic_components(succ: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Strongly connected components of the graph v -> succ[v] that carry a cycle.
+
+    Tarjan's algorithm (SIAM J. Comput. 1(2), 1972) with an explicit stack;
+    each component is returned as a sorted list of vertices.
+    """
+    order = [-1] * len(succ)  # discovery number
+    low = [0] * len(succ)
+    on_stack = [False] * len(succ)
+    stack: list[int] = []
+    comps = []
+    seen = 0
+
+    def discover(v: int) -> None:
+        nonlocal seen
+        order[v] = low[v] = seen
+        seen += 1
+        stack.append(v)
+        on_stack[v] = True
+
+    for root in range(len(succ)):
+        if order[root] >= 0:
+            continue
+        discover(root)
+        work = [(root, 0)]
+        while work:
+            v, k = work[-1]
+            if k < len(succ[v]):
+                work[-1] = (v, k + 1)
+                w = succ[v][k]
+                if order[w] < 0:
+                    discover(w)
+                    work.append((w, 0))
+                elif on_stack[w]:
+                    low[v] = min(low[v], order[w])
+                continue
+            work.pop()
+            if work:
+                u = work[-1][0]
+                low[u] = min(low[u], low[v])
+            if low[v] == order[v]:
+                comp = []
+                while not comp or comp[-1] != v:
+                    comp.append(stack.pop())
+                    on_stack[comp[-1]] = False
+                if len(comp) > 1 or v in succ[v]:
+                    comps.append(sorted(comp))
+    return comps
 
 
 class ItineraryLanguage(WordLanguage):

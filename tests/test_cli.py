@@ -7,6 +7,7 @@ import pytest
 
 import invpressure as ip
 from invpressure.cli import bundled_config_path, main, run
+from invpressure.symbolic import MAX_GRID_POINTS
 
 BUNDLED = ("full-shift-3.json", "golden-mean.json", "affine-doubling.json")
 
@@ -112,6 +113,24 @@ class TestExitCodes:
         assert main(["--config", path, "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command,key", [("scan", "beta_grid"), ("induced", "T_grid")])
+    def test_oversized_grid_is_3(self, tmp_path, capsys, command, key):
+        # 10^12 points: the guard must refuse before a single point is built
+        cfg = load("golden-mean.json")
+        cfg["task"] = {"command": command, "phi": "zero", "psi": "scale",
+                       key: {"start": "0.5", "stop": "1.5", "step": "1e-12"}}
+        path = write_config(tmp_path, cfg)
+        assert main(["--config", path, "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("guard tripped: ") and err.count("\n") == 1
+
+    def test_oversized_grid_list_is_3(self, tmp_path):
+        cfg = load("golden-mean.json")
+        cfg["task"] = {"command": "scan", "phi": "zero", "psi": "scale",
+                       "beta_grid": ["0.5"] * (MAX_GRID_POINTS + 1)}
+        path = write_config(tmp_path, cfg)
+        assert main(["--config", path, "--out", str(tmp_path / "o")]) == 3
 
     def test_math_precondition_is_4(self, tmp_path):
         cfg = load("golden-mean.json")

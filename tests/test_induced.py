@@ -203,3 +203,21 @@ class TestCharacterization:
         results = ip.characterization_scan(lang, w_phi, w_psi, betas, 6.0)
         flip = ip.verdict_flip(results)
         assert flip[0] <= 0.9 / 1.5 <= flip[1]
+
+    def test_scan_point_equals_single_sum(self, rng):
+        # one batched recursion for the grid; no point may depend on its neighbours
+        for lang in (golden_mean(), random_sft(rng, 4), random_sft(rng, 5)):
+            w_phi = random_weights(rng, lang, -1.0, 1.0)
+            w_psi = random_weights(rng, lang, 0.5, 1.5)
+            betas = [rng.uniform(-1.0, 3.0) for _ in range(9)]
+            results = ip.characterization_scan(lang, w_phi, w_psi, betas, 4.0)
+            for beta, res in zip(betas, results):
+                single = ip.characterization_sum(
+                    lang, w_phi, w_psi, beta, 4.0, include_partial=False
+                )
+                assert res == single
+
+    def test_empty_grid(self):
+        lang = golden_mean()
+        w0, ones = const_weights(lang, 0.0), const_weights(lang, 1.0)
+        assert ip.characterization_scan(lang, w0, ones, [], 10.5) == []
