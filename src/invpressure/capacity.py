@@ -10,8 +10,10 @@ radius of the weighted transition matrix, which serves as the oracle; the
 radius is the largest over the relation's cyclic strongly connected blocks,
 each balanced by a diagonal similarity and then found by power iteration with
 Collatz-Wielandt brackets.  The root solver
-inverts beta -> pressure(phi - beta*psi) by bisection, with an a-priori error
-certificate from the slope bound min_i w_psi(i)/tau.
+inverts beta -> pressure(phi - beta*psi) with ``_find_root``, the package's
+one bracketing driver (ITP steps inside a sign-checked bracket).  Its
+certificate comes from the slope bound min_i w_psi(i)/tau and includes the
+oracle's own error.
 """
 
 from __future__ import annotations
@@ -355,6 +357,79 @@ class RootCertificate:
             raise PreconditionError("root estimate outside its bracket")
 
 
+#: Steps after which a root or jump search stops, whatever its stop rule says.
+_MAX_STEPS = 200
+#: Widenings of a starting bracket without a sign change before a search is refused.
+_MAX_WIDENINGS = 80
+
+
+def _find_root(f, lo: float, hi: float, eps: float, done=None):
+    """Bracket of the sign change of a decreasing f, shrunk by ITP.
+
+    Returns (lo, hi, f(lo), f(hi), steps) with f(lo) >= 0 > f(hi); every
+    value returned was evaluated.  The starting [lo, hi] is only a guess:
+    while an end has the wrong sign, the bracket moves past that end and
+    doubles its width, and after _MAX_WIDENINGS moves the search is refused
+    with GuardError.  The bracket then shrinks by ITP (Oliveira and
+    Takahashi, ACM TOMS 47(1), 2020): each step takes the regula falsi
+    point, truncates it towards the midpoint, and projects it into the ball
+    around the midpoint that keeps the bracket within bisection's width
+    plus one halving.  So at most ceil(log2(w0 / (2*eps))) + 1 steps bring
+    the width to 2*eps, and the steps converge superlinearly on a smooth
+    root.  The search stops there, when ``done(x, f(x))`` holds at a new
+    point, at float resolution, or after _MAX_STEPS steps.
+    """
+    f_lo, f_hi = f(lo), f(hi)
+    width = hi - lo
+    widenings = 0
+    while not f_lo >= 0.0 > f_hi:
+        widenings += 1
+        if widenings > _MAX_WIDENINGS:
+            raise GuardError(f"no sign change on [{lo}, {hi}]: f={f_lo}, {f_hi}")
+        width *= 2.0
+        if f_lo < 0.0:  # the sign change lies below lo
+            if f_hi < 0.0:
+                hi, f_hi = lo, f_lo
+            lo -= width
+            f_lo = f(lo)
+        else:  # f(hi) >= 0: it lies above hi
+            lo, f_lo = hi, f_hi
+            hi += width
+            f_hi = f(hi)
+    steps = 0
+    if done is not None and (done(lo, f_lo) or done(hi, f_hi)):
+        return lo, hi, f_lo, f_hi, steps
+    n_max = max(0, math.ceil(math.log2((hi - lo) / (2.0 * eps)))) + 1
+    kappa = 0.2 / (hi - lo)
+    # the projection aims a few ulps inside eps, so rounding of the points
+    # cannot cost the last halving
+    aim = max(0.5 * eps, eps - 8.0 * math.ulp(max(abs(lo), abs(hi))))
+    while hi - lo > 2.0 * eps and steps < min(n_max, _MAX_STEPS):
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        x = mid
+        if math.isfinite(f_lo) and math.isfinite(f_hi):
+            guess = (f_lo * hi - f_hi * lo) / (f_lo - f_hi)
+            gap = mid - guess
+            push = kappa * (hi - lo) ** 2
+            x = guess + math.copysign(push, gap) if push <= abs(gap) else mid
+            radius = max(0.0, aim * 2.0 ** (n_max - steps) - 0.5 * (hi - lo))
+            if abs(x - mid) > radius:
+                x = mid - math.copysign(radius, gap)
+            if not lo < x < hi:
+                x = mid
+        fx = f(x)
+        steps += 1
+        if fx >= 0.0:
+            lo, f_lo = x, fx
+        else:
+            hi, f_hi = x, fx
+        if done is not None and done(x, fx):
+            break
+    return lo, hi, f_lo, f_hi, steps
+
+
 def bowen_root(
     lang: WordLanguage,
     w_phi: PerSymbolWeights,
@@ -362,53 +437,37 @@ def bowen_root(
     tol: float = 1e-9,
     n_max: int = 120,
 ) -> RootCertificate:
-    """Unique root of pressure(phi - beta*psi) = 0 by certified bisection.
+    """Unique root of Phi(beta) = pressure(phi - beta*psi) = 0, certified.
 
-    The map is strictly decreasing with slope at most -m where
-    m = min_i w_psi(i)/tau, so the initial bracket
-    [min(0, P/m), max(0, P/m)] with P = pressure(phi) is rigorous and
-    |Phi(beta_hat)|/m bounds the distance to the true root.  Stops when that
-    bound drops below ``tol`` (200-iteration hard cap).
+    Phi decreases with slope in [-M, -m], where m and M are the least and
+    largest of w_psi(i)/tau.  So the root lies between P/M and P/m, with
+    P = Phi(0), and that bracket is rigorous.  ``_find_root`` checks it and
+    shrinks it by ITP.  The reported beta_hat is the end of the final
+    bracket with the smaller residual.  ``error_bound`` is
+    (|residual| + e)/m, where e bounds the oracle's own error: the spectral
+    bracket's half-width for a transition relation, and 0 for the exact
+    cycle mean.  The search stops once that bound is at most ``tol``.  It
+    also stops when the bracket is narrow enough that the bound must hold,
+    and after 200 steps.
     """
     if tol <= 0:
         raise PreconditionError("tol must be positive")
     w_psi.require_positive("psi weights")
-    m = w_psi.rate_min()
+    m, big = w_psi.rate_min(), w_psi.rate_max()
+    # the spectral oracle stops at a Collatz-Wielandt half-width of at most _RTOL
+    err = _RTOL / w_psi.tau if isinstance(lang, SftLanguage) else 0.0
 
     def phi(beta: float) -> float:
         return pressure_difference(lang, w_phi, w_psi, beta, n_max)
 
     p0 = phi(0.0)
-    lo = min(0.0, p0 / m)
-    hi = max(0.0, p0 / m)
-    pad = max(tol, 1e-3 * max(1.0, abs(p0) / m))
-    lo -= pad
-    hi += pad
-    f_lo, f_hi = phi(lo), phi(hi)
-    expansions = 0
-    while f_lo < 0.0 or f_hi > 0.0:
-        expansions += 1
-        if expansions > 60:
-            raise GuardError(
-                f"no sign change on [{lo}, {hi}]: Phi({lo})={f_lo}, Phi({hi})={f_hi}"
-            )
-        width = hi - lo
-        if f_lo < 0.0:
-            lo -= width
-            f_lo = phi(lo)
-        if f_hi > 0.0:
-            hi += width
-            f_hi = phi(hi)
-
-    beta = 0.5 * (lo + hi)
-    res = phi(beta)
-    iters = 0
-    while abs(res) / m > tol and iters < 200:
-        iters += 1
-        if res > 0.0:
-            lo = beta
-        else:
-            hi = beta
-        beta = 0.5 * (lo + hi)
-        res = phi(beta)
-    return RootCertificate(beta, res, abs(res) / m, (lo, hi), iters)
+    pad = tol + 2.0 * err / m
+    lo, hi, f_lo, f_hi, steps = _find_root(
+        phi,
+        min(p0 / m, p0 / big) - pad,
+        max(p0 / m, p0 / big) + pad,
+        0.25 * tol * m / big,
+        lambda beta, res: (abs(res) + err) / m <= tol,
+    )
+    beta, res = (lo, f_lo) if abs(f_lo) <= abs(f_hi) else (hi, f_hi)
+    return RootCertificate(beta, res, (abs(res) + err) / m, (lo, hi), steps)

@@ -7,20 +7,27 @@ in D.  On the laminar cylinder family the fractional cover optimum equals
 the antichain optimum (min-cut on a tree), and the max-flow that certifies
 it doubles as the Frostman-type measure.
 
-One unit-factored table (``_CoverTable``) computes that min-cut: the
-optimal cost below a cylinder, relative to its own, depends only on the
-cylinder's continuation unit and depth, so it is memoized per (unit, depth)
-and never materializes L^D.  The cover value, the head prefactor, the
-optimal cover (an argmin walk) and the Frostman flow (a proportional push)
-are read-outs of it.  ``word_cover_value`` alone walks an explicit cylinder
-tree, as an independent reference route.
+One unit-factored table computes that min-cut: the optimal cost below a
+cylinder, relative to its own, depends only on the cylinder's continuation
+unit and depth, so L^D is never materialized.  ``_CoverGraph`` compiles the
+child lists of one (language, target, D) once, from ``lang.unit_graph(D)``
+and the target words' trie, and lists the nodes live at each depth.
+``_CoverTable`` evaluates one cost law on it by an iterative backward pass
+over those depths.  The cover value, the head prefactor, the optimal cover
+(an argmin walk) and the Frostman flow (a proportional push) are read-outs
+of the table.  ``word_cover_value`` alone walks an explicit cylinder tree,
+as an independent reference route.
 
-Critical exponents (the pressure-like jump locations) are found by
-bisection on the lambda at which the truncated optimum crosses 1.  For
+Critical exponents (the pressure-like jump locations) are the lambda at
+which the truncated optimum crosses 1, found by the package's one
+bracketing driver (``capacity._find_root``: ITP steps inside a sign-checked
+bracket), with every evaluation on one compiled graph.  For
 cylinder-presented targets the crossing is measured relative to the target
 words' own cover cost, which removes the fixed head prefactor and makes the
 detector track the subtree jump (the whole-space case keeps the literal
-threshold 1).
+threshold 1).  ``bs_dimension`` solves its Bowen equation with the same
+driver, starting each inner jump search from the bracket that the slope
+bounds give around the points it has already evaluated.
 """
 
 from __future__ import annotations
@@ -40,7 +47,7 @@ from .symbolic import (
     logsumexp,
     zero_weights,
 )
-from .capacity import RootCertificate
+from .capacity import RootCertificate, _find_root
 
 
 @dataclass(frozen=True)
@@ -75,122 +82,141 @@ class SubsetSpec:
         return self.words is not None and not self.words
 
 
-def _advance(lang: WordLanguage, unit: object, sym: int) -> object | None:
-    succ = lang.initial_units() if unit is None else lang.unit_successors(unit)
-    for u, s in succ:
-        if s == sym:
-            return u
-    return None
+class _CoverGraph:
+    """The child lists of the cover tables of one target set, to resolution D.
+
+    A node is a unit of ``lang.unit_graph(D)`` or, while still inside the
+    target words, a node of their prefix trie (a terminal continues as its
+    unit).  The root is unit 0, the empty word, for the whole space, and the
+    trie's root otherwise.  The nodes live at each depth are listed once:
+    ``layers[n][i]`` holds (symbol index, position at depth n + 1) for each
+    child of the i-th node live at depth n.  Building the graph is the only
+    step that reads the language, so every cost law on one (language,
+    target, D) shares it.
+    """
+
+    def __init__(self, lang: WordLanguage, Z: SubsetSpec, D: int):
+        g = lang.unit_graph(D)
+        kids: list[list[tuple[int, int]]] = [[] for _ in range(g.n_units)]
+        for src, sym, seg in zip(g.src.tolist(), g.sym.tolist(), g.seg.tolist()):
+            kids[src].append((sym, seg + 1))
+        for out in kids:
+            out.sort()
+        self.symbols, self.D, self.whole = lang.symbols, D, Z.is_whole_space
+        self.targets: list[tuple[int, ...]] = []  # target words as symbol indices
+        root = 0 if Z.is_whole_space else self._add_trie(Z, kids)
+        self.layers: list[list[list[tuple[int, int]]]] = []
+        # a layer is shared by every depth with the same live nodes (for a
+        # relation, every depth after the first)
+        seen: dict[tuple[int, ...], tuple[list, list[int]]] = {}
+        live = [root]
+        for _ in range(D):
+            key = tuple(live)
+            if key not in seen:
+                pos: dict[int, int] = {}
+                layer = [[(k, pos.setdefault(c, len(pos))) for k, c in kids[v]] for v in live]
+                seen[key] = (layer, list(pos))
+            layer, live = seen[key]
+            self.layers.append(layer)
+        self.leaves = len(live)
+
+    def _add_trie(self, Z: SubsetSpec, kids: list[list[tuple[int, int]]]) -> int:
+        """Append the prefix trie of the target words to ``kids``; return its root."""
+        index = {s: k for k, s in enumerate(self.symbols)}
+        units = len(kids)
+        trie: list[dict[int, int]] = [{}]
+        targets = set()
+        for word in Z.words or ():
+            if not word:
+                raise PreconditionError("empty word cannot present a cylinder")
+            if len(word) > self.D:
+                raise PreconditionError(f"target word {word} deeper than resolution D={self.D}")
+            path, unit = [], 0
+            for sym in word:
+                k = index.get(sym)
+                unit = next((c for s, c in kids[unit] if s == k), None)
+                if unit is None:
+                    raise PreconditionError(f"target word {word} is not admissible")
+                path.append(k)
+            targets.add(tuple(path))
+            node = 0
+            for k in path[:-1]:
+                child = trie[node].get(k)
+                if child is None:
+                    child = trie[node][k] = units + len(trie)
+                    trie.append({})
+                elif child < units:  # inside a shorter target word
+                    break
+                node = child - units
+            else:
+                trie[node][path[-1]] = unit
+        kids.extend(sorted(t.items()) for t in trie)
+        self.targets = sorted(targets)
+        return units
 
 
-class _Trie:
-    """Prefix tree of the target words, annotated with continuation units."""
-
-    __slots__ = ("children", "terminal", "unit", "depth", "acc")
-
-    def __init__(self, unit, depth):
-        self.children: dict[int, _Trie] = {}
-        self.terminal = False
-        self.unit = unit
-        self.depth = depth
-        self.acc = 0.0  # absolute log cost of the word ending here
-
-
-def _build_trie(lang: WordLanguage, Z: SubsetSpec, step: Mapping[int, float], D: int) -> _Trie:
-    root = _Trie(None, 0)
-    for word in Z.words or ():
-        if not word:
-            raise PreconditionError("empty word cannot present a cylinder")
-        if len(word) > D:
-            raise PreconditionError(f"target word {word} deeper than resolution D={D}")
-        node, unit = root, None
-        for sym in word:
-            unit = _advance(lang, unit, sym)
-            if unit is None:
-                raise PreconditionError(f"target word {word} is not admissible")
-            if sym not in node.children:
-                child = _Trie(unit, node.depth + 1)
-                child.acc = node.acc + step[sym]
-                node.children[sym] = child
-            node = node.children[sym]
-        node.terminal = True
-    return root
-
-
-def _steps(weights: PerSymbolWeights, length_coeff: float, weight_coeff: float) -> dict[int, float]:
-    return {s: length_coeff + weight_coeff * weights[s] for s in weights.symbols}
+def _lse(vals: list[float]) -> float:
+    """``logsumexp`` of a list, with the single-term case taken as is."""
+    if len(vals) == 1:
+        return vals[0]
+    m = max(vals, default=NEG_INF)
+    if m == NEG_INF or m == math.inf:
+        return m
+    return m + math.log(math.fsum([math.exp(v - m) for v in vals]))
 
 
 class _CoverTable:
-    """The unit-factored cover table of one cost law on one target set.
+    """The cover table of one cost law on a compiled ``_CoverGraph``.
 
-    A cylinder's log cost ``length_coeff*depth + weight_coeff*weight(s)`` is
-    a sum of per-symbol steps, so the optimal cost below a node, relative to
-    the node's own cost, depends only on (continuation unit, depth).  A node
-    is a unit, a ``_Trie`` node while still inside the target words (a
-    terminal continues as its unit), or None for the root of the whole space.
-    ``alpha`` is memoized per (node, depth) and each node's children once, so
-    one table costs O(units * D) however large L^D is.  The value, the head,
-    the optimal cover and the Frostman flow are all read off this table.
+    A cylinder's log cost is a sum of per-symbol steps (``step[k]`` for the
+    k-th symbol), so the optimal cost below a node, relative to the node's
+    own cost, depends only on the node and its depth.  One backward pass
+    over the graph's layers computes it for every live node:
+    ``rel[n][i]`` is the log cost of the best cover strictly below the i-th
+    node at depth n, and ``alpha[n][i]`` is the best including the node
+    itself (min(0, rel) once n >= N; 0 keeps the node).  The value, the
+    head, the optimal cover and the Frostman flow are all read off it.
     """
 
-    def __init__(self, lang, weights, length_coeff, weight_coeff, Z: SubsetSpec, N: int, D: int):
+    def __init__(self, graph: _CoverGraph, step: Sequence[float], N: int):
+        D = graph.D
         if not 1 <= N <= D:
             raise PreconditionError(f"need 1 <= N <= D, got N={N}, D={D}")
-        self.lang, self.N, self.D = lang, N, D
-        self.step = _steps(weights, length_coeff, weight_coeff)
-        self.root = None if Z.is_whole_space else _build_trie(lang, Z, self.step, D)
-        self._kids: dict[object, list[tuple[int, object, float]]] = {}
-        self._alpha: dict[tuple[object, int], float] = {}
-
-    def children(self, node) -> list[tuple[int, object, float]]:
-        """(symbol, child node, log step) of each child cylinder meeting the target."""
-        kids = self._kids.get(node)
-        if kids is None:
-            if isinstance(node, _Trie):
-                pairs = [(c.unit if c.terminal else c, s) for s, c in node.children.items()]
-            elif node is None:
-                pairs = self.lang.initial_units()
-            else:
-                pairs = self.lang.unit_successors(node)
-            kids = self._kids[node] = [(s, u, self.step[s]) for u, s in pairs]
-        return kids
-
-    def rel(self, node, n: int) -> float:
-        """log cost of the best cover strictly below a depth-n node, relative to its own."""
-        alpha = self.alpha
-        return logsumexp([st + alpha(c, n + 1) for _, c, st in self.children(node)])
-
-    def alpha(self, node, n: int) -> float:
-        """log of the optimal cost at a depth-n node relative to its own: 0 keeps the node."""
-        if n == self.D:
-            return 0.0
-        key = (node, n)
-        val = self._alpha.get(key)
-        if val is None:
-            val = self.rel(node, n)
-            if n >= self.N:
-                val = min(0.0, val)
-            self._alpha[key] = val
-        return val
+        self.graph, self.step = graph, step
+        a = [0.0] * graph.leaves
+        self.rel: list[list[float]] = [a] * (D + 1)
+        self.alpha: list[list[float]] = [a] * (D + 1)
+        for n in range(D - 1, -1, -1):
+            rel = [_lse([step[k] + a[j] for k, j in kids]) for kids in graph.layers[n]]
+            a = [v if v < 0.0 else 0.0 for v in rel] if n >= N else rel
+            self.rel[n], self.alpha[n] = rel, a
 
     @property
     def total(self) -> float:
         """log of the optimal cover cost."""
-        return self.rel(self.root, 0)
+        return self.rel[0][0]
 
     @property
     def head(self) -> float:
         """log cost of covering the target by its own defining words."""
-        if self.root is None:
+        if self.graph.whole:
             return 0.0
-        accs, stack = [], [self.root]
-        while stack:
-            node = stack.pop()
-            if node.terminal:
-                accs.append(node.acc)
-            stack.extend(node.children.values())
-        return logsumexp(accs)
+        step = self.step
+        return logsumexp([sum(step[k] for k in word) for word in self.graph.targets])
+
+
+def _table(
+    lang: WordLanguage,
+    weights: PerSymbolWeights,
+    length_coeff: float,
+    weight_coeff: float,
+    Z: SubsetSpec,
+    N: int,
+    D: int,
+) -> _CoverTable:
+    """The cover table of cost law exp(length_coeff*depth + weight_coeff*weight(s))."""
+    step = [length_coeff + weight_coeff * weights[s] for s in lang.symbols]
+    return _CoverTable(_CoverGraph(lang, Z, D), step, N)
 
 
 def cover_value(
@@ -202,7 +228,7 @@ def cover_value(
     D: int,
 ) -> float:
     """Optimal cover cost with per-cylinder cost exp(-lam*n*tau + weight(s))."""
-    return math.exp(_CoverTable(lang, weights, -lam * weights.tau, 1.0, Z, N, D).total)
+    return math.exp(_table(lang, weights, -lam * weights.tau, 1.0, Z, N, D).total)
 
 
 def bs_cover_value(
@@ -215,7 +241,7 @@ def bs_cover_value(
 ) -> float:
     """Optimal cover cost with per-cylinder cost exp(-lam*weight(s)); weights > 0."""
     weights.require_positive("dimension weight")
-    return math.exp(_CoverTable(lang, weights, 0.0, -lam, Z, N, D).total)
+    return math.exp(_table(lang, weights, 0.0, -lam, Z, N, D).total)
 
 
 def word_cover_value(
@@ -237,32 +263,32 @@ def word_cover_value(
         raise PreconditionError(f"need 1 <= N <= D, got N={N}, D={D}")
     if Z.is_empty:
         return 0.0
+    targets = set(Z.words or ())
+    if () in targets:
+        raise PreconditionError("empty word cannot present a cylinder")
+    if any(len(word) > D for word in targets):
+        raise PreconditionError(f"target words deeper than resolution D={D}")
+    prefixes = {word[:k] for word in targets for k in range(1, len(word))}
     length_coeff = -lam * weights.tau
     tree = build_cylinder_tree(lang, [weights], D, max_nodes)
-    trie = _build_trie(lang, Z, _steps(weights, length_coeff, 1.0), D)
+    found = set()
 
-    def value(node: CylinderNode, zstate) -> float:
-        if zstate is None:
+    def value(node: CylinderNode, inside: bool) -> float:
+        if node.word in targets:
+            found.add(node.word)
+            inside = True
+        elif not inside and node.word not in prefixes:
             return NEG_INF
-        if isinstance(zstate, _Trie) and zstate.terminal:
-            zstate = "inside"
         own = length_coeff * node.depth + node.cum[0]
         if node.depth == D:
             return own
-        parts = []
-        for child in node.children:
-            sym = child.word[-1]
-            sub = zstate if zstate == "inside" else zstate.children.get(sym)
-            parts.append(value(child, sub))
-        ls = logsumexp(parts)
+        ls = logsumexp([value(child, inside) for child in node.children])
         return min(own, ls) if node.depth >= N else ls
 
-    zroot = "inside" if Z.is_whole_space else trie
-    parts = []
-    for child in tree.root.children:
-        sub = zroot if zroot == "inside" else zroot.children.get(child.word[-1])
-        parts.append(value(child, sub))
-    return math.exp(logsumexp(parts))
+    total = logsumexp([value(child, Z.is_whole_space) for child in tree.root.children])
+    if found != targets:
+        raise PreconditionError(f"target words {sorted(targets - found)} are not admissible")
+    return math.exp(total)
 
 
 @dataclass(frozen=True)
@@ -300,21 +326,23 @@ def cover_solution(
         length_coeff, weight_coeff = 0.0, -lam
     else:
         raise PreconditionError(f"unknown cover variant {variant!r}")
-    table = _CoverTable(lang, weights, length_coeff, weight_coeff, Z, N, D)
+    table = _table(lang, weights, length_coeff, weight_coeff, Z, N, D)
+    layers, symbols, step, rel = table.graph.layers, lang.symbols, table.step, table.rel
     chosen: list[tuple[tuple[int, ...], float]] = []
     visited = 0
-    stack = [(table.root, 0, (), 0.0)]
+    stack = [(0, 0, (), 0.0)]  # (depth, position among the live nodes, word, log cost)
     while stack:
-        node, n, word, acc = stack.pop()
-        for sym, child, st in table.children(node):
+        n, i, word, acc = stack.pop()
+        m = n + 1
+        for k, j in layers[n][i]:
             visited += 1
             if visited > max_nodes:
                 raise GuardError(f"cover read-out exceeded {max_nodes} cylinders")
-            m, w, a = n + 1, word + (sym,), acc + st
-            if m >= N and (m == D or table.rel(child, m) >= 0.0):
+            w, a = word + (symbols[k],), acc + step[k]
+            if m >= N and (m == D or rel[m][j] >= 0.0):
                 chosen.append((w, math.exp(a)))
             else:
-                stack.append((child, m, w, a))
+                stack.append((m, j, w, a))
     chosen.sort()
     words = tuple(w for w, _ in chosen)
     costs = tuple(c for _, c in chosen)
@@ -327,7 +355,7 @@ def cover_solution(
 
 @dataclass(frozen=True)
 class JumpEstimate:
-    """Bisected location of the infinity-to-zero jump of a cover sum."""
+    """Location of the infinity-to-zero jump of a cover sum, with its final bracket."""
 
     critical: float
     value_below: float
@@ -336,30 +364,30 @@ class JumpEstimate:
     bracket: tuple[float, float]
 
 
-def _bisect_jump(detect, lo: float, hi: float, tol: float) -> tuple[float, int, tuple[float, float]]:
-    """Bisect the sign change of ``detect`` (positive below, negative above)."""
-    g_lo, g_hi = detect(lo), detect(hi)
-    expansions = 0
-    while g_lo < 0.0 or g_hi > 0.0:
-        expansions += 1
-        if expansions > 80:
-            raise GuardError(f"no jump bracket found on [{lo}, {hi}]")
-        width = max(hi - lo, 1.0)
-        if g_lo < 0.0:
-            lo -= width
-            g_lo = detect(lo)
-        if g_hi > 0.0:
-            hi += width
-            g_hi = detect(hi)
-    iters = 0
-    while hi - lo > tol and iters < 200:
-        iters += 1
-        mid = 0.5 * (lo + hi)
-        if detect(mid) >= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi), iters, (lo, hi)
+def _detect_depth(Z: SubsetSpec, N: int, D: int) -> int:
+    """Least cover depth the jump detection counts: below the target words' own depths."""
+    if Z.is_empty:
+        raise PreconditionError("critical exponent of the empty set is undefined")
+    n_detect = N if Z.is_whole_space else max(N, max(len(w) for w in Z.words) + 1)
+    if n_detect > D:
+        raise PreconditionError("resolution D too shallow for the target words")
+    return n_detect
+
+
+def _jump(graph: _CoverGraph, steps, n_detect: int, lo: float, hi: float, tol: float):
+    """Sign change of the head-normalized optimum of the cost law lam -> steps(lam).
+
+    Returns (critical, steps taken, final bracket).  The search stops once
+    the bracket is at most ``tol`` wide, and the critical value is its upper
+    end, where the optimum was seen below the threshold.
+    """
+
+    def detect(lam: float) -> float:
+        table = _CoverTable(graph, steps(lam), n_detect)
+        return table.total - table.head
+
+    lo, hi, _, _, iters = _find_root(detect, lo, hi, 0.5 * tol)
+    return hi, iters, (lo, hi)
 
 
 @dataclass(frozen=True)
@@ -384,33 +412,45 @@ def pp_pressure(
 ) -> PpPressure:
     """Critical lambda of the cover sums with cost exp(-lam*n*tau + weight).
 
-    Bisects where the truncated optimum crosses the head-normalized
+    Searches where the truncated optimum crosses the head-normalized
     threshold; detection ignores cover elements at or above the target
-    words' own depths, which is where the limit lives.
+    words' own depths, which is where the limit lives.  Every evaluation
+    reads one compiled cover graph.  The value is the upper end of a final
+    bracket at most ``tol`` wide.
     """
     Z = Z or SubsetSpec.whole_space()
     if tol <= 0:
         raise PreconditionError("tol must be positive")
-    if Z.is_empty:
-        raise PreconditionError("critical exponent of the empty set is undefined")
-    tau = weights.tau
-    n_detect = N if Z.is_whole_space else max(N, max(len(w) for w in Z.words) + 1)
-    if n_detect > D:
-        raise PreconditionError("resolution D too shallow for the target words")
-
-    def detect(lam: float) -> float:
-        table = _CoverTable(lang, weights, -lam * tau, 1.0, Z, n_detect, D)
-        return table.total - table.head
-
+    n_detect = _detect_depth(Z, N, D)
+    graph = _CoverGraph(lang, Z, D)
+    wts, tau = [weights[s] for s in lang.symbols], weights.tau
+    steps = lambda lam: [-lam * tau + w for w in wts]
     span = weights.rate_absmax() + math.log(max(2, len(lang.symbols))) / tau + 1.0
-    crit, iters, bracket = _bisect_jump(detect, -span, span, tol)
+    crit, iters, (lo, hi) = _jump(graph, steps, n_detect, -span, span, tol)
     return PpPressure(
         value=crit,
-        value_below=cover_value(lang, weights, Z, max(bracket[0] - tol, crit - 2 * tol), N, D),
-        value_above=cover_value(lang, weights, Z, bracket[1] + tol, N, D),
+        value_below=math.exp(_CoverTable(graph, steps(lo - tol), N).total),
+        value_above=math.exp(_CoverTable(graph, steps(hi + tol), N).total),
         iterations=iters,
         N=N,
         D=D,
+    )
+
+
+def _bs_jump(
+    graph: _CoverGraph, weights: PerSymbolWeights, N: int, n_detect: int, tol: float
+) -> JumpEstimate:
+    """``bs_jump`` on a compiled cover graph."""
+    wts = [weights[s] for s in graph.symbols]
+    steps = lambda lam: [-lam * w for w in wts]
+    hi0 = math.log(max(2, len(graph.symbols))) / (weights.tau * weights.rate_min()) + 1.0
+    crit, iters, (lo, hi) = _jump(graph, steps, n_detect, -1.0, hi0, tol)
+    return JumpEstimate(
+        critical=crit,
+        value_below=math.exp(_CoverTable(graph, steps(lo - tol), N).total),
+        value_above=math.exp(_CoverTable(graph, steps(hi + tol), N).total),
+        iterations=iters,
+        bracket=(lo, hi),
     )
 
 
@@ -422,28 +462,15 @@ def bs_jump(
     D: int = 12,
     tol: float = 1e-9,
 ) -> JumpEstimate:
-    """Direct jump of the weight-cost cover sums exp(-lam*weight(s))."""
+    """Direct jump of the weight-cost cover sums exp(-lam*weight(s)).
+
+    The critical value is the upper end of a final bracket at most ``tol``
+    wide.
+    """
     Z = Z or SubsetSpec.whole_space()
     weights.require_positive("dimension weight")
-    if Z.is_empty:
-        raise PreconditionError("critical exponent of the empty set is undefined")
-    n_detect = N if Z.is_whole_space else max(N, max(len(w) for w in Z.words) + 1)
-    if n_detect > D:
-        raise PreconditionError("resolution D too shallow for the target words")
-
-    def detect(lam: float) -> float:
-        table = _CoverTable(lang, weights, 0.0, -lam, Z, n_detect, D)
-        return table.total - table.head
-
-    hi0 = math.log(max(2, len(lang.symbols))) / (weights.tau * weights.rate_min()) + 1.0
-    crit, iters, bracket = _bisect_jump(detect, -1.0, hi0, tol)
-    return JumpEstimate(
-        critical=crit,
-        value_below=bs_cover_value(lang, weights, Z, max(bracket[0] - tol, crit - 2 * tol), N, D),
-        value_above=bs_cover_value(lang, weights, Z, bracket[1] + tol, N, D),
-        iterations=iters,
-        bracket=bracket,
-    )
+    n_detect = _detect_depth(Z, N, D)
+    return _bs_jump(_CoverGraph(lang, Z, D), weights, N, n_detect, tol)
 
 
 @dataclass(frozen=True)
@@ -467,56 +494,59 @@ def bs_dimension(
     N: int = 1,
     D: int = 12,
 ) -> BsDimension:
-    """Unique root t* of pp_pressure(-t*weights) = 0, certified by bisection.
+    """Unique root t* of Phi(t) = pp_pressure(-t*weights) = 0, certified.
 
-    The critical-exponent map t -> pp_pressure(-t*w) decreases with slope in
-    [-max_rate, -min_rate], so t* lies in [dim/max_rate, dim/min_rate] where
-    dim is the zero-potential critical exponent; |residual|/min_rate bounds
-    the root error.  The direct weight-cost jump is computed alongside and
-    reported for agreement checks.
+    Phi decreases with slope in [-R, -r], where r and R are the least and
+    largest rate of the weights.  So t* lies in [dim/R, dim/r], where dim =
+    Phi(0) is the zero-potential critical exponent, and ``_find_root``
+    checks and shrinks that bracket.  Each Phi(t) is a jump search at
+    tolerance inner = tol*min(1/16, r/2) on one compiled cover graph.  It starts from
+    the bracket that the same slope bounds give around the points already
+    evaluated, and ``_find_root`` checks and widens that bracket, so a
+    wrong hint costs steps, never accuracy.  An evaluated Phi(t) exceeds
+    the true one by at most inner, so (|residual| + inner)/r bounds the
+    root error.  The search stops once that bound is at most ``tol``, which
+    inner <= tol*r/2 keeps within reach.  The
+    direct weight-cost jump is computed alongside, as an independent search
+    on the same graph, and reported for agreement checks.
     """
     Z = Z or SubsetSpec.whole_space()
     weights.require_positive("dimension weight")
     if tol <= 0:
         raise PreconditionError("tol must be positive")
-    inner = tol / 16.0
-    m_rate, big_rate = weights.rate_min(), weights.rate_max()
+    r, big = weights.rate_min(), weights.rate_max()
+    inner = tol * min(1.0 / 16.0, 0.5 * r)
+    n_detect = _detect_depth(Z, N, D)
+    graph = _CoverGraph(lang, Z, D)
+    wts, tau = [weights[s] for s in lang.symbols], weights.tau
+    seen: list[tuple[float, float]] = []  # (t, Phi(t)) evaluated so far
+
+    def crit(t: float, lo: float, hi: float) -> float:
+        steps = lambda lam: [-lam * tau - t * w for w in wts]
+        c = _jump(graph, steps, n_detect, lo, hi, inner)[0]
+        seen.append((t, c))
+        return c
 
     def phi(t: float) -> float:
-        return pp_pressure(lang, weights.scaled(-t), Z, N, D, inner).value
+        # Phi(t) lies in [c - d*R, c - d*r] (ends in either order) for each
+        # evaluated (s, c) and d = t - s, less inner; pad for rounding
+        ends = [(c - (t - s) * big, c - (t - s) * r) for s, c in seen]
+        lo = max(min(e) for e in ends) - 2.0 * inner
+        hi = min(max(e) for e in ends) + inner
+        return crit(t, min(lo, hi), max(lo, hi))
 
-    dim = pp_pressure(lang, zero_weights(weights.symbols, weights.tau), Z, N, D, inner).value
-    lo = dim / big_rate
-    hi = dim / m_rate
-    pad = max(tol, 0.05 * (hi - lo) + 1e-3)
-    lo, hi = lo - pad, hi + pad
-    f_lo, f_hi = phi(lo), phi(hi)
-    expansions = 0
-    while f_lo < 0.0 or f_hi > 0.0:
-        expansions += 1
-        if expansions > 60:
-            raise GuardError(f"no root bracket on [{lo}, {hi}]")
-        width = max(hi - lo, 1.0)
-        if f_lo < 0.0:
-            lo -= width
-            f_lo = phi(lo)
-        if f_hi > 0.0:
-            hi += width
-            f_hi = phi(hi)
-    t = 0.5 * (lo + hi)
-    res = phi(t)
-    iters = 0
-    while abs(res) / m_rate > tol and hi - lo > tol / 4 and iters < 200:
-        iters += 1
-        if res > 0.0:
-            lo = t
-        else:
-            hi = t
-        t = 0.5 * (lo + hi)
-        res = phi(t)
-    cert = RootCertificate(t, res, abs(res) / m_rate + inner, (lo, hi), iters)
-    jump = bs_jump(lang, weights, Z, N, D, inner)
-    return BsDimension(t, cert, jump)
+    span = math.log(max(2, len(lang.symbols))) / tau + 1.0
+    dim = crit(0.0, -span, span)
+    lo, hi, f_lo, f_hi, iters = _find_root(
+        phi,
+        (dim - inner) / big - tol,
+        (dim + inner) / r + tol,
+        0.25 * tol * r / big,
+        lambda t, res: (abs(res) + inner) / r <= tol,
+    )
+    t, res = (lo, f_lo) if abs(f_lo) <= abs(f_hi) else (hi, f_hi)
+    cert = RootCertificate(t, res, (abs(res) + inner) / r, (lo, hi), iters)
+    return BsDimension(t, cert, _bs_jump(graph, weights, N, n_detect, inner))
 
 
 # ---------------------------------------------------------------------------
@@ -578,28 +608,30 @@ def frostman_measure(
     if Z.is_empty:
         raise PreconditionError("target set is empty at this resolution")
     weights.require_positive("dimension weight")
-    table = _CoverTable(lang, weights, 0.0, -lam, Z, N, D)
+    table = _table(lang, weights, 0.0, -lam, Z, N, D)
+    layers, symbols, step = table.graph.layers, lang.symbols, table.step
+    rel, alpha = table.rel, table.alpha
     total = table.total
     if total == NEG_INF:
         raise PreconditionError("target set carries no flow at this lambda")
     masses: dict[tuple[int, ...], float] = {}
     visited = 0
-    stack = [(table.root, 0, (), total)]
+    stack = [(0, 0, (), total)]  # (depth, position among the live nodes, word, log flow)
     while stack:
-        node, n, word, logf = stack.pop()
+        n, i, word, logf = stack.pop()
         if n == D:
             masses[word] = math.exp(logf)
             continue
-        ls = table.rel(node, n)
+        ls = rel[n][i]
         pushed = []
-        for sym, child, st in table.children(node):
-            share = st + table.alpha(child, n + 1)
+        for k, j in layers[n][i]:
+            share = step[k] + alpha[n + 1][j]
             if share == NEG_INF:
                 continue
             visited += 1
             if visited > max_nodes:
                 raise GuardError(f"flow read-out exceeded {max_nodes} cylinders")
-            pushed.append((child, n + 1, word + (sym,), logf + share - ls))
+            pushed.append((n + 1, j, word + (symbols[k],), logf + share - ls))
         stack.extend(reversed(pushed))
     return FrostmanWeights(masses, math.exp(total), lam, N, D)
 

@@ -65,6 +65,18 @@ def random_weights(rng: random.Random, lang, lo: float, hi: float, tau: int = 1)
     return ip.PerSymbolWeights({s: rng.uniform(lo, hi) for s in lang.symbols}, tau)
 
 
+def random_itinerary(rng, states: int, cells: int):
+    """Itinerary language of a random self-map; its units are merging state sets."""
+    names = [f"x{k}" for k in range(states)]
+    step = {x: rng.choice(names) for x in names}
+    cell_of = {x: 1 + k % cells for k, x in enumerate(names)}
+    sys = ip.FiniteStateSystem(
+        tuple(names), {(x, "u"): y for x, y in step.items()}, tuple(names), cell_of
+    )
+    spec = ip.PartitionSpec(1, {i: ("u",) for i in range(1, cells + 1)})
+    return ip.itinerary_language(sys, spec)
+
+
 # ---------------------------------------------------------------------------
 # oracles
 
@@ -94,6 +106,44 @@ def bisect_root(f, lo: float, hi: float, iters: int = 200) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def log_cover_optimum(lang, step: dict, N: int, D: int) -> float:
+    """log of the optimal antichain cover of the whole space, cylinder cost exp(sum of step).
+
+    Plain recursion over (unit, depth) on the language's own successor lists,
+    memoized per call.
+    """
+    memo = {}
+
+    def below(unit, n: int) -> float:
+        # best log cost at a depth-n node relative to its own (0 keeps it)
+        if n == D:
+            return 0.0
+        if (unit, n) not in memo:
+            succ = lang.initial_units() if unit is None else lang.unit_successors(unit)
+            parts = [step[s] + below(u, n + 1) for u, s in succ]
+            m = max(parts)
+            val = m + math.log(math.fsum(math.exp(p - m) for p in parts))
+            memo[unit, n] = min(0.0, val) if n >= N else val
+        return memo[unit, n]
+
+    return below(None, 0)
+
+
+def nested_bisection_dimension(lang, w: ip.PerSymbolWeights, N: int, D: int) -> float:
+    """Root t of crit(t) = 0 by bisection, where crit(t), the lambda at which the
+    whole-space optimum with cost exp(-lam*n*tau - t*weight) crosses 1, is itself
+    found by bisection."""
+
+    def crit(t: float) -> float:
+        def f(lam):
+            return log_cover_optimum(lang, {s: -lam * w.tau - t * w[s] for s in lang.symbols}, N, D)
+
+        return bisect_root(f, -60.0, 60.0, 52)
+
+    t_max = math.log(max(2, len(lang.symbols))) / (w.tau * w.rate_min()) + 1.0
+    return bisect_root(crit, -1.0, t_max, 52)
 
 
 def cubic_time_scale_root() -> float:

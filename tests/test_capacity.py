@@ -14,6 +14,7 @@ from conftest import (
     cubic_time_scale_root,
     full_shift,
     golden_mean,
+    random_itinerary,
     random_sft,
     random_weights,
     single_branch,
@@ -125,18 +126,6 @@ def spread_weights(rng, symbols):
     return ip.PerSymbolWeights(
         {s: (-1) ** k * rng.uniform(250.0, 350.0) for k, s in enumerate(symbols)}, 1
     )
-
-
-def random_itinerary(rng, states: int, cells: int):
-    """Itinerary language of a random self-map; its units are merging state sets."""
-    names = [f"x{k}" for k in range(states)]
-    step = {x: rng.choice(names) for x in names}
-    cell_of = {x: 1 + k % cells for k, x in enumerate(names)}
-    sys = ip.FiniteStateSystem(
-        tuple(names), {(x, "u"): y for x, y in step.items()}, tuple(names), cell_of
-    )
-    spec = ip.PartitionSpec(1, {i: ("u",) for i in range(1, cells + 1)})
-    return ip.itinerary_language(sys, spec)
 
 
 class TestLevelSumKernel:
@@ -452,3 +441,73 @@ class TestBowenRoot:
         oracle = bisect_root(lambda b: -0.8 - b * 2.0, -10, 10)
         assert cert.beta_hat == pytest.approx(oracle, abs=1e-9)
         assert cert.beta_hat < 0
+
+
+class TestRootDriver:
+    """The one bracketing driver behind every root and jump search."""
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-12])
+    @pytest.mark.parametrize("lo0,hi0", [(-3.0, 3.0), (-1.0, 7.0), (1.0, 1.2)])
+    def test_kinked_jump_within_bisection_count_plus_one(self, tol, lo0, hi0):
+        # the full 3-shift's detect has slope -1 above its root and -D below
+        from invpressure import covers
+
+        graph = covers._CoverGraph(full_shift(3), ip.SubsetSpec.whole_space(), 10)
+        calls = []
+
+        def detect(lam):
+            calls.append(lam)
+            return covers._CoverTable(graph, [-lam] * 3, 1).total
+
+        lo, hi, f_lo, f_hi, steps = capacity._find_root(detect, lo0, hi0, tol / 2)
+        assert f_lo >= 0.0 > f_hi and lo <= math.log(3) <= hi
+        assert hi - lo <= tol
+        # two evaluations check the bracket's ends; the rest shrink it
+        assert len(calls) - 2 == steps <= math.ceil(math.log2((hi0 - lo0) / tol)) + 1
+
+    def test_bowen_root_needs_fewer_oracle_calls_than_bisection(self, monkeypatch):
+        lang, w_phi, w_psi = golden_mean(), weights({1: 0.0, 2: 0.0}), weights({1: 1.0, 2: 2.0})
+        tol, m, err = 1e-9, 1.0, capacity._RTOL
+        calls = []
+        oracle = capacity.pressure_oracle
+        monkeypatch.setattr(capacity, "pressure_oracle", lambda *a: calls.append(a) or oracle(*a))
+        cert = ip.bowen_root(lang, w_phi, w_psi, tol)
+        itp_calls = len(calls)
+        calls.clear()
+        # plain bisection from the same slope bracket, on the same stop rule
+        f = lambda beta: ip.pressure_difference(lang, w_phi, w_psi, beta)
+        p0 = f(0.0)
+        lo, hi = p0 / 2.0 - tol, p0 / 1.0 + tol
+        assert f(lo) > 0.0 > f(hi)
+        beta = 0.5 * (lo + hi)
+        res = f(beta)
+        while (abs(res) + err) / m > tol:
+            lo, hi = (beta, hi) if res > 0.0 else (lo, beta)
+            beta = 0.5 * (lo + hi)
+            res = f(beta)
+        assert itp_calls < len(calls)
+        assert abs(cert.beta_hat - beta) <= 2 * tol
+
+    @pytest.mark.parametrize("lo0,hi0", [(1.0, 2.0), (-5.0, -4.0), (0.29, 0.2999), (0.3001, 0.31)])
+    def test_bracket_hint_without_the_root_is_widened(self, lo0, hi0):
+        lo, hi, f_lo, f_hi, _ = capacity._find_root(lambda x: 0.3 - x, lo0, hi0, 1e-12)
+        assert f_lo >= 0.0 > f_hi
+        assert lo <= 0.3 <= hi and hi - lo <= 2e-12
+
+    def test_no_sign_change_raises_guard(self):
+        with pytest.raises(ip.GuardError):
+            capacity._find_root(lambda x: 1.0, -1.0, 1.0, 1e-9)
+
+    def test_certificate_adds_the_oracle_error(self, rng):
+        lang = random_sft(rng, 4)
+        w_phi, w_psi = random_weights(rng, lang, -1, 1), random_weights(rng, lang, 0.5, 2.0)
+        m = w_psi.rate_min()
+        cert = ip.bowen_root(lang, w_phi, w_psi)
+        assert cert.error_bound == (abs(cert.residual) + capacity._RTOL) / m <= 1e-9
+        sys = ip.FiniteStateSystem(
+            ("a", "b"), {("a", "u"): "b", ("b", "u"): "a"}, ("a", "b"), {"a": 1, "b": 2}
+        )
+        itinerary = ip.itinerary_language(sys, ip.PartitionSpec(1, {1: ("u",), 2: ("u",)}))
+        w_psi = weights({1: 1.0, 2: 3.0})
+        cert = ip.bowen_root(itinerary, weights({1: 0.6, 2: 1.0}), w_psi)
+        assert cert.error_bound == abs(cert.residual) / w_psi.rate_min()

@@ -5,6 +5,7 @@ import math
 import pytest
 
 import invpressure as ip
+from invpressure import covers
 from conftest import (
     brute_cover_min,
     const_weights,
@@ -12,6 +13,8 @@ from conftest import (
     full_shift,
     golden_mean,
     lp_cover_min,
+    nested_bisection_dimension,
+    random_itinerary,
     random_weights,
     single_branch,
     sparse_sft,
@@ -369,3 +372,86 @@ class TestCorollary:
         rep = ip.corollary_check(single_branch(), weights({1: 1.7}), 10, 1e-7)
         assert abs(rep.bs_value) <= 1e-6
         assert rep.gap <= 5e-6
+
+
+class TestSearchesOnOneGraph:
+    """Root and jump searches through the bracketing driver, on a compiled cover graph."""
+
+    @pytest.mark.parametrize("kind", ["sft", "itinerary"])
+    def test_dimension_matches_nested_bisection(self, rng, kind):
+        for _ in range(3):
+            lang = sparse_sft(rng, 3) if kind == "sft" else random_itinerary(rng, 10, 3)
+            w = random_weights(rng, lang, 0.4, 1.5)
+            N, D = rng.choice((1, 2)), 7
+            res = ip.bs_dimension(lang, w, ALL, 1e-6, N, D)
+            ref = nested_bisection_dimension(lang, w, N, D)
+            assert abs(res.value - ref) <= res.certificate.error_bound + 1e-10
+            assert res.certificate.error_bound <= 1e-6
+
+    def test_small_weights_keep_the_certificate_within_tol(self):
+        # inner searches tighten with the least rate, so the stop rule stays reachable
+        lang = golden_mean()
+        for c in (0.05, 0.01):
+            w = weights({1: c, 2: 2 * c})
+            res = ip.bs_dimension(lang, w, ALL, 1e-6, 1, 8)
+            assert res.certificate.error_bound <= 1e-6
+            ref = nested_bisection_dimension(lang, w, 1, 8)
+            assert abs(res.value - ref) <= res.certificate.error_bound + 1e-10
+
+    def test_dimension_certificate_adds_the_inner_tolerance(self, rng):
+        lang = sparse_sft(rng, 3)
+        w = random_weights(rng, lang, 0.4, 1.5)
+        cert = ip.bs_dimension(lang, w, ALL, 1e-6, 1, 8).certificate
+        assert cert.error_bound == (abs(cert.residual) + 1e-6 / 16) / w.rate_min()
+
+    def test_root_and_jump_are_independent_searches(self):
+        lang, w = golden_mean(), weights({1: 1.0, 2: 1.7})
+        res = ip.bs_dimension(lang, w, ALL, 1e-6, 1, 12)
+        jump = ip.bs_jump(lang, w, ALL, 1, 12, 1e-6 / 16)
+        assert res.jump == jump
+        assert res.value == res.certificate.beta_hat
+        assert res.root_jump_gap == abs(res.value - jump.critical)
+        assert jump.iterations > 0 and jump.bracket != res.certificate.bracket
+
+    def test_jump_is_reported_at_the_upper_end(self):
+        lang = full_shift(3)
+        jump = ip.bs_jump(lang, const_weights(lang, 1.0), ALL, 1, 10, 1e-9)
+        lo, hi = jump.bracket
+        assert jump.critical == hi and hi - lo <= 1e-9
+        assert jump.value_above < 1.0 <= jump.value_below
+
+    def test_wrong_hint_gives_the_cold_jump(self):
+        graph = covers._CoverGraph(full_shift(3), ALL, 10)
+        steps = lambda lam: [-lam] * 3
+        for lo, hi in ((-3.0, 3.0), (2.0, 2.5), (-4.0, -3.9), (1.0986, 1.09861)):
+            crit = covers._jump(graph, steps, 1, lo, hi, 1e-9)[0]
+            assert abs(crit - math.log(3)) <= 1e-9 + 1e-15
+
+    def test_bs_dimension_expands_each_unit_once(self, rng):
+        lang = random_itinerary(rng, 14, 3)
+        Z = ip.SubsetSpec.cylinders(lang.words(2)[:2])
+        calls = []
+        expand = lang.unit_successors
+        lang.unit_successors = lambda unit: calls.append(unit) or expand(unit)
+        w = random_weights(rng, lang, 0.4, 1.5)
+        ip.bs_dimension(lang, w, Z, 1e-6, 1, 10)
+        ip.bs_dimension(lang, w, ALL, 1e-6, 1, 10)
+        assert calls and len(calls) == len(set(calls))
+
+    def test_read_outs_match_word_route(self, rng):
+        for trial in range(10):
+            lang = sparse_sft(rng, 3) if trial % 2 else random_itinerary(rng, 10, 3)
+            w = random_weights(rng, lang, 0.3, 1.5)
+            lam, N, D = rng.uniform(0.1, 1.0), rng.choice((1, 2)), 6
+            Z = ALL if trial % 3 == 0 else ip.SubsetSpec.cylinders(
+                lang.words(2)[: rng.randrange(1, 3)]
+            )
+            sol = ip.cover_solution(lang, w, Z, lam, N, D)
+            assert sol.cost == pytest.approx(ip.word_cover_value(lang, w, Z, lam, N, D), rel=1e-12)
+            for a in sol.words:
+                for b in sol.words:
+                    assert a == b or (a[: len(b)] != b and b[: len(a)] != a)
+            fw = ip.frostman_measure(lang, w, Z, lam, N, D)
+            W = ip.word_cover_value(lang, w.scaled(-lam), Z, 0.0, N, D)
+            assert fw.total == pytest.approx(W, rel=1e-12)
+            assert math.fsum(fw.masses.values()) == pytest.approx(fw.total, rel=1e-12)
