@@ -12,7 +12,6 @@ from .symbolic import (
     build_cylinder_tree,
     combine_weights,
     derive_symbol_weights,
-    enumerate_words,
     word_weight,
     zero_weights,
 )
@@ -31,8 +30,6 @@ from .capacity import (
     capacity_pressure,
     cycle_mean_pressure,
     pressure_difference,
-    separated_sum,
-    spanning_sum,
     spectral_pressure,
 )
 from .induced import (
@@ -40,13 +37,10 @@ from .induced import (
     DIVERGENT,
     INCONCLUSIVE,
     CharacterizationResult,
-    TimeLevelSets,
     bookkeeping_index,
     characterization_scan,
     characterization_sum,
-    compute_level_sets,
     induced_sum,
-    induced_sum_spanning,
     verdict_flip,
 )
 from .covers import (
@@ -68,7 +62,6 @@ from .covers import (
     pp_pressure,
     sandwich_check,
     weighted_cover_value,
-    word_cover_value,
 )
 from .measures import (
     CylinderMeasure,

@@ -26,19 +26,14 @@ import numpy as np
 
 from .errors import GuardError, PreconditionError
 from .symbolic import (
-    MAX_TREE_NODES,
-    MAX_WORDS,
     NEG_INF,
     ItineraryLanguage,
     PerSymbolWeights,
     SftLanguage,
     UnitGraph,
     WordLanguage,
-    build_cylinder_tree,
     combine_weights,
     cyclic_components,
-    logsumexp,
-    word_weight,
 )
 
 
@@ -93,42 +88,6 @@ def _forward_sums(g: UnitGraph, step: np.ndarray, n_max: int) -> np.ndarray:
             live[:, 1:] = np.log(np.add.reduceat(vals, g.starts, axis=1)) + top
             out[:, n] = np.logaddexp.reduce(live, axis=1)
     return out
-
-
-def separated_sum(
-    lang: WordLanguage, weights: PerSymbolWeights, n: int, max_words: int = MAX_WORDS
-) -> float:
-    """log of the maximal separated-set sum at horizon n.
-
-    Maximal separated sets pick exactly one point per nonempty cylinder, so
-    this is the plain sum over admissible length-n words, enumerated
-    explicitly (the brute-force route; see ``level_log_sums`` for the fast one).
-    """
-    if n < 1:
-        raise PreconditionError("n must be >= 1")
-    vals = [word_weight(s, weights) for s in lang.iter_words(n, max_words)]
-    return logsumexp(vals)
-
-
-def spanning_sum(
-    lang: WordLanguage, weights: PerSymbolWeights, n: int, max_nodes: int = MAX_TREE_NODES
-) -> float:
-    """log of the minimal spanning-set sum at horizon n.
-
-    Minimal spanning sets also take one representative per cylinder; computed
-    independently of ``separated_sum`` by a greedy cover of level-n cylinder
-    tree nodes (one representative each, weights read off the tree).
-    """
-    if n < 1:
-        raise PreconditionError("n must be >= 1")
-    tree = build_cylinder_tree(lang, [weights], n, max_nodes)
-    covered: set[tuple[int, ...]] = set()
-    vals = []
-    for node in tree.level(n):
-        if node.word not in covered:
-            covered.add(node.word)
-            vals.append(node.cum[0])
-    return logsumexp(vals)
 
 
 @dataclass(frozen=True)
@@ -325,20 +284,17 @@ def pressure_difference(
     w_phi: PerSymbolWeights,
     w_psi: PerSymbolWeights,
     beta: float,
-    n_max: int = 120,
-    tail_window: int = 10,
 ) -> float:
-    """Pressure of the tilted weights phi - beta*psi (cocycle linearity is exact).
+    """Exact pressure of the tilted weights phi - beta*psi (cocycle linearity is exact).
 
-    Uses the exact oracle when the language admits one, otherwise the
-    finite-horizon limsup estimate at n_max.
+    Needs a presentation with an exact oracle; a finite-horizon estimate
+    carries no error bound a root certificate could use.
     """
     w_psi.require_positive("psi weights")
-    tilted = combine_weights(w_phi, w_psi, beta)
-    exact = pressure_oracle(lang, tilted)
-    if exact is not None:
-        return exact
-    return capacity_pressure(lang, tilted, n_max, tail_window).limsup_estimate
+    exact = pressure_oracle(lang, combine_weights(w_phi, w_psi, beta))
+    if exact is None:
+        raise PreconditionError("pressure difference needs a language with an exact oracle")
+    return exact
 
 
 @dataclass(frozen=True)
@@ -435,7 +391,6 @@ def bowen_root(
     w_phi: PerSymbolWeights,
     w_psi: PerSymbolWeights,
     tol: float = 1e-9,
-    n_max: int = 120,
 ) -> RootCertificate:
     """Unique root of Phi(beta) = pressure(phi - beta*psi) = 0, certified.
 
@@ -458,7 +413,7 @@ def bowen_root(
     err = _RTOL / w_psi.tau if isinstance(lang, SftLanguage) else 0.0
 
     def phi(beta: float) -> float:
-        return pressure_difference(lang, w_phi, w_psi, beta, n_max)
+        return pressure_difference(lang, w_phi, w_psi, beta)
 
     p0 = phi(0.0)
     pad = tol + 2.0 * err / m

@@ -20,13 +20,13 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from importlib import resources
 
 from . import __version__
 from .errors import ConfigError, GuardError, PreconditionError
 from .symbolic import (
+    MAX_DEPTH,
     MAX_GRID_POINTS,
     MAX_TREE_NODES,
     MAX_WORDS,
@@ -95,10 +95,29 @@ def _fraction(value, where: str) -> Fraction:
         raise ConfigError(f"{where}: cannot parse rational {value!r}") from None
 
 
-def _require(block: dict, key: str, where: str):
+def _typed(value, kind: type | None, where: str):
+    """``value``, if it has the JSON type ``kind`` (dict: an object, list: an array)."""
+    if kind is dict and not isinstance(value, dict):
+        raise ConfigError(f"{where}: expected an object, got {value!r}")
+    if kind is list and not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{where}: expected a list, got {value!r}")
+    return value
+
+
+def _require(block: dict, key: str, where: str, kind: type | None = None):
     if key not in block:
         raise ConfigError(f"{where}: missing required key {key!r}")
-    return block[key]
+    return _typed(block[key], kind, f"{where}.{key}")
+
+
+def _optional(block: dict, key: str, where: str, kind: type, default):
+    return _typed(block[key], kind, f"{where}.{key}") if key in block else default
+
+
+def _pair(value, where: str):
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ConfigError(f"{where}: expected a pair [a, b], got {value!r}")
+    return value
 
 
 def _fmt(x) -> str:
@@ -114,23 +133,24 @@ def _word_str(word) -> str:
 class Run:
     """One parsed configuration, ready to execute."""
 
-    def __init__(self, config: dict, force_guards: bool = False, threads: int = 1):
+    def __init__(self, config: dict, force_guards: bool = False):
         if not isinstance(config, dict):
             raise ConfigError("config root must be a JSON object")
         self.config = config
-        self.threads = max(1, threads)
         # guard overrides from the config bind only behind the explicit flag
-        guards = config.get("guards", {}) if force_guards else {}
+        guards = _optional(config, "guards", "config", dict, {}) if force_guards else {}
         self.max_words = _int(guards.get("max_words", MAX_WORDS), "max_words")
         self.max_nodes = _int(guards.get("max_tree_nodes", MAX_TREE_NODES), "max_tree_nodes")
         self.seed = config.get("seed")
-        self.crange = self._parse_range(config.get("control_range"))
-        self.partition = self._parse_partition(_require(config, "partition", "config"))
-        self.system_block = _require(config, "system", "config")
-        self.task = _require(config, "task", "config")
+        self.crange = self._parse_range(_optional(config, "control_range", "config", dict, None))
+        self.partition = self._parse_partition(_require(config, "partition", "config", dict))
+        self.system_block = _require(config, "system", "config", dict)
+        self.task = _require(config, "task", "config", dict)
         self.command = _require(self.task, "command", "task")
         if self.command not in COMMANDS:
             raise ConfigError(f"unknown command {self.command!r}; expected one of {COMMANDS}")
+        output = _optional(config, "output", "config", dict, {})
+        self.prefix = output.get("prefix", self.command.replace("-", "_"))
         self.system = self._parse_system(self.system_block)
         self.lang = None
         if self.command != "validate":
@@ -139,9 +159,10 @@ class Run:
     def _parse_range(self, block) -> ControlRange | None:
         if block is None:
             return None
-        values = tuple(str(v) for v in _require(block, "values", "control_range"))
+        values = tuple(str(v) for v in _require(block, "values", "control_range", list))
         pots = {}
-        for name, table in block.get("potentials", {}).items():
+        for name, table in _optional(block, "potentials", "control_range", dict, {}).items():
+            table = _typed(table, dict, f"potential {name}")
             pots[name] = {str(u): _real(x, f"potential {name}/{u}") for u, x in table.items()}
         try:
             return ControlRange(values, pots)
@@ -150,9 +171,9 @@ class Run:
 
     def _parse_partition(self, block) -> PartitionSpec:
         tau = _int(_require(block, "tau", "partition"), "tau")
-        words_block = _require(block, "control_words", "partition")
         words = {}
-        for key, seq in words_block.items():
+        for key, seq in _require(block, "control_words", "partition", dict).items():
+            seq = _typed(seq, list, f"control word {key}")
             words[_int(key, "control_words")] = tuple(str(u) for u in seq)
         try:
             return PartitionSpec(tau, words)
@@ -163,28 +184,27 @@ class Run:
         kind = _require(block, "type", "system")
         if kind == "sft":
             edges = []
-            for edge in _require(block, "transitions", "system"):
-                if not isinstance(edge, (list, tuple)) or len(edge) != 2:
-                    raise ConfigError(f"transitions: expected a pair [i, j], got {edge!r}")
-                edges.append(tuple(_int(s, "transitions") for s in edge))
+            for edge in _require(block, "transitions", "system", list):
+                edges.append(tuple(_int(s, "transitions") for s in _pair(edge, "transitions")))
             return ("sft", edges)
         if kind == "finite-state":
-            states = tuple(str(s) for s in _require(block, "states", "system"))
+            states = tuple(str(s) for s in _require(block, "states", "system", list))
             trans = {}
-            for x, row in _require(block, "transition", "system").items():
-                for u, y in row.items():
+            for x, row in _require(block, "transition", "system", dict).items():
+                for u, y in _typed(row, dict, f"transition row {x}").items():
                     trans[(str(x), str(u))] = str(y)
-            inv = tuple(str(s) for s in block.get("invariant_set", states))
-            cell_of = _require(block, "cell_of", "system")
+            inv = tuple(str(s) for s in _optional(block, "invariant_set", "system", list, states))
+            cell_of = _require(block, "cell_of", "system", dict)
             cells = {str(x): _int(i, "cell_of") for x, i in cell_of.items()}
             return FiniteStateSystem(states, trans, inv, cells)
         if kind == "affine-interval":
             cvals = {
                 str(u): _fraction(x, f"control value {u}")
-                for u, x in _require(block, "control_values", "system").items()
+                for u, x in _require(block, "control_values", "system", dict).items()
             }
-            a, b = _require(block, "interval", "system")
-            cuts = tuple(_fraction(c, "cut point") for c in block.get("cut_points", []))
+            a, b = _pair(_require(block, "interval", "system"), "interval")
+            cuts = _optional(block, "cut_points", "system", list, [])
+            cuts = tuple(_fraction(c, "cut point") for c in cuts)
             try:
                 return AffineIntervalSystem(
                     _fraction(_require(block, "contraction", "system"), "contraction"),
@@ -219,14 +239,13 @@ class Run:
         return derive_symbol_weights(self.crange, self.partition, name)
 
     def subset(self) -> SubsetSpec:
-        block = self.task.get("subset")
+        block = _optional(self.task, "subset", "task", dict, None)
         if block is None or block.get("variant", "all") == "all":
             return SubsetSpec.whole_space()
         if block.get("variant") == "cylinders":
             words = []
-            for word in block.get("words", []):
-                if not isinstance(word, (list, tuple)):
-                    raise ConfigError(f"subset word: expected a list of symbols, got {word!r}")
+            for word in _optional(block, "words", "subset", list, []):
+                word = _typed(word, list, "subset word")
                 words.append(tuple(_int(s, "subset word") for s in word))
             return SubsetSpec.cylinders(words)
         raise ConfigError(f"unknown subset variant {block.get('variant')!r}")
@@ -235,9 +254,18 @@ class Run:
         value = self.task.get(key, default)
         return None if value is None else _int(value, key)
 
+    def task_depth(self, key: str, default: int | None) -> int | None:
+        """A depth-like task integer; one above MAX_DEPTH is refused before anything is built."""
+        value = self.task_int(key, default)
+        if value is not None and value > MAX_DEPTH:
+            raise GuardError(f"{key}: {value} exceeds the depth limit {MAX_DEPTH}")
+        return value
+
     def grid(self, key: str) -> list[float]:
         """Grid points; more than MAX_GRID_POINTS are refused before any is built."""
         block = _require(self.task, key, "task")
+        if not isinstance(block, (list, dict)):
+            raise ConfigError(f"task.{key}: expected a list or an object, got {block!r}")
         too_many = GuardError(f"{key}: more than {MAX_GRID_POINTS} grid points")
         if isinstance(block, list):
             if len(block) > MAX_GRID_POINTS:
@@ -252,12 +280,6 @@ class Run:
         if span >= MAX_GRID_POINTS:
             raise too_many
         return [start + k * step for k in range(math.floor(span) + 1)]
-
-    def _pmap(self, fn, items):
-        if self.threads == 1:
-            return [fn(x) for x in items]
-        with ThreadPoolExecutor(max_workers=self.threads) as pool:
-            return list(pool.map(fn, items))
 
     # ------------------------------------------------------------------
     def execute(self) -> dict[str, tuple[list[str], list[list]]]:
@@ -275,7 +297,7 @@ class Run:
         return {"validate": (["symbol", "step", "witness"], rows)}
 
     def _cmd_pressure(self):
-        n_max = self.task_int("n_max", 120)
+        n_max = self.task_depth("n_max", 120)
         tail = self.task_int("tail_window", 10)
         est = capacity_pressure(self.lang, self.weights("phi"), n_max, tail)
         self.info.update(
@@ -301,11 +323,7 @@ class Run:
         w_phi = self.weights("phi", default_zero=True)
         w_psi = self.weights("psi")
         betas = self.grid("beta_grid")
-        n_max = self.task_int("n_max", 120)
-        vals = self._pmap(
-            lambda b: pressure_difference(self.lang, w_phi, w_psi, b, n_max), betas
-        )
-        rows = [[_fmt(b), _fmt(v)] for b, v in zip(betas, vals)]
+        rows = [[_fmt(b), _fmt(pressure_difference(self.lang, w_phi, w_psi, b))] for b in betas]
         return {"scan": (["beta", "phi_value"], rows)}
 
     def _cmd_induced(self):
@@ -313,11 +331,9 @@ class Run:
         w_psi = self.weights("psi")
         ts = self.grid("T_grid")
         tau = self.partition.tau
-        vals = self._pmap(
-            lambda T: induced_sum(self.lang, w_phi, w_psi, T, max_cells=self.max_words), ts
-        )
         rows = []
-        for T, v in zip(ts, vals):
+        for T in ts:
+            v = induced_sum(self.lang, w_phi, w_psi, T, max_cells=self.max_words)
             if v == float("-inf"):
                 rows.append([_fmt(T), "empty window", ""])
             else:
@@ -325,11 +341,11 @@ class Run:
         return {"induced": (["T", "log_sum", "normalized"], rows)}
 
     def _cmd_characterize(self):
+        n_cap = self.task_depth("n_cap", None)
         w_phi = self.weights("phi", default_zero=True)
         w_psi = self.weights("psi")
         T = _real(_require(self.task, "T", "task"), "T")
         betas = self.grid("beta_grid")
-        n_cap = self.task_int("n_cap", None)
         results = characterization_scan(self.lang, w_phi, w_psi, betas, T, n_cap=n_cap)
         rows = [[_fmt(r.beta), r.verdict, _fmt(r.growth_rate)] for r in results]
         return {"characterize": (["beta", "verdict", "growth_rate"], rows)}
@@ -338,7 +354,7 @@ class Run:
         w = self.weights("phi")
         Z = self.subset()
         N = self.task_int("N", 1)
-        D = self.task_int("D", 12)
+        D = self.task_depth("D", 12)
         tol = _real(self.task.get("tol", "1e-9"), "tol")
         res = pp_pressure(self.lang, w, Z, N, D, tol)
         self.info["critical"] = res.value
@@ -353,7 +369,7 @@ class Run:
     def _cmd_bs_dim(self):
         w = self.weights("phi")
         Z = self.subset()
-        D = self.task_int("D", 12)
+        D = self.task_depth("D", 12)
         tol = _real(self.task.get("tol", "1e-6"), "tol")
         res = bs_dimension(self.lang, w, Z, tol, self.task_int("N", 1), D)
         self.info["dimension"] = res.value
@@ -369,7 +385,7 @@ class Run:
         Z = self.subset()
         lam = _real(_require(self.task, "lambda", "task"), "lambda")
         N = self.task_int("N", 1)
-        D = self.task_int("D", 12)
+        D = self.task_depth("D", 12)
         fw = frostman_measure(self.lang, w, Z, lam, N, D, self.max_nodes)
         self.info["total"] = fw.total
         rows = [[_word_str(word), _fmt(mass)] for word, mass in sorted(fw.masses.items())]
@@ -381,7 +397,7 @@ class Run:
         lam = _real(_require(self.task, "lambda", "task"), "lambda")
         eps = _real(_require(self.task, "epsilon", "task"), "epsilon")
         rep = sandwich_check(
-            self.lang, w, Z, lam, eps, self.task_int("N", 1), self.task_int("D", 12)
+            self.lang, w, Z, lam, eps, self.task_int("N", 1), self.task_depth("D", 12)
         )
         self.info["holds"] = rep.holds
         header = ["lambda", "epsilon", "r_at_lam_plus_eps", "w_at_lam", "r_at_lam", "holds"]
@@ -394,19 +410,19 @@ class Run:
     def _cmd_vp_check(self):
         w = self.weights("phi")
         K = self.subset()
-        D = self.task_int("D", 12)
+        D = self.task_depth("D", 12)
         tol = _real(self.task.get("tol", "1e-6"), "tol")
         cands = []
-        for blk in self.task.get("candidates", []):
-            kind = _require(blk, "type", "candidate")
+        for blk in _optional(self.task, "candidates", "task", list, []):
+            kind = _require(_typed(blk, dict, "candidate"), "type", "candidate")
             name = blk.get("name", kind)
             if kind == "bernoulli":
-                mu = bernoulli_measure(self.lang, [_real(p, "p") for p in _require(blk, "p", "candidate")])
+                probs = _require(blk, "p", "candidate", list)
+                mu = bernoulli_measure(self.lang, [_real(p, "p") for p in probs])
             elif kind == "markov":
-                mu = markov_measure(
-                    self.lang,
-                    [[_real(x, "P") for x in row] for row in _require(blk, "P", "candidate")],
-                )
+                P = _require(blk, "P", "candidate", list)
+                P = [[_real(x, "P") for x in _typed(row, list, "P row")] for row in P]
+                mu = markov_measure(self.lang, P)
             elif kind == "parry":
                 mu = parry_measure(self.lang)
             else:
@@ -422,16 +438,19 @@ class Run:
 
 
 def run(config: dict, out_dir: str, force_guards: bool = False, threads: int = 1) -> dict:
-    """Execute one config and write manifest + CSV artifacts into out_dir."""
+    """Execute one config and write manifest + CSV artifacts into out_dir.
+
+    Every run is single-threaded; ``threads`` is accepted for callers that
+    still pass it and has no effect.
+    """
     started = time.time()
-    r = Run(config, force_guards, threads)
+    r = Run(config, force_guards)
     outputs = r.execute()
     os.makedirs(out_dir, exist_ok=True)
-    prefix = r.config.get("output", {}).get("prefix", r.command.replace("-", "_"))
     written = []
     main_name = r.command.replace("-", "_")
     for name, (header, rows) in outputs.items():
-        stem = prefix if name == main_name else f"{prefix}_{name}"
+        stem = r.prefix if name == main_name else f"{r.prefix}_{name}"
         path = os.path.join(out_dir, f"{stem}.csv")
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -464,7 +483,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--config", required=True, help="path to a JSON run config")
     parser.add_argument("--out", required=True, help="output directory")
-    parser.add_argument("--threads", type=int, default=1, help="parallel grid evaluations")
     parser.add_argument(
         "--force-guards", action="store_true",
         help="apply the config's guard overrides instead of the built-in resource limits",
@@ -477,7 +495,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: cannot read config: {e}", file=sys.stderr)
         return 2
     try:
-        manifest = run(config, args.out, args.force_guards, args.threads)
+        manifest = run(config, args.out, args.force_guards)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2

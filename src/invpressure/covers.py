@@ -15,8 +15,7 @@ and the target words' trie, and lists the nodes live at each depth.
 ``_CoverTable`` evaluates one cost law on it by an iterative backward pass
 over those depths.  The cover value, the head prefactor, the optimal cover
 (an argmin walk) and the Frostman flow (a proportional push) are read-outs
-of the table.  ``word_cover_value`` alone walks an explicit cylinder tree,
-as an independent reference route.
+of the table.
 
 Critical exponents (the pressure-like jump locations) are the lambda at
 which the truncated optimum crosses 1, found by the package's one
@@ -40,10 +39,8 @@ from .errors import GuardError, PreconditionError
 from .symbolic import (
     MAX_TREE_NODES,
     NEG_INF,
-    CylinderNode,
     PerSymbolWeights,
     WordLanguage,
-    build_cylinder_tree,
     logsumexp,
     zero_weights,
 )
@@ -87,24 +84,22 @@ class _CoverGraph:
 
     A node is a unit of ``lang.unit_graph(D)`` or, while still inside the
     target words, a node of their prefix trie (a terminal continues as its
-    unit).  The root is unit 0, the empty word, for the whole space, and the
-    trie's root otherwise.  The nodes live at each depth are listed once:
-    ``layers[n][i]`` holds (symbol index, position at depth n + 1) for each
-    child of the i-th node live at depth n.  Building the graph is the only
-    step that reads the language, so every cost law on one (language,
+    unit).  The units' child lists are the graph's own; trie nodes go on a
+    copy of them.  The root is unit 0, the empty word, for the whole space,
+    and the trie's root otherwise.  The nodes live at each depth are listed
+    once: ``layers[n][i]`` holds (symbol index, position at depth n + 1) for
+    each child of the i-th node live at depth n.  Building the graph is the
+    only step that reads the language, so every cost law on one (language,
     target, D) shares it.
     """
 
     def __init__(self, lang: WordLanguage, Z: SubsetSpec, D: int):
-        g = lang.unit_graph(D)
-        kids: list[list[tuple[int, int]]] = [[] for _ in range(g.n_units)]
-        for src, sym, seg in zip(g.src.tolist(), g.sym.tolist(), g.seg.tolist()):
-            kids[src].append((sym, seg + 1))
-        for out in kids:
-            out.sort()
         self.symbols, self.D, self.whole = lang.symbols, D, Z.is_whole_space
         self.targets: list[tuple[int, ...]] = []  # target words as symbol indices
-        root = 0 if Z.is_whole_space else self._add_trie(Z, kids)
+        root, kids = 0, lang.unit_graph(D).children
+        if not Z.is_whole_space:
+            kids = list(kids)  # the graph's lists are shared: never extend them
+            root = self._add_trie(Z, kids)
         self.layers: list[list[list[tuple[int, int]]]] = []
         # a layer is shared by every depth with the same live nodes (for a
         # relation, every depth after the first)
@@ -242,53 +237,6 @@ def bs_cover_value(
     """Optimal cover cost with per-cylinder cost exp(-lam*weight(s)); weights > 0."""
     weights.require_positive("dimension weight")
     return math.exp(_table(lang, weights, 0.0, -lam, Z, N, D).total)
-
-
-def word_cover_value(
-    lang: WordLanguage,
-    weights: PerSymbolWeights,
-    Z: SubsetSpec,
-    lam: float,
-    N: int,
-    D: int,
-    max_nodes: int = MAX_TREE_NODES,
-) -> float:
-    """Same optimum expressed over explicit admissible words.
-
-    Walks the materialized cylinder tree with no factoring, as an
-    independent route; the word/cylinder bijection makes it agree with
-    ``cover_value`` on every instance.
-    """
-    if not 1 <= N <= D:
-        raise PreconditionError(f"need 1 <= N <= D, got N={N}, D={D}")
-    if Z.is_empty:
-        return 0.0
-    targets = set(Z.words or ())
-    if () in targets:
-        raise PreconditionError("empty word cannot present a cylinder")
-    if any(len(word) > D for word in targets):
-        raise PreconditionError(f"target words deeper than resolution D={D}")
-    prefixes = {word[:k] for word in targets for k in range(1, len(word))}
-    length_coeff = -lam * weights.tau
-    tree = build_cylinder_tree(lang, [weights], D, max_nodes)
-    found = set()
-
-    def value(node: CylinderNode, inside: bool) -> float:
-        if node.word in targets:
-            found.add(node.word)
-            inside = True
-        elif not inside and node.word not in prefixes:
-            return NEG_INF
-        own = length_coeff * node.depth + node.cum[0]
-        if node.depth == D:
-            return own
-        ls = logsumexp([value(child, inside) for child in node.children])
-        return min(own, ls) if node.depth >= N else ls
-
-    total = logsumexp([value(child, Z.is_whole_space) for child in tree.root.children])
-    if found != targets:
-        raise PreconditionError(f"target words {sorted(targets - found)} are not admissible")
-    return math.exp(total)
 
 
 @dataclass(frozen=True)

@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .errors import GuardError, PreconditionError
 from .symbolic import (
-    MAX_WORDS,
     NEG_INF,
     PerSymbolWeights,
     WordLanguage,
@@ -31,81 +30,13 @@ CONVERGENT = "convergent-with-bound"
 DIVERGENT = "divergent-evidence"
 INCONCLUSIVE = "inconclusive"
 
-_ROOT = object()  # unit sentinel for the empty prefix
 _WKEY_DIGITS = 12  # cumulative psi-weights merge at this rounding
-
-
-@dataclass(frozen=True)
-class TimeLevelSets:
-    """Exact word-level time sets for one budget T.
-
-    ``window_levels`` are the n at which some branch's psi-weight crosses
-    T*tau; ``crossing_words[n]`` are the length-(n+1) witnesses.
-    ``exceed_levels``/``exceed_words`` hold the already-exceeded levels, up to
-    the enumeration bound (beyond it every level exceeds).
-    """
-
-    T: float
-    tau: int
-    window_levels: tuple[int, ...]
-    crossing_words: Mapping[int, tuple[tuple[int, ...], ...]]
-    exceed_levels: tuple[int, ...]
-    exceed_words: Mapping[int, tuple[tuple[int, ...], ...]]
-    enumeration_bound: int
 
 
 def _check_budget(w_psi: PerSymbolWeights, T: float) -> None:
     w_psi.require_positive("psi weights")
     if T <= 0:
         raise PreconditionError("time budget T must be positive")
-
-
-def compute_level_sets(
-    lang: WordLanguage,
-    w_psi: PerSymbolWeights,
-    T: float,
-    max_words: int = MAX_WORDS,
-) -> TimeLevelSets:
-    """Enumerate the crossing and exceed sets exhaustively (guarded).
-
-    Words are enumerated to length floor(T*tau/min_i w_psi(i)) + 1, past
-    which no branch can still be inside the budget.
-    """
-    _check_budget(w_psi, T)
-    tau = w_psi.tau
-    budget = T * tau
-    n_hi = int(math.floor(budget / min(w_psi.weights.values())))
-    window: list[int] = []
-    crossing: dict[int, tuple] = {}
-    exceed_levels: list[int] = []
-    exceed: dict[int, tuple] = {}
-    for n in range(0, n_hi + 2):
-        if n >= 1:
-            over = tuple(
-                s for s in lang.iter_words(n, max_words)
-                if word_weight(s, w_psi) > budget
-            )
-            if over:
-                exceed_levels.append(n)
-                exceed[n] = over
-        if n <= n_hi:
-            hits = []
-            for s in lang.iter_words(n + 1, max_words):
-                head = word_weight(s[:n], w_psi)
-                if head <= budget < head + w_psi[s[n]]:
-                    hits.append(s)
-            if hits:
-                window.append(n)
-                crossing[n] = tuple(hits)
-    return TimeLevelSets(
-        T=T,
-        tau=tau,
-        window_levels=tuple(window),
-        crossing_words=crossing,
-        exceed_levels=tuple(exceed_levels),
-        exceed_words=exceed,
-        enumeration_bound=n_hi + 1,
-    )
 
 
 def bookkeeping_index(word: Sequence[int], w_psi: PerSymbolWeights) -> int:
@@ -136,49 +67,37 @@ def induced_sum(
 ) -> float:
     """log of the budget-T separated sum, de-duplicated by crossing prefix.
 
-    Word classes are advanced as (continuation unit, cumulative psi-weight)
-    cells carrying log-accumulated phi-masses; a cell contributes at the
-    level where some admissible extension would push it past the budget.
-    Exact, and polynomial in T for fixed alphabets (no enumeration).
+    Word classes are advanced as (unit, cumulative psi-weight) cells of
+    ``lang.unit_graph``, unit 0 being the empty word, carrying
+    log-accumulated phi-masses; a cell contributes at the level where some
+    admissible extension would push it past the budget.  Exact, and
+    polynomial in T for fixed alphabets (no enumeration).
     """
     _check_budget(w_psi, T)
     budget = T * w_psi.tau
-    cells: dict[tuple[object, float], float] = {(_ROOT, 0.0): 0.0}
+    # a cell inside the budget spells at most n_hi symbols; one more level
+    # absorbs a weight that rounds onto the budget
+    n_hi = int(math.floor(budget / min(w_psi.weights.values())))
+    kids = lang.unit_graph(n_hi + 2).children
+    phi = [w_phi[s] for s in lang.symbols]
+    psi = [w_psi[s] for s in lang.symbols]
+    cells: dict[tuple[int, float], float] = {(0, 0.0): 0.0}
     total = NEG_INF
     while cells:
         if len(cells) > max_cells:
             raise GuardError(f"induced-sum DP exceeded {max_cells} cells")
-        nxt: dict[tuple[object, float], float] = {}
+        nxt: dict[tuple[int, float], float] = {}
         for (unit, wsum), mass in cells.items():
-            succ = lang.initial_units() if unit is _ROOT else lang.unit_successors(unit)
-            crosses = any(wsum + w_psi[sym] > budget for _u, sym in succ)
-            if crosses:
+            if any(wsum + psi[k] > budget for k, _c in kids[unit]):
                 total = logaddexp(total, mass)
-            for u2, sym in succ:
-                w2 = round(wsum + w_psi[sym], _WKEY_DIGITS)
+            for k, child in kids[unit]:
+                w2 = round(wsum + psi[k], _WKEY_DIGITS)
                 if w2 <= budget:
-                    key = (u2, w2)
-                    v = mass + w_phi[sym]
+                    key = (child, w2)
+                    v = mass + phi[k]
                     nxt[key] = v if key not in nxt else logaddexp(nxt[key], v)
         cells = nxt
     return total
-
-
-def induced_sum_spanning(
-    lang: WordLanguage,
-    w_phi: PerSymbolWeights,
-    w_psi: PerSymbolWeights,
-    T: float,
-    max_words: int = MAX_WORDS,
-) -> float:
-    """Same value through minimal spanning sets: greedy one representative per
-    crossing cylinder, read off the exhaustive level sets."""
-    sets = compute_level_sets(lang, w_psi, T, max_words)
-    vals = []
-    for n in sets.window_levels:
-        reps = sorted({s[:n] for s in sets.crossing_words[n]})
-        vals.extend(word_weight(p, w_phi) for p in reps)
-    return logsumexp(vals)
 
 
 @dataclass(frozen=True)
@@ -276,31 +195,34 @@ def _restricted_head_sums(
 ) -> list[float]:
     """Exceed-level sums for n < n_full, where the budget still bites.
 
-    Below-budget classes are tracked per (unit, psi-weight) cell; mass that
-    crosses the budget is folded into per-unit exceeded cells and extended
-    freely from there.
+    Below-budget classes are tracked per (unit, psi-weight) cell of
+    ``lang.unit_graph``, unit 0 being the empty word; mass that crosses the
+    budget is folded into per-unit exceeded cells and extended freely from
+    there.
     """
-    below: dict[tuple[object, float], float] = {(_ROOT, 0.0): 0.0}
-    above: dict[object, float] = {}
+    kids = lang.unit_graph(n_full).children
+    step = [tilt[s] for s in lang.symbols]
+    psi = [w_psi[s] for s in lang.symbols]
+    below: dict[tuple[int, float], float] = {(0, 0.0): 0.0}
+    above: dict[int, float] = {}
     out = []
     for _n in range(1, n_full):
         if len(below) > max_cells:
             raise GuardError(f"characterization DP exceeded {max_cells} cells")
-        nxt_below: dict[tuple[object, float], float] = {}
-        nxt_above: dict[object, float] = {}
+        nxt_below: dict[tuple[int, float], float] = {}
+        nxt_above: dict[int, float] = {}
         for (unit, wsum), mass in below.items():
-            succ = lang.initial_units() if unit is _ROOT else lang.unit_successors(unit)
-            for u2, sym in succ:
-                v = mass + tilt[sym]
-                if wsum + w_psi[sym] > budget:
-                    nxt_above[u2] = v if u2 not in nxt_above else logaddexp(nxt_above[u2], v)
+            for k, c in kids[unit]:
+                v = mass + step[k]
+                if wsum + psi[k] > budget:
+                    nxt_above[c] = v if c not in nxt_above else logaddexp(nxt_above[c], v)
                 else:
-                    key = (u2, round(wsum + w_psi[sym], _WKEY_DIGITS))
+                    key = (c, round(wsum + psi[k], _WKEY_DIGITS))
                     nxt_below[key] = v if key not in nxt_below else logaddexp(nxt_below[key], v)
         for unit, mass in above.items():
-            for u2, sym in lang.unit_successors(unit):
-                v = mass + tilt[sym]
-                nxt_above[u2] = v if u2 not in nxt_above else logaddexp(nxt_above[u2], v)
+            for k, c in kids[unit]:
+                v = mass + step[k]
+                nxt_above[c] = v if c not in nxt_above else logaddexp(nxt_above[c], v)
         below, above = nxt_below, nxt_above
         out.append(logsumexp(above.values()))
     return out

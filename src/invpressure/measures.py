@@ -189,23 +189,25 @@ class CylinderMeasure:
 
 
 def cylinder_masses(mu: MarkovMeasure, lang: WordLanguage, depth: int) -> CylinderMeasure:
-    """Evaluate a Markov chain on all depth-D cylinders: pi_{s0} * prod P."""
+    """Evaluate a Markov chain on all depth-D cylinders: pi_{s0} * prod P.
+
+    The cylinders are walked on the children of ``lang.unit_graph(depth)``.
+    """
     if isinstance(lang, SftLanguage):
         mu.check_support(lang)
+    kids = lang.unit_graph(depth).children
+    symbols = lang.symbols
+    pos = [mu.index(s) for s in symbols]
     masses: dict[tuple[int, ...], float] = {}
-    stack = [((), None, 1.0)]
+    stack = [((), 0, -1, 1.0)]  # (word, unit, chain state of its last symbol, mass)
     while stack:
-        word, unit, m = stack.pop()
+        word, unit, last, m = stack.pop()
         if len(word) == depth:
             masses[word] = m
             continue
-        succ = lang.initial_units() if unit is None else lang.unit_successors(unit)
-        for u2, sym in succ:
-            if word:
-                step = mu.matrix[mu.index(word[-1])][mu.index(sym)]
-            else:
-                step = mu.stationary[mu.index(sym)]
-            stack.append((word + (sym,), u2, m * step))
+        for k, child in kids[unit]:
+            step = mu.matrix[last][pos[k]] if word else mu.stationary[pos[k]]
+            stack.append((word + (symbols[k],), child, pos[k], m * step))
     return CylinderMeasure(lang, depth, masses)
 
 

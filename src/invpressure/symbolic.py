@@ -26,6 +26,8 @@ MAX_WORDS = 5_000_000
 MAX_TREE_NODES = 10_000_000
 #: Points of a beta or T grid a CLI run accepts (fixed: no override).
 MAX_GRID_POINTS = 10_000
+#: Largest depth-like task integer (n_max, n_cap, D) a CLI run accepts (fixed: no override).
+MAX_DEPTH = 1_000
 
 
 def logsumexp(values: Iterable[float]) -> float:
@@ -222,6 +224,21 @@ class UnitGraph:
     starts: np.ndarray
     seg: np.ndarray
 
+    @cached_property
+    def children(self) -> list[list[tuple[int, int]]]:
+        """(symbol index, child unit) of each unit's out-edges, by symbol.
+
+        Shared by every walk over this graph, so callers must not mutate it.
+        A unit not expanded yet (one first met at the depth a partial graph
+        stops at) has an empty list.
+        """
+        kids: list[list[tuple[int, int]]] = [[] for _ in range(self.n_units)]
+        for src, sym, seg in zip(self.src.tolist(), self.sym.tolist(), self.seg.tolist()):
+            kids[src].append((sym, seg + 1))
+        for out in kids:
+            out.sort()
+        return kids
+
 
 class _UnitWalk:
     """Breadth-first walk over a language's units, extended one depth at a time."""
@@ -328,21 +345,6 @@ class WordLanguage:
     def words(self, n: int, max_words: int = MAX_WORDS) -> list[tuple[int, ...]]:
         return list(self.iter_words(n, max_words))
 
-    def count_words(self, n: int) -> int:
-        """|L^n| without enumerating words (unit-mass recursion)."""
-        if n == 0:
-            return 1
-        masses: dict[object, int] = {}
-        for unit, _sym in self.initial_units():
-            masses[unit] = masses.get(unit, 0) + 1
-        for _ in range(n - 1):
-            nxt: dict[object, int] = {}
-            for unit, c in masses.items():
-                for u2, _s in self.unit_successors(unit):
-                    nxt[u2] = nxt.get(u2, 0) + c
-            masses = nxt
-        return sum(masses.values())
-
 
 class SftLanguage(WordLanguage):
     """Language of all paths in a transition relation over the symbols."""
@@ -353,7 +355,7 @@ class SftLanguage(WordLanguage):
         self.symbols = tuple(sorted(symbols))
         succ: dict[int, set[int]] = {i: set() for i in self.symbols}
         for i, j in transitions:
-            if i not in succ or j not in set(self.symbols):
+            if i not in succ or j not in succ:
                 raise PreconditionError(f"transition ({i},{j}) uses unknown symbol")
             succ[i].add(j)
         self._succ = {i: tuple(sorted(js)) for i, js in succ.items()}
@@ -470,8 +472,9 @@ class ItineraryLanguage(WordLanguage):
         self.states = tuple(states)
         self.step = dict(step)
         self.label = dict(label)
+        in_set = set(self.states)
         for x in self.states:
-            if x not in self.step or self.step[x] not in set(self.states):
+            if x not in self.step or self.step[x] not in in_set:
                 raise PreconditionError(f"state {x!r} has no in-set successor")
             if x not in self.label:
                 raise PreconditionError(f"state {x!r} has no cell label")
@@ -507,13 +510,6 @@ class ItineraryLanguage(WordLanguage):
             for y in path:
                 color[y] = 1
         return cycles
-
-
-def enumerate_words(lang: WordLanguage, n: int, max_words: int = MAX_WORDS) -> list[tuple[int, ...]]:
-    """Exactly the admissible words of length n, lexicographically sorted."""
-    if n < 0:
-        raise PreconditionError("n must be >= 0")
-    return lang.words(n, max_words)
 
 
 @dataclass

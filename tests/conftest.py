@@ -3,15 +3,22 @@
 Oracles here never call the code paths they check: word sets come from
 filtered cartesian products, cover optima from explicit antichain
 enumeration or an LP solver, roots from generic bisection on closed forms.
+The brute-force reference routes (separated and spanning sums, budget level
+sets, the word-level cover value) enumerate words or cylinder trees through
+the languages' raw ``initial_units``/``unit_successors`` presentation, never
+through the compiled unit graph the library's solvers walk.
 """
 
 import itertools
 import math
 import random
+from dataclasses import dataclass
+from typing import Mapping
 
 import pytest
 
 import invpressure as ip
+from invpressure.symbolic import MAX_TREE_NODES, MAX_WORDS, NEG_INF, logsumexp
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +248,151 @@ def lp_cover_min(lang, cost_fn, z_words, N, D) -> float:
     )
     assert res.status == 0, res.message
     return float(res.fun)
+
+
+# ---------------------------------------------------------------------------
+# brute-force reference routes
+
+
+def separated_sum(lang, weights, n: int, max_words: int = MAX_WORDS) -> float:
+    """log of the maximal separated-set sum at horizon n.
+
+    Maximal separated sets pick exactly one point per nonempty cylinder, so
+    this is the plain sum over admissible length-n words, enumerated
+    explicitly.
+    """
+    if n < 1:
+        raise ip.PreconditionError("n must be >= 1")
+    return logsumexp([ip.word_weight(s, weights) for s in lang.iter_words(n, max_words)])
+
+
+def spanning_sum(lang, weights, n: int, max_nodes: int = MAX_TREE_NODES) -> float:
+    """log of the minimal spanning-set sum at horizon n.
+
+    Minimal spanning sets also take one representative per cylinder; computed
+    independently of ``separated_sum`` by a greedy cover of level-n cylinder
+    tree nodes (one representative each, weights read off the tree).
+    """
+    if n < 1:
+        raise ip.PreconditionError("n must be >= 1")
+    tree = ip.build_cylinder_tree(lang, [weights], n, max_nodes)
+    covered: set = set()
+    vals = []
+    for node in tree.level(n):
+        if node.word not in covered:
+            covered.add(node.word)
+            vals.append(node.cum[0])
+    return logsumexp(vals)
+
+
+@dataclass(frozen=True)
+class TimeLevelSets:
+    """Exact word-level time sets for one budget T.
+
+    ``window_levels`` are the n at which some branch's psi-weight crosses
+    T*tau; ``crossing_words[n]`` are the length-(n+1) witnesses.
+    ``exceed_levels``/``exceed_words`` hold the already-exceeded levels, up to
+    the enumeration bound (beyond it every level exceeds).
+    """
+
+    T: float
+    tau: int
+    window_levels: tuple
+    crossing_words: Mapping
+    exceed_levels: tuple
+    exceed_words: Mapping
+    enumeration_bound: int
+
+
+def compute_level_sets(lang, w_psi, T: float, max_words: int = MAX_WORDS) -> TimeLevelSets:
+    """Enumerate the crossing and exceed sets exhaustively (guarded).
+
+    Words are enumerated to length floor(T*tau/min_i w_psi(i)) + 1, past
+    which no branch can still be inside the budget.
+    """
+    w_psi.require_positive("psi weights")
+    if T <= 0:
+        raise ip.PreconditionError("time budget T must be positive")
+    budget = T * w_psi.tau
+    n_hi = int(math.floor(budget / min(w_psi.weights.values())))
+    window, crossing, exceed_levels, exceed = [], {}, [], {}
+    for n in range(0, n_hi + 2):
+        if n >= 1:
+            over = tuple(
+                s for s in lang.iter_words(n, max_words) if ip.word_weight(s, w_psi) > budget
+            )
+            if over:
+                exceed_levels.append(n)
+                exceed[n] = over
+        if n <= n_hi:
+            hits = []
+            for s in lang.iter_words(n + 1, max_words):
+                head = ip.word_weight(s[:n], w_psi)
+                if head <= budget < head + w_psi[s[n]]:
+                    hits.append(s)
+            if hits:
+                window.append(n)
+                crossing[n] = tuple(hits)
+    return TimeLevelSets(
+        T=T,
+        tau=w_psi.tau,
+        window_levels=tuple(window),
+        crossing_words=crossing,
+        exceed_levels=tuple(exceed_levels),
+        exceed_words=exceed,
+        enumeration_bound=n_hi + 1,
+    )
+
+
+def induced_sum_spanning(lang, w_phi, w_psi, T: float, max_words: int = MAX_WORDS) -> float:
+    """The induced sum through minimal spanning sets: greedy one representative
+    per crossing cylinder, read off the exhaustive level sets."""
+    sets = compute_level_sets(lang, w_psi, T, max_words)
+    vals = []
+    for n in sets.window_levels:
+        reps = sorted({s[:n] for s in sets.crossing_words[n]})
+        vals.extend(ip.word_weight(p, w_phi) for p in reps)
+    return logsumexp(vals)
+
+
+def word_cover_value(lang, weights, Z, lam: float, N: int, D: int,
+                     max_nodes: int = MAX_TREE_NODES) -> float:
+    """The time-cost cover optimum of ``ip.cover_value``, over explicit admissible words.
+
+    Walks the materialized cylinder tree with no factoring; the
+    word/cylinder bijection makes it agree with ``cover_value`` on every
+    instance.
+    """
+    if not 1 <= N <= D:
+        raise ip.PreconditionError(f"need 1 <= N <= D, got N={N}, D={D}")
+    if Z.is_empty:
+        return 0.0
+    targets = set(Z.words or ())
+    if () in targets:
+        raise ip.PreconditionError("empty word cannot present a cylinder")
+    if any(len(word) > D for word in targets):
+        raise ip.PreconditionError(f"target words deeper than resolution D={D}")
+    prefixes = {word[:k] for word in targets for k in range(1, len(word))}
+    length_coeff = -lam * weights.tau
+    tree = ip.build_cylinder_tree(lang, [weights], D, max_nodes)
+    found = set()
+
+    def value(node, inside: bool) -> float:
+        if node.word in targets:
+            found.add(node.word)
+            inside = True
+        elif not inside and node.word not in prefixes:
+            return NEG_INF
+        own = length_coeff * node.depth + node.cum[0]
+        if node.depth == D:
+            return own
+        ls = logsumexp([value(child, inside) for child in node.children])
+        return min(own, ls) if node.depth >= N else ls
+
+    total = logsumexp([value(child, Z.is_whole_space) for child in tree.root.children])
+    if found != targets:
+        raise ip.PreconditionError(f"target words {sorted(targets - found)} are not admissible")
+    return math.exp(total)
 
 
 @pytest.fixture

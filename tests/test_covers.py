@@ -19,6 +19,7 @@ from conftest import (
     single_branch,
     sparse_sft,
     weights,
+    word_cover_value,
 )
 
 LOG_GOLDEN = math.log((1 + math.sqrt(5)) / 2)
@@ -72,7 +73,7 @@ class TestCoverValue:
                 [wd for wd in lang.words(2)[: rng.randrange(1, 3)]]
             )
             a = ip.cover_value(lang, w, Z, lam, N, 6)
-            b = ip.word_cover_value(lang, w, Z, lam, N, 6)
+            b = word_cover_value(lang, w, Z, lam, N, 6)
             assert b == pytest.approx(a, rel=1e-12, abs=1e-300)
 
     def test_requires_valid_depths(self):
@@ -447,11 +448,11 @@ class TestSearchesOnOneGraph:
                 lang.words(2)[: rng.randrange(1, 3)]
             )
             sol = ip.cover_solution(lang, w, Z, lam, N, D)
-            assert sol.cost == pytest.approx(ip.word_cover_value(lang, w, Z, lam, N, D), rel=1e-12)
+            assert sol.cost == pytest.approx(word_cover_value(lang, w, Z, lam, N, D), rel=1e-12)
             for a in sol.words:
                 for b in sol.words:
                     assert a == b or (a[: len(b)] != b and b[: len(a)] != a)
             fw = ip.frostman_measure(lang, w, Z, lam, N, D)
-            W = ip.word_cover_value(lang, w.scaled(-lam), Z, 0.0, N, D)
+            W = word_cover_value(lang, w.scaled(-lam), Z, 0.0, N, D)
             assert fw.total == pytest.approx(W, rel=1e-12)
             assert math.fsum(fw.masses.values()) == pytest.approx(fw.total, rel=1e-12)

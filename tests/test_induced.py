@@ -5,7 +5,17 @@ import math
 import pytest
 
 import invpressure as ip
-from conftest import const_weights, full_shift, golden_mean, random_sft, random_weights, weights
+from conftest import (
+    compute_level_sets,
+    const_weights,
+    full_shift,
+    golden_mean,
+    induced_sum_spanning,
+    random_itinerary,
+    random_sft,
+    random_weights,
+    weights,
+)
 
 
 def brute_induced_log_sum(lang, w_phi, w_psi, T):
@@ -27,20 +37,20 @@ def brute_induced_log_sum(lang, w_phi, w_psi, T):
 class TestLevelSets:
     def test_full_2_shift_unit_scale(self):
         lang = full_shift(2)
-        sets = ip.compute_level_sets(lang, const_weights(lang, 1.0), 10.5)
+        sets = compute_level_sets(lang, const_weights(lang, 1.0), 10.5)
         assert sets.window_levels == (10,)
         assert len(sets.crossing_words[10]) == 2**11
 
     def test_golden_mean_weighted(self):
         lang = golden_mean()
-        sets = ip.compute_level_sets(lang, weights({1: 1.0, 2: 2.0}), 3.0)
+        sets = compute_level_sets(lang, weights({1: 1.0, 2: 2.0}), 3.0)
         assert sets.window_levels == (2, 3)
         assert set(sets.crossing_words[2]) == {(1, 1, 2), (1, 2, 1), (2, 1, 1), (2, 1, 2)}
         assert set(sets.crossing_words[3]) == {(1, 1, 1, 1), (1, 1, 1, 2)}
 
     def test_all_weights_above_budget(self):
         lang = full_shift(2)
-        sets = ip.compute_level_sets(lang, const_weights(lang, 5.0), 3.0)
+        sets = compute_level_sets(lang, const_weights(lang, 5.0), 3.0)
         assert sets.window_levels == (0,)
 
     def test_window_bounds(self, rng):
@@ -48,7 +58,7 @@ class TestLevelSets:
             lang = random_sft(rng, 3)
             w_psi = random_weights(rng, lang, 0.5, 2.0)
             T = rng.uniform(1.0, 4.0)
-            sets = ip.compute_level_sets(lang, w_psi, T)
+            sets = compute_level_sets(lang, w_psi, T)
             lo = T / w_psi.rate_max() - 1
             hi = T / w_psi.rate_min()
             for n in sets.window_levels:
@@ -71,8 +81,11 @@ class TestInducedSum:
         assert got == pytest.approx(math.log(4), rel=1e-12)
 
     def test_random_instances_against_brute_oracle(self, rng):
-        for _ in range(8):
-            lang = random_sft(rng, rng.choice((2, 3)))
+        # random relations, then itinerary languages, whose units are frozensets
+        makers = [lambda: random_sft(rng, rng.choice((2, 3)))] * 8
+        makers += [lambda: random_itinerary(rng, rng.choice((6, 10, 14)), rng.choice((2, 3)))] * 8
+        for make in makers:
+            lang = make()
             w_phi = random_weights(rng, lang, -1, 1)
             w_psi = random_weights(rng, lang, 0.5, 2.0)
             T = rng.uniform(1.0, 3.5)
@@ -94,7 +107,7 @@ class TestInducedSum:
         lang = golden_mean()
         w0 = const_weights(lang, 0.0)
         w_psi = weights({1: 1.0, 2: 2.0})
-        assert ip.induced_sum_spanning(lang, w0, w_psi, 3.0) == pytest.approx(
+        assert induced_sum_spanning(lang, w0, w_psi, 3.0) == pytest.approx(
             ip.induced_sum(lang, w0, w_psi, 3.0), rel=1e-12
         )
         for _ in range(6):
@@ -102,7 +115,7 @@ class TestInducedSum:
             w_phi = random_weights(rng, lang, -0.5, 0.5)
             w_psi = random_weights(rng, lang, 0.5, 2.0)
             T = rng.uniform(1.0, 3.0)
-            assert ip.induced_sum_spanning(lang, w_phi, w_psi, T) == pytest.approx(
+            assert induced_sum_spanning(lang, w_phi, w_psi, T) == pytest.approx(
                 ip.induced_sum(lang, w_phi, w_psi, T), rel=1e-10, abs=1e-10
             )
 
@@ -186,6 +199,28 @@ class TestCharacterization:
             math.fsum(2**n * math.exp(-beta * n) for n in range(11, 41))
         )
         assert res.partial_log_sum == pytest.approx(direct, rel=1e-12)
+
+    @pytest.mark.parametrize("kind", ["golden-mean", "itinerary"])
+    def test_partial_sum_against_word_enumeration(self, rng, kind):
+        # every word of length <= n_cap whose psi-weight exceeds the budget,
+        # enumerated through the raw presentation; psi spreads widely, so
+        # some words exceed the budget levels before every word does
+        lang = golden_mean() if kind == "golden-mean" else random_itinerary(rng, 12, 3)
+        w_phi = random_weights(rng, lang, -1.0, 1.0)
+        w_psi = random_weights(rng, lang, 0.6, 2.5)
+        beta, T = 0.7, 3.0
+        budget = T * w_psi.tau
+        n_cap = math.floor(budget / min(w_psi.weights.values())) + 1 + 14
+        res = ip.characterization_sum(
+            lang, w_phi, w_psi, beta, T, n_cap=n_cap, include_partial=True
+        )
+        terms = [
+            math.exp(sum(w_phi[s] - beta * w_psi[s] for s in word))
+            for n in range(1, n_cap + 1)
+            for word in lang.words(n)
+            if sum(w_psi[s] for s in word) > budget
+        ]
+        assert res.partial_log_sum == pytest.approx(math.log(math.fsum(terms)), rel=1e-12)
 
     def test_scan_flip_brackets_pressure(self):
         lang = full_shift(2)

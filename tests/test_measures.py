@@ -54,6 +54,28 @@ class TestCylinderMasses:
                 )
                 assert kids == pytest.approx(mu.mass(word), rel=1e-12, abs=1e-15)
 
+    def test_itinerary_language_masses(self):
+        # bit strings without "11", shifted left with a 0 coming in: up to
+        # depth D the itineraries are the golden-mean words (symbol 1 + bit),
+        # and the units are the merging sets of states
+        D = 6
+        states = tuple(
+            x for x in (format(k, f"0{D}b") for k in range(2**D)) if "11" not in x
+        )
+        sys = ip.FiniteStateSystem(
+            states, {(x, "u"): x[1:] + "0" for x in states}, states,
+            {x: 1 + int(x[0]) for x in states},
+        )
+        lang = ip.itinerary_language(sys, ip.PartitionSpec(1, {1: ("u",), 2: ("u",)}))
+        parry = ip.parry_measure(golden_mean())
+        mu = ip.cylinder_masses(parry, lang, D)
+        assert set(mu.masses) == set(lang.words(D)) == set(golden_mean().words(D))
+        for word, m in mu.masses.items():
+            chain = parry.stationary[word[0] - 1]
+            for a, b in zip(word, word[1:]):
+                chain *= parry.matrix[a - 1][b - 1]
+            assert m == pytest.approx(chain, rel=1e-12)
+
     def test_masses_must_sum_to_one(self):
         lang = full_shift(2)
         with pytest.raises(ip.PreconditionError):

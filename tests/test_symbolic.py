@@ -50,11 +50,11 @@ class TestDeriveSymbolWeights:
 class TestEnumerateWords:
     def test_full_3_shift_n4(self):
         lang = full_shift(3)
-        assert len(ip.enumerate_words(lang, 4)) == 81
+        assert len(lang.words(4)) == 81
 
     def test_golden_mean_n3_exact_set(self):
         lang = golden_mean()
-        got = set(ip.enumerate_words(lang, 3))
+        got = set(lang.words(3))
         assert got == brute_words(lang, 3)
         assert got == {(1, 1, 1), (1, 1, 2), (1, 2, 1), (2, 1, 1), (2, 1, 2)}
 
@@ -62,11 +62,11 @@ class TestEnumerateWords:
         sys = ip.FiniteStateSystem(("x",), {("x", "u"): "x"}, ("x",), {"x": 1})
         spec = ip.PartitionSpec(1, {1: ("u",)})
         lang = ip.itinerary_language(sys, spec)
-        assert ip.enumerate_words(lang, 5) == [(1, 1, 1, 1, 1)]
+        assert lang.words(5) == [(1, 1, 1, 1, 1)]
 
     def test_enumeration_guard(self):
         with pytest.raises(ip.GuardError):
-            ip.enumerate_words(full_shift(3), 10, max_words=100)
+            full_shift(3).words(10, max_words=100)
 
 
 class TestWordWeight:
@@ -107,13 +107,13 @@ class TestCylinderTree:
         for lang in (full_shift(3), golden_mean(), single_branch()):
             tree = ip.build_cylinder_tree(lang, [], 1)
             assert sorted(n.word for n in tree.nodes()) == [(s,) for s in sorted(
-                w[0] for w in ip.enumerate_words(lang, 1))]
+                w[0] for w in lang.words(1))]
 
     def test_level_counts_match_language(self, rng):
         for lang in (golden_mean(), random_sft(rng, 3)):
             tree = ip.build_cylinder_tree(lang, [], 5)
             for n in range(1, 6):
-                assert len(tree.level(n)) == len(ip.enumerate_words(lang, n))
+                assert len(tree.level(n)) == len(lang.words(n))
 
     def test_cumulative_weights_match_word_weight(self, rng):
         lang = random_sft(rng, 3)
@@ -169,16 +169,16 @@ class TestLanguageInvariants:
     def test_factoriality(self, rng):
         for lang in self.langs(rng):
             for n in range(2, 6):
-                lower = set(ip.enumerate_words(lang, n - 1))
-                for w in ip.enumerate_words(lang, n):
+                lower = set(lang.words(n - 1))
+                for w in lang.words(n):
                     assert w[:-1] in lower
                     assert w[1:] in lower
 
     def test_extension(self, rng):
         for lang in self.langs(rng):
             for n in range(1, 5):
-                longer = {w[:-1] for w in ip.enumerate_words(lang, n + 1)}
-                for w in ip.enumerate_words(lang, n):
+                longer = {w[:-1] for w in lang.words(n + 1)}
+                for w in lang.words(n):
                     assert w in longer
 
 
