@@ -185,7 +185,8 @@ class Run:
         if kind == "sft":
             edges = []
             for edge in _require(block, "transitions", "system", list):
-                edges.append(tuple(_int(s, "transitions") for s in _pair(edge, "transitions")))
+                a, b = _pair(edge, "transitions")
+                edges.append((_int(a, "transitions"), _int(b, "transitions")))
             return ("sft", edges)
         if kind == "finite-state":
             states = tuple(str(s) for s in _require(block, "states", "system", list))
@@ -428,7 +429,7 @@ class Run:
             else:
                 raise ConfigError(f"unknown candidate type {kind!r}")
             cands.append((name, mu))
-        rep = vp_check(self.lang, w, K, cands, D, tol)
+        rep = vp_check(self.lang, w, K, cands, D, tol, max_nodes=self.max_nodes)
         self.info.update(dimension=rep.dimension, best=rep.best_name, best_value=rep.best_value)
         rows = [
             [r.name, _fmt(r.value), _fmt(r.gap), _fmt(r.slack), r.within_upper_bound]
@@ -470,9 +471,9 @@ def run(config: dict, out_dir: str, force_guards: bool = False, threads: int = 1
         "version": __version__,
         "wall_time_s": time.time() - started,
     }
+    # one compact line: json.dumps runs the C encoder, json.dump and indent never do
     with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True, default=str)
-        fh.write("\n")
+        fh.write(json.dumps(manifest, sort_keys=True, default=str) + "\n")
     return manifest
 
 

@@ -16,6 +16,7 @@ from typing import Sequence
 
 from .errors import GuardError, PreconditionError
 from .symbolic import (
+    MAX_DEPTH,
     NEG_INF,
     PerSymbolWeights,
     WordLanguage,
@@ -33,10 +34,16 @@ INCONCLUSIVE = "inconclusive"
 _WKEY_DIGITS = 12  # cumulative psi-weights merge at this rounding
 
 
-def _check_budget(w_psi: PerSymbolWeights, T: float) -> None:
+def _budget_levels(w_psi: PerSymbolWeights, T: float) -> int:
+    """floor(T*tau/min psi), the longest word inside the budget; every horizon
+    derived from T starts here, so one above MAX_DEPTH is refused before any build."""
     w_psi.require_positive("psi weights")
     if T <= 0:
         raise PreconditionError("time budget T must be positive")
+    span = T * w_psi.tau / min(w_psi.weights.values())
+    if not span < MAX_DEPTH + 1:  # also refuses an overflow to inf
+        raise GuardError(f"T={T!r} spans {span:.6g} levels, above the depth limit {MAX_DEPTH}")
+    return int(math.floor(span))
 
 
 def bookkeeping_index(word: Sequence[int], w_psi: PerSymbolWeights) -> int:
@@ -73,11 +80,9 @@ def induced_sum(
     admissible extension would push it past the budget.  Exact, and
     polynomial in T for fixed alphabets (no enumeration).
     """
-    _check_budget(w_psi, T)
+    n_hi = _budget_levels(w_psi, T)
     budget = T * w_psi.tau
-    # a cell inside the budget spells at most n_hi symbols; one more level
-    # absorbs a weight that rounds onto the budget
-    n_hi = int(math.floor(budget / min(w_psi.weights.values())))
+    # one level past n_hi absorbs a weight that rounds onto the budget
     kids = lang.unit_graph(n_hi + 2).children
     phi = [w_phi[s] for s in lang.symbols]
     psi = [w_psi[s] for s in lang.symbols]
@@ -116,8 +121,7 @@ class CharacterizationResult:
 
 def _scan_horizon(w_psi: PerSymbolWeights, T: float, n_cap: int | None, window: int):
     """(n_full, n_cap): the first level past the budget, and the checked level cap."""
-    _check_budget(w_psi, T)
-    n_full = int(math.floor(T * w_psi.tau / min(w_psi.weights.values()))) + 1
+    n_full = _budget_levels(w_psi, T) + 1
     if n_cap is None:
         n_cap = n_full + window + 8
     if n_cap < n_full + window + 2:

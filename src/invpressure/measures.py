@@ -17,8 +17,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import PreconditionError
-from .symbolic import PerSymbolWeights, SftLanguage, WordLanguage
+from .errors import GuardError, PreconditionError
+from .symbolic import MAX_TREE_NODES, PerSymbolWeights, SftLanguage, WordLanguage
 from .covers import BsDimension, SubsetSpec, bs_dimension, frostman_measure, FrostmanWeights
 
 
@@ -188,10 +188,13 @@ class CylinderMeasure:
         return CylinderMeasure(self.lang, self.depth, {w: m / total for w, m in kept.items()})
 
 
-def cylinder_masses(mu: MarkovMeasure, lang: WordLanguage, depth: int) -> CylinderMeasure:
+def cylinder_masses(
+    mu: MarkovMeasure, lang: WordLanguage, depth: int, max_nodes: int = MAX_TREE_NODES
+) -> CylinderMeasure:
     """Evaluate a Markov chain on all depth-D cylinders: pi_{s0} * prod P.
 
-    The cylinders are walked on the children of ``lang.unit_graph(depth)``.
+    The cylinders are walked on the children of ``lang.unit_graph(depth)``;
+    ``max_nodes`` bounds the number of cylinders visited.
     """
     if isinstance(lang, SftLanguage):
         mu.check_support(lang)
@@ -200,12 +203,16 @@ def cylinder_masses(mu: MarkovMeasure, lang: WordLanguage, depth: int) -> Cylind
     pos = [mu.index(s) for s in symbols]
     masses: dict[tuple[int, ...], float] = {}
     stack = [((), 0, -1, 1.0)]  # (word, unit, chain state of its last symbol, mass)
+    visited = 0
     while stack:
         word, unit, last, m = stack.pop()
         if len(word) == depth:
             masses[word] = m
             continue
         for k, child in kids[unit]:
+            visited += 1
+            if visited > max_nodes:
+                raise GuardError(f"cylinder walk exceeded {max_nodes} cylinders")
             step = mu.matrix[last][pos[k]] if word else mu.stationary[pos[k]]
             stack.append((word + (symbols[k],), child, pos[k], m * step))
     return CylinderMeasure(lang, depth, masses)
@@ -286,10 +293,6 @@ class VpReport:
     best_name: str
     best_value: float
 
-    @property
-    def best_gap(self) -> float:
-        return self.dimension - self.best_value
-
 
 def vp_check(
     lang: WordLanguage,
@@ -300,13 +303,14 @@ def vp_check(
     tol: float = 1e-6,
     tail_window: int = 3,
     N: int = 1,
+    max_nodes: int = MAX_TREE_NODES,
 ) -> VpReport:
     """Evaluate candidate measures supported on K against bs_dimension(K).
 
     Every candidate must give K full mass.  The normalized Frostman flow at
     lambda = dimension - tol is appended automatically; each estimate is
     compared against dimension + slack, with slack the candidate's own
-    tail-window oscillation.
+    tail-window oscillation.  ``max_nodes`` bounds every cylinder walk.
     """
     weights.require_positive("dimension weight")
     if K.is_empty:
@@ -317,13 +321,13 @@ def vp_check(
     pool: list[tuple[str, CylinderMeasure]] = []
     for name, cand in candidates:
         if isinstance(cand, MarkovMeasure):
-            cand = cylinder_masses(cand, lang, D)
+            cand = cylinder_masses(cand, lang, D, max_nodes)
         if cand.depth != D:
             raise PreconditionError(f"candidate {name!r} has depth {cand.depth}, expected {D}")
         if not cand.supported_on(K):
             raise PreconditionError(f"candidate {name!r} is not supported on the target set")
         pool.append((name, cand))
-    fw = frostman_measure(lang, weights, K, dim - tol, N, D)
+    fw = frostman_measure(lang, weights, K, dim - tol, N, D, max_nodes)
     pool.append(("frostman", frostman_cylinder_measure(lang, fw)))
     dim_err = detail.certificate.error_bound
     for name, cand in pool:

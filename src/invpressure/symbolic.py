@@ -146,12 +146,9 @@ class PerSymbolWeights:
     def rate_absmax(self) -> float:
         return max(abs(v) for v in self.weights.values()) / self.tau
 
-    def is_positive(self) -> bool:
-        return all(v > 0.0 for v in self.weights.values())
-
     def require_positive(self, role: str = "scaling weight") -> None:
-        if not self.is_positive():
-            bad = {i: v for i, v in self.weights.items() if v <= 0.0}
+        bad = {i: v for i, v in self.weights.items() if not v > 0.0}
+        if bad:
             raise PreconditionError(f"{role} must be strictly positive, got {bad}")
 
     def scaled(self, factor: float, name: str | None = None) -> "PerSymbolWeights":

@@ -41,9 +41,6 @@ class FiniteStateSystem:
             if x not in self.cell_of:
                 raise PreconditionError(f"state {x!r} has no cell assignment")
 
-    def move(self, x: object, u: str) -> object | None:
-        return self.transition.get((x, u))
-
 
 @dataclass(frozen=True)
 class AffineIntervalSystem:
@@ -94,23 +91,30 @@ class PartitionValidationReport:
             raise PreconditionError("validity flag inconsistent with violation list")
 
 
-def _validate_finite_state(
+def _walk_finite_state(
     system: FiniteStateSystem, spec: PartitionSpec
-) -> list[tuple[int, int, str]]:
-    violations = []
+) -> tuple[dict, list[tuple[int, int, str]]]:
+    """(tau-step images, violations): one walk per invariant state along its cell's
+    control word, ending at its first escape (a violation) or at the state's image."""
+    cell_of = system.cell_of
+    used = {cell_of[x] for x in system.invariant_set}
+    if not used <= set(spec.symbols):
+        raise PreconditionError(f"system cells {sorted(used)} not all in partition symbols")
     q_set = set(system.invariant_set)
-    for i in spec.symbols:
-        word = spec.control_words[i]
-        cell_states = [x for x in system.invariant_set if system.cell_of[x] == i]
-        for x0 in cell_states:
-            x = x0
-            for j, u in enumerate(word, start=1):
-                nxt = system.move(x, u)
-                if nxt is None or nxt not in q_set:
-                    violations.append((i, j, f"state {x0!r} escapes at step {j}"))
-                    break
-                x = nxt
-    return violations
+    move = system.transition.get
+    step, violations = {}, []
+    for x0 in system.invariant_set:
+        i = cell_of[x0]
+        x = x0
+        for j, u in enumerate(spec.control_words[i], start=1):
+            x = move((x, u))
+            if x is None or x not in q_set:
+                violations.append((i, j, f"state {x0!r} escapes at step {j}"))
+                break
+        else:
+            step[x0] = x
+    violations.sort(key=lambda v: v[0])  # stable: by symbol, then invariant_set order
+    return step, violations
 
 
 def _validate_affine(
@@ -146,10 +150,7 @@ def validate_invariant_partition(system, spec: PartitionSpec) -> PartitionValida
     with exact rational endpoints.
     """
     if isinstance(system, FiniteStateSystem):
-        used = {i for x in system.invariant_set for i in (system.cell_of[x],)}
-        if not used <= set(spec.symbols):
-            raise PreconditionError(f"system cells {sorted(used)} not all in partition symbols")
-        violations = _validate_finite_state(system, spec)
+        violations = _walk_finite_state(system, spec)[1]
     elif isinstance(system, AffineIntervalSystem):
         violations = _validate_affine(system, spec)
     else:
@@ -159,18 +160,9 @@ def validate_invariant_partition(system, spec: PartitionSpec) -> PartitionValida
 
 def itinerary_language(system: FiniteStateSystem, spec: PartitionSpec) -> WordLanguage:
     """Language of symbol itineraries of the induced tau-step map on Q."""
-    report = validate_invariant_partition(system, spec)
-    if not report.valid:
-        raise PreconditionError(
-            f"partition not invariant; first violation: {report.violations[0]}"
-        )
-    step = {}
-    for x0 in system.invariant_set:
-        word = spec.control_words[system.cell_of[x0]]
-        x = x0
-        for u in word:
-            x = system.move(x, u)
-        step[x0] = x
+    step, violations = _walk_finite_state(system, spec)
+    if violations:
+        raise PreconditionError(f"partition not invariant; first violation: {violations[0]}")
     label = {x: system.cell_of[x] for x in system.invariant_set}
     return ItineraryLanguage(system.invariant_set, step, label)
 

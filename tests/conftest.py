@@ -84,6 +84,24 @@ def random_itinerary(rng, states: int, cells: int):
     return ip.itinerary_language(sys, spec)
 
 
+def random_finite_state(rng, states: int, cells: int, tau: int, leak: float):
+    """(system, spec) whose moves leave the invariant set or are undefined with
+    probability ``leak`` each; a leak of 0 gives a valid partition."""
+    names = [f"x{k}" for k in range(states)]
+    inv = names[: max(1, states - 2)]  # the last states lie outside Q
+    controls = ("u", "v", "w")
+    trans = {}
+    for x in names:
+        for u in controls:
+            r = rng.random()
+            if r < leak / 2:
+                continue  # undefined move
+            trans[(x, u)] = rng.choice(names[len(inv):] if r < leak else inv)
+    cell_of = {x: rng.randint(1, cells) for x in inv}
+    words = {i: tuple(rng.choice(controls) for _ in range(tau)) for i in range(1, cells + 1)}
+    return ip.FiniteStateSystem(tuple(names), trans, tuple(inv), cell_of), ip.PartitionSpec(tau, words)
+
+
 # ---------------------------------------------------------------------------
 # oracles
 
@@ -99,6 +117,24 @@ def brute_words(lang: ip.SftLanguage, n: int) -> set:
         if all(p in allowed for p in zip(cand, cand[1:])):
             out.add(cand)
     return out
+
+
+def reference_partition_walk(system: ip.FiniteStateSystem, spec: ip.PartitionSpec):
+    """(violations, tau-step map): every cell's states walked per symbol in turn,
+    the violations in the order of the symbols, then of ``invariant_set``."""
+    q_set = set(system.invariant_set)
+    violations, step = [], {}
+    for i in spec.symbols:
+        for x0 in [x for x in system.invariant_set if system.cell_of[x] == i]:
+            x = x0
+            for j, u in enumerate(spec.control_words[i], start=1):
+                x = system.transition.get((x, u))
+                if x is None or x not in q_set:
+                    violations.append((i, j, f"state {x0!r} escapes at step {j}"))
+                    break
+            else:
+                step[x0] = x
+    return tuple(violations), step
 
 
 def bisect_root(f, lo: float, hi: float, iters: int = 200) -> float:

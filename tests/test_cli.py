@@ -45,6 +45,19 @@ class TestBundledConfigs:
         assert manifest["info"]["oracle"] == pytest.approx(math.log(3), abs=1e-10)
 
 
+    def test_manifest_is_one_sorted_json_line(self, tmp_path):
+        for name in BUNDLED:
+            cfg = load(name)
+            out = tmp_path / name.replace(".json", "")
+            manifest = run(cfg, str(out))
+            text = (out / "manifest.json").read_text(encoding="utf-8")
+            assert text.endswith("\n") and text.count("\n") == 1
+            on_disk = json.loads(text)
+            assert on_disk == json.loads(json.dumps(manifest, default=str))
+            assert on_disk["config"] == cfg
+            assert text == json.dumps(on_disk, sort_keys=True) + "\n"
+
+
 class TestDeterminism:
     def test_byte_identical_reruns(self, tmp_path):
         for name in BUNDLED:
@@ -165,6 +178,29 @@ class TestExitCodes:
         assert main(["--config", path, "--out", str(tmp_path / "o")]) == 3
         err = capsys.readouterr().err
         assert err.startswith("guard tripped: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "task", [{"command": "induced", "T_grid": ["1e9"]}, {"command": "characterize", "T": "1e9"}]
+    )
+    def test_oversized_budget_horizon_is_3(self, tmp_path, capsys, task):
+        # T = 1e9 at psi >= 1 spans 10^9 levels: refused before any graph is built
+        cfg = load("golden-mean.json")
+        cfg["task"] = {"phi": "zero", "psi": "scale", "beta_grid": ["0.5"], **task}
+        path = write_config(tmp_path, cfg)
+        assert main(["--config", path, "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("guard tripped: ") and err.count("\n") == 1
+
+    def test_vp_check_honours_max_tree_nodes(self, tmp_path):
+        cfg = load("golden-mean.json")
+        cfg["system"]["transitions"] = [[1, 1], [1, 2], [2, 1], [2, 2]]
+        cfg["control_range"]["potentials"]["ones"] = {"a": "1.0", "b": "1.0"}
+        cfg["task"] = {"command": "vp-check", "phi": "ones", "D": 14,
+                       "candidates": [{"type": "bernoulli", "p": ["0.5", "0.5"]}]}
+        cfg["guards"] = {"max_tree_nodes": 1000}
+        path = write_config(tmp_path, cfg)
+        assert main(["--config", path, "--out", str(tmp_path / "a"), "--force-guards"]) == 3
+        assert main(["--config", path, "--out", str(tmp_path / "b")]) == 0
 
     def test_depth_at_limit_runs(self, tmp_path):
         cfg = load("golden-mean.json")

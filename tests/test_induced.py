@@ -5,6 +5,8 @@ import math
 import pytest
 
 import invpressure as ip
+from invpressure import induced
+from invpressure.symbolic import MAX_DEPTH
 from conftest import (
     compute_level_sets,
     const_weights,
@@ -165,6 +167,39 @@ class TestBookkeepingIndex:
     def test_empty_word_rejected(self):
         with pytest.raises(ip.PreconditionError):
             ip.bookkeeping_index((), weights({1: 1.0}))
+
+
+class TestHorizonGuard:
+    """Horizons derived from T are bounded by MAX_DEPTH before anything is built."""
+
+    @pytest.mark.parametrize("T,psi", [(1e9, 1.0), (MAX_DEPTH + 1, 1.0), (1e308, 1e-10)])
+    def test_huge_budget_refused_before_any_build(self, monkeypatch, T, psi):
+        lang = golden_mean()
+
+        def no_build(*_args):
+            raise AssertionError("built a graph or a level sum past the horizon guard")
+
+        monkeypatch.setattr(lang, "unit_graph", no_build)
+        monkeypatch.setattr(induced, "level_log_sums", no_build)
+        w0, w_psi = const_weights(lang, 0.0), const_weights(lang, psi)
+        with pytest.raises(ip.GuardError):
+            ip.induced_sum(lang, w0, w_psi, T)
+        with pytest.raises(ip.GuardError):
+            ip.characterization_sum(lang, w0, w_psi, 0.5, T)
+        with pytest.raises(ip.GuardError):
+            ip.characterization_scan(lang, w0, w_psi, [0.5], T)
+
+    def test_horizon_at_the_limit_runs(self):
+        lang = golden_mean()
+        w0, ones = const_weights(lang, 0.0), const_weights(lang, 1.0)
+        res = ip.characterization_scan(lang, w0, ones, [0.0], float(MAX_DEPTH))
+        assert res[0].n_cap == MAX_DEPTH + 1 + 12 + 8
+        # psi = 1: every word crosses the budget at its length-MAX_DEPTH prefix, and
+        # the golden mean has F(n + 2) = round(g^(n + 2) / sqrt(5)) words of length n
+        g = (1 + math.sqrt(5)) / 2
+        log_count = (MAX_DEPTH + 2) * math.log(g) - 0.5 * math.log(5)
+        value = ip.induced_sum(lang, w0, ones, float(MAX_DEPTH))
+        assert value == pytest.approx(log_count, rel=1e-12)
 
 
 class TestCharacterization:

@@ -37,6 +37,14 @@ class TestCylinderMasses:
         with pytest.raises(ip.PreconditionError):
             ip.bernoulli_measure(lang, [0.5, 0.5])  # puts mass on 2->2
 
+    def test_cylinder_walk_guard(self):
+        # depth 10 of the full 2-shift visits 2 + 4 + ... + 2^10 = 2^11 - 2 cylinders
+        lang = full_shift(2)
+        mu = ip.bernoulli_measure(lang, [0.5, 0.5])
+        assert len(ip.cylinder_masses(mu, lang, 10, max_nodes=2**11 - 2).masses) == 2**10
+        with pytest.raises(ip.GuardError):
+            ip.cylinder_masses(mu, lang, 10, max_nodes=2**11 - 3)
+
     def test_point_mass_on_fixed_itinerary(self):
         lang = full_shift(2)
         mu = ip.CylinderMeasure(lang, 4, {(1, 1, 1, 1): 1.0})
@@ -178,6 +186,14 @@ class TestVpCheck:
         )
         assert row.value == pytest.approx(est.value, rel=1e-12)
         assert row.value >= (rep.dimension - tol) - est.slack - 1e-9
+
+    @pytest.mark.parametrize("with_candidate", [True, False])
+    def test_cylinder_walks_honour_max_nodes(self, with_candidate):
+        # the Markov candidate and the Frostman flow are both bounded
+        lang = full_shift(2)
+        cands = [("fair", ip.bernoulli_measure(lang, [0.5, 0.5]))] if with_candidate else []
+        with pytest.raises(ip.GuardError):
+            ip.vp_check(lang, const_weights(lang, 1.0), ALL, cands, D=14, max_nodes=1000)
 
     def test_unsupported_candidate_rejected(self):
         lang = full_shift(2)

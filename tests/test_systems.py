@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 import invpressure as ip
-from conftest import brute_words, full_shift
+from conftest import brute_words, full_shift, random_finite_state, reference_partition_walk
 
 
 def affine_halving(interval=("0", "1")):
@@ -116,6 +116,47 @@ class TestFiniteState:
         )
         with pytest.raises(ip.PreconditionError):
             ip.itinerary_language(sys, ip.PartitionSpec(1, {1: ("u",)}))
+
+
+class TestPartitionWalk:
+    """One walk per state validates and compiles; its output must match a per-symbol walk."""
+
+    @pytest.mark.parametrize("leak", [0.0, 0.05, 0.3])
+    def test_violations_and_step_map_match_reference(self, rng, leak):
+        seen_valid = seen_invalid = 0
+        for _ in range(40):
+            sys, spec = random_finite_state(
+                rng, rng.randint(3, 30), rng.randint(1, 5), rng.randint(1, 4), leak
+            )
+            violations, step = reference_partition_walk(sys, spec)
+            report = ip.validate_invariant_partition(sys, spec)
+            assert report.violations == violations
+            assert report.valid == (not violations)
+            if violations:
+                seen_invalid += 1
+                with pytest.raises(ip.PreconditionError, match="first violation"):
+                    ip.itinerary_language(sys, spec)
+            else:
+                seen_valid += 1
+                assert ip.itinerary_language(sys, spec).step == step
+        if leak:
+            assert seen_invalid and (seen_valid or leak > 0.1)
+        else:
+            assert seen_valid == 40
+
+    def test_several_violations_per_symbol_keep_state_order(self):
+        # states of cell 2 come first in Q but report after cell 1's
+        sys = ip.FiniteStateSystem(
+            ("c", "a", "d", "b", "out"),
+            {("a", "u"): "out", ("b", "u"): "a", ("b", "v"): "out", ("c", "u"): "out"},
+            ("c", "a", "d", "b"),
+            {"c": 2, "a": 1, "d": 2, "b": 1},
+        )
+        spec = ip.PartitionSpec(2, {1: ("u", "v"), 2: ("u", "u")})
+        report = ip.validate_invariant_partition(sys, spec)
+        assert [(i, j) for i, j, _w in report.violations] == [(1, 1), (1, 2), (2, 1), (2, 1)]
+        assert "'a'" in report.violations[0][2] and "'c'" in report.violations[2][2]
+        assert report.violations == reference_partition_walk(sys, spec)[0]
 
 
 class TestCompileSft:
