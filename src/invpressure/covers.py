@@ -150,16 +150,6 @@ class _CoverGraph:
         return units
 
 
-def _lse(vals: list[float]) -> float:
-    """``logsumexp`` of a list, with the single-term case taken as is."""
-    if len(vals) == 1:
-        return vals[0]
-    m = max(vals, default=NEG_INF)
-    if m == NEG_INF or m == math.inf:
-        return m
-    return m + math.log(math.fsum([math.exp(v - m) for v in vals]))
-
-
 class _CoverTable:
     """The cover table of one cost law on a compiled ``_CoverGraph``.
 
@@ -182,7 +172,7 @@ class _CoverTable:
         self.rel: list[list[float]] = [a] * (D + 1)
         self.alpha: list[list[float]] = [a] * (D + 1)
         for n in range(D - 1, -1, -1):
-            rel = [_lse([step[k] + a[j] for k, j in kids]) for kids in graph.layers[n]]
+            rel = [logsumexp([step[k] + a[j] for k, j in kids]) for kids in graph.layers[n]]
             a = [v if v < 0.0 else 0.0 for v in rel] if n >= N else rel
             self.rel[n], self.alpha[n] = rel, a
 

@@ -2,10 +2,11 @@
 
 Horizons are measured in psi-weight rather than word count: a word class is
 charged to the level n at which its cumulative psi-weight first exceeds
-T*tau.  Direct evaluation is exponential in T and deliberately desk-scale;
-the production route to the induced pressure is the Bowen root in
-``capacity``.  The boundedness scan provides the independent cross-check:
-the growth sign of the exceed-level sums flips exactly at the root.
+T*tau.  Both finite-budget sums read one cell walk, polynomial in T for a
+fixed alphabet, which decides each edge once.  The production route to the
+induced pressure is the Bowen root in ``capacity``.  The boundedness scan
+provides the independent cross-check: the growth sign of the exceed-level
+sums flips exactly at the root.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ CONVERGENT = "convergent-with-bound"
 DIVERGENT = "divergent-evidence"
 INCONCLUSIVE = "inconclusive"
 
-_WKEY_DIGITS = 12  # cumulative psi-weights merge at this rounding
+_WKEY_DIGITS = 12  # psi-sums meet the budget, and cells merge, at this rounding
 
 
 def _budget_levels(w_psi: PerSymbolWeights, T: float) -> int:
@@ -65,6 +66,51 @@ def bookkeeping_index(word: Sequence[int], w_psi: PerSymbolWeights) -> int:
     return m
 
 
+def _budget_walk(
+    lang: WordLanguage,
+    w_step: PerSymbolWeights,
+    w_psi: PerSymbolWeights,
+    T: float,
+    max_cells: int,
+):
+    """The budget-T cell DP over (unit, psi-sum) cells of ``lang.unit_graph``,
+    unit 0 being the empty word, carrying log-accumulated ``w_step`` masses.
+
+    An edge whose psi-sum, rounded to ``_WKEY_DIGITS``, is at most T*tau
+    rounded the same way keeps its child cell; any other edge crosses.  Yields
+    per level n = 0, 1, ... while cells remain the crossing cells of length-n
+    words as (log mass, [(symbol index, child unit), ...]), in cell order.
+    """
+    n_hi = _budget_levels(w_psi, T)
+    budget = round(T * w_psi.tau, _WKEY_DIGITS)
+    # one level past n_hi absorbs a weight that rounds onto the budget
+    kids = lang.unit_graph(n_hi + 2).children
+    step = [w_step[s] for s in lang.symbols]
+    psi = [w_psi[s] for s in lang.symbols]
+    cells: dict[tuple[int, float], float] = {(0, 0.0): 0.0}
+    while cells:
+        if len(cells) > max_cells:
+            raise GuardError(f"budget cell DP exceeded {max_cells} cells")
+        nxt: dict[tuple[int, float], float] = {}
+        crossing: list[tuple[float, list]] = []
+        for (unit, wsum), mass in cells.items():
+            edges = None
+            for edge in kids[unit]:
+                k, child = edge
+                w2 = round(wsum + psi[k], _WKEY_DIGITS)
+                if w2 > budget:
+                    if edges is None:
+                        edges = []
+                        crossing.append((mass, edges))
+                    edges.append(edge)
+                else:
+                    key = (child, w2)
+                    v = mass + step[k]
+                    nxt[key] = v if key not in nxt else logaddexp(nxt[key], v)
+        yield crossing
+        cells = nxt
+
+
 def induced_sum(
     lang: WordLanguage,
     w_phi: PerSymbolWeights,
@@ -72,36 +118,12 @@ def induced_sum(
     T: float,
     max_cells: int = 500_000,
 ) -> float:
-    """log of the budget-T separated sum, de-duplicated by crossing prefix.
-
-    Word classes are advanced as (unit, cumulative psi-weight) cells of
-    ``lang.unit_graph``, unit 0 being the empty word, carrying
-    log-accumulated phi-masses; a cell contributes at the level where some
-    admissible extension would push it past the budget.  Exact, and
-    polynomial in T for fixed alphabets (no enumeration).
-    """
-    n_hi = _budget_levels(w_psi, T)
-    budget = T * w_psi.tau
-    # one level past n_hi absorbs a weight that rounds onto the budget
-    kids = lang.unit_graph(n_hi + 2).children
-    phi = [w_phi[s] for s in lang.symbols]
-    psi = [w_psi[s] for s in lang.symbols]
-    cells: dict[tuple[int, float], float] = {(0, 0.0): 0.0}
+    """log of the budget-T separated sum, de-duplicated by crossing prefix:
+    the phi-masses of the budget walk's crossing cells.  Exact (no enumeration)."""
     total = NEG_INF
-    while cells:
-        if len(cells) > max_cells:
-            raise GuardError(f"induced-sum DP exceeded {max_cells} cells")
-        nxt: dict[tuple[int, float], float] = {}
-        for (unit, wsum), mass in cells.items():
-            if any(wsum + psi[k] > budget for k, _c in kids[unit]):
-                total = logaddexp(total, mass)
-            for k, child in kids[unit]:
-                w2 = round(wsum + psi[k], _WKEY_DIGITS)
-                if w2 <= budget:
-                    key = (child, w2)
-                    v = mass + phi[k]
-                    nxt[key] = v if key not in nxt else logaddexp(nxt[key], v)
-        cells = nxt
+    for crossing in _budget_walk(lang, w_phi, w_psi, T, max_cells):
+        for mass, _edges in crossing:
+            total = logaddexp(total, mass)
     return total
 
 
@@ -119,8 +141,8 @@ class CharacterizationResult:
     window: int
 
 
-def _scan_horizon(w_psi: PerSymbolWeights, T: float, n_cap: int | None, window: int):
-    """(n_full, n_cap): the first level past the budget, and the checked level cap."""
+def _scan_horizon(w_psi: PerSymbolWeights, T: float, n_cap: int | None, window: int) -> int:
+    """The checked level cap, which leaves a tail window past the budget."""
     n_full = _budget_levels(w_psi, T) + 1
     if n_cap is None:
         n_cap = n_full + window + 8
@@ -128,7 +150,7 @@ def _scan_horizon(w_psi: PerSymbolWeights, T: float, n_cap: int | None, window: 
         raise PreconditionError(
             f"n_cap={n_cap} leaves no all-words tail window (need >= {n_full + window + 2})"
         )
-    return n_full, n_cap
+    return n_cap
 
 
 def _verdict(
@@ -171,64 +193,48 @@ def characterization_sum(
 ) -> CharacterizationResult:
     """Partial sum over exceed levels of the tilted weights phi - beta*psi.
 
-    Levels past floor(T*tau/min w_psi) contain every word, so their sums come
-    from the exact forward recursion; earlier levels are restricted by the
-    budget and use the cell DP (only when a partial value is requested, since
-    the verdict depends on the tail alone).  The verdict compares the mean
-    log-growth over the last ``window`` levels against ``margin``; the window
-    length is divisible by every relation period up to 4, which washes out
-    imprimitive oscillation.
+    Once the budget walk runs out of cells every word exceeds the budget, so
+    those levels' sums come from the exact forward recursion; earlier levels
+    are restricted by the budget and read the walk (only when a partial value
+    is requested, since the verdict depends on the tail alone).  The verdict
+    compares the mean log-growth over the last ``window`` levels against
+    ``margin``; the window length is divisible by every relation period up to
+    4, which washes out imprimitive oscillation.
     """
-    n_full, n_cap = _scan_horizon(w_psi, T, n_cap, window)
+    n_cap = _scan_horizon(w_psi, T, n_cap, window)
     tilt = combine_weights(w_phi, w_psi, beta)
     full = level_log_sums(lang, [tilt], n_cap)[0].tolist()
     result = _verdict(full, beta, T, n_cap, window, margin)
     if not include_partial:
         return result
-    head = _restricted_head_sums(lang, tilt, w_psi, T * w_psi.tau, n_full, max_cells)
-    return replace(result, partial_log_sum=logsumexp(head + full[n_full - 1 : n_cap]))
+    head = _restricted_head_sums(lang, tilt, w_psi, T, max_cells)
+    return replace(result, partial_log_sum=logsumexp(head + full[len(head) : n_cap]))
 
 
 def _restricted_head_sums(
     lang: WordLanguage,
     tilt: PerSymbolWeights,
     w_psi: PerSymbolWeights,
-    budget: float,
-    n_full: int,
+    T: float,
     max_cells: int,
 ) -> list[float]:
-    """Exceed-level sums for n < n_full, where the budget still bites.
-
-    Below-budget classes are tracked per (unit, psi-weight) cell of
-    ``lang.unit_graph``, unit 0 being the empty word; mass that crosses the
-    budget is folded into per-unit exceeded cells and extended freely from
-    there.
-    """
-    kids = lang.unit_graph(n_full).children
+    """Exceed-level sums for n = 1, 2, ... up to the budget walk's last level:
+    crossing edges are folded into per-unit exceeded cells and extended freely
+    from there.  Every longer word exceeds the budget."""
     step = [tilt[s] for s in lang.symbols]
-    psi = [w_psi[s] for s in lang.symbols]
-    below: dict[tuple[int, float], float] = {(0, 0.0): 0.0}
     above: dict[int, float] = {}
+    walk = _budget_walk(lang, tilt, w_psi, T, max_cells)
+    prev = next(walk)  # the crossing cells one level up
     out = []
-    for _n in range(1, n_full):
-        if len(below) > max_cells:
-            raise GuardError(f"characterization DP exceeded {max_cells} cells")
-        nxt_below: dict[tuple[int, float], float] = {}
-        nxt_above: dict[int, float] = {}
-        for (unit, wsum), mass in below.items():
-            for k, c in kids[unit]:
+    for n, crossing in enumerate(walk, 1):
+        kids = lang.unit_graph(n).children  # above holds length-(n-1) words
+        nxt: dict[int, float] = {}
+        for mass, edges in [(mass, kids[unit]) for unit, mass in above.items()] + prev:
+            for k, c in edges:
                 v = mass + step[k]
-                if wsum + psi[k] > budget:
-                    nxt_above[c] = v if c not in nxt_above else logaddexp(nxt_above[c], v)
-                else:
-                    key = (c, round(wsum + psi[k], _WKEY_DIGITS))
-                    nxt_below[key] = v if key not in nxt_below else logaddexp(nxt_below[key], v)
-        for unit, mass in above.items():
-            for k, c in kids[unit]:
-                v = mass + step[k]
-                nxt_above[c] = v if c not in nxt_above else logaddexp(nxt_above[c], v)
-        below, above = nxt_below, nxt_above
-        out.append(logsumexp(above.values()))
+                nxt[c] = v if c not in nxt else logaddexp(nxt[c], v)
+        above, prev = nxt, crossing
+        out.append(logsumexp(list(above.values())))
     return out
 
 
@@ -248,7 +254,7 @@ def characterization_scan(
     each point's verdict reads its own row, so a point's result equals
     ``characterization_sum`` at that point without the partial sum.
     """
-    _n_full, n_cap = _scan_horizon(w_psi, T, n_cap, window)
+    n_cap = _scan_horizon(w_psi, T, n_cap, window)
     tilts = [combine_weights(w_phi, w_psi, beta) for beta in betas]
     rows = level_log_sums(lang, tilts, n_cap).tolist()
     return [_verdict(full, beta, T, n_cap, window, margin) for beta, full in zip(betas, rows)]

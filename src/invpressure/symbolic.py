@@ -30,15 +30,15 @@ MAX_GRID_POINTS = 10_000
 MAX_DEPTH = 1_000
 
 
-def logsumexp(values: Iterable[float]) -> float:
-    """log(sum(exp(v))) with an empty sum mapping to -inf."""
-    vals = [v for v in values if v != NEG_INF]
-    if not vals:
-        return NEG_INF
-    m = max(vals)
-    if m == math.inf:
-        return math.inf
-    return m + math.log(math.fsum(math.exp(v - m) for v in vals))
+def logsumexp(values: list[float]) -> float:
+    """log(sum(exp(v))) of a list, with an empty sum mapping to -inf and the
+    single-term case taken as is; a -inf term adds an exact 0.0."""
+    if len(values) == 1:
+        return values[0]
+    m = max(values, default=NEG_INF)
+    if m == NEG_INF or m == math.inf:
+        return m
+    return m + math.log(math.fsum([math.exp(v - m) for v in values]))
 
 
 def logaddexp(a: float, b: float) -> float:

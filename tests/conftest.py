@@ -13,6 +13,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Mapping
 
 import pytest
@@ -343,19 +344,23 @@ class TimeLevelSets:
 def compute_level_sets(lang, w_psi, T: float, max_words: int = MAX_WORDS) -> TimeLevelSets:
     """Enumerate the crossing and exceed sets exhaustively (guarded).
 
-    Words are enumerated to length floor(T*tau/min_i w_psi(i)) + 1, past
-    which no branch can still be inside the budget.
+    Budget membership is decided in exact rationals on the decimal values the
+    floats print as (``Fraction(repr(x))`` for each psi weight and for T), so
+    a psi-sum landing on T*tau is inside the budget.  Words are enumerated to
+    length floor(T*tau/min_i w_psi(i)) + 1, past which no branch can still be
+    inside the budget.
     """
     w_psi.require_positive("psi weights")
     if T <= 0:
         raise ip.PreconditionError("time budget T must be positive")
-    budget = T * w_psi.tau
-    n_hi = int(math.floor(budget / min(w_psi.weights.values())))
+    psi = {s: Fraction(repr(w)) for s, w in w_psi.weights.items()}
+    budget = Fraction(repr(T)) * w_psi.tau
+    n_hi = math.floor(budget / min(psi.values()))
     window, crossing, exceed_levels, exceed = [], {}, [], {}
     for n in range(0, n_hi + 2):
         if n >= 1:
             over = tuple(
-                s for s in lang.iter_words(n, max_words) if ip.word_weight(s, w_psi) > budget
+                s for s in lang.iter_words(n, max_words) if sum(psi[k] for k in s) > budget
             )
             if over:
                 exceed_levels.append(n)
@@ -363,8 +368,8 @@ def compute_level_sets(lang, w_psi, T: float, max_words: int = MAX_WORDS) -> Tim
         if n <= n_hi:
             hits = []
             for s in lang.iter_words(n + 1, max_words):
-                head = ip.word_weight(s[:n], w_psi)
-                if head <= budget < head + w_psi[s[n]]:
+                head = sum(psi[k] for k in s[:n])
+                if head <= budget < head + psi[s[n]]:
                     hits.append(s)
             if hits:
                 window.append(n)

@@ -191,6 +191,17 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("guard tripped: ") and err.count("\n") == 1
 
+    def test_induced_cell_guard_is_3(self, tmp_path, capsys):
+        # guards.max_words bounds the induced cell DP, behind the flag only
+        cfg = load("golden-mean.json")
+        cfg["task"] = {"command": "induced", "phi": "zero", "psi": "scale", "T_grid": ["20"]}
+        cfg["guards"] = {"max_words": 10}
+        path = write_config(tmp_path, cfg)
+        assert main(["--config", path, "--out", str(tmp_path / "a"), "--force-guards"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("guard tripped: ") and err.count("\n") == 1
+        assert main(["--config", path, "--out", str(tmp_path / "b")]) == 0
+
     def test_vp_check_honours_max_tree_nodes(self, tmp_path):
         cfg = load("golden-mean.json")
         cfg["system"]["transitions"] = [[1, 1], [1, 2], [2, 1], [2, 2]]
@@ -270,6 +281,17 @@ class TestCommands:
         lines = (out2 / "golden_mean.csv").read_text().strip().splitlines()
         verdicts = [line.split(",")[1] for line in lines[1:]]
         assert ip.DIVERGENT in verdicts and ip.CONVERGENT in verdicts
+
+    def test_induced_psi_sum_on_the_budget_is_inside(self, tmp_path):
+        # 0.1 + 0.2 and 0.1 + 0.1 + 0.1 land on T = 0.3 at 12 decimals, so 1-2, 2-1 and
+        # 1-1-1 stay inside; the crossing prefixes are 1-1, 1-2, 2-1 and 1-1-1
+        cfg = load("golden-mean.json")
+        cfg["control_range"]["potentials"]["tenths"] = {"a": "0.1", "b": "0.2"}
+        cfg["task"] = {"command": "induced", "phi": "zero", "psi": "tenths", "T_grid": ["0.3"]}
+        out = tmp_path / "tie"
+        run(cfg, str(out))
+        lines = (out / "golden_mean.csv").read_text().strip().splitlines()
+        assert float(lines[1].split(",")[1]) == pytest.approx(math.log(4), rel=1e-12)
 
     def test_pp_pressure_emits_cover(self, tmp_path):
         cfg = load("full-shift-3.json")

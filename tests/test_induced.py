@@ -55,6 +55,15 @@ class TestLevelSets:
         sets = compute_level_sets(lang, const_weights(lang, 5.0), 3.0)
         assert sets.window_levels == (0,)
 
+    @pytest.mark.parametrize("T,level", [(0.3, 3), (0.7, 7)])
+    def test_psi_sum_on_the_budget_is_inside(self, T, level):
+        # 0.1 + 0.1 + 0.1 > 0.3 in binary floats; the oracle decides on the decimals
+        lang = full_shift(2)
+        sets = compute_level_sets(lang, const_weights(lang, 0.1), T)
+        assert sets.window_levels == (level,)
+        assert len(sets.crossing_words[level]) == 2 ** (level + 1)
+        assert sets.exceed_levels[0] == level + 1
+
     def test_window_bounds(self, rng):
         for _ in range(10):
             lang = random_sft(rng, 3)
@@ -94,6 +103,35 @@ class TestInducedSum:
             assert ip.induced_sum(lang, w_phi, w_psi, T) == pytest.approx(
                 brute_induced_log_sum(lang, w_phi, w_psi, T), rel=1e-10, abs=1e-10
             )
+
+    @pytest.mark.parametrize(
+        "lang,psi,tau,T,count",
+        [
+            (full_shift(2), {1: 0.1, 2: 0.1}, 1, 0.3, 8),
+            (full_shift(2), {1: 0.2, 2: 0.2}, 1, 0.6, 8),
+            (golden_mean(), {1: 0.1, 2: 0.2}, 1, 0.3, 4),
+            (full_shift(2), {1: math.fsum([0.1] * 3), 2: math.fsum([0.1] * 3)}, 3, 0.3, 8),
+            (full_shift(2), {1: 0.1, 2: 0.1}, 1, 0.7, 128),
+        ],
+        ids=["fs2-0.1", "fs2-0.2", "golden-mean", "fs2-tau3", "fs2-T0.7"],
+    )
+    def test_psi_sum_on_the_budget_is_inside(self, lang, psi, tau, T, count):
+        # every word whose psi-sum lands on T*tau is kept, and counted once, at its crossing
+        w0 = const_weights(lang, 0.0)
+        got = ip.induced_sum(lang, w0, weights(psi, tau), T)
+        assert got == pytest.approx(math.log(count), rel=1e-12)
+        if tau == 1:  # the decimal oracle reads the tau-3 psi as 0.30000000000000004
+            assert induced_sum_spanning(lang, w0, weights(psi), T) == pytest.approx(got, rel=1e-12)
+
+    def test_cell_guard(self):
+        lang = full_shift(2)
+        w0 = const_weights(lang, 0.0)
+        w_psi = weights({1: 1.0, 2: 1.4142})
+        # the widest level is n = 4: (last symbol, psi-sum) over a + 1.4142 b <= 6, a + b = 4,
+        # gives 1 + 2 + 2 + 2 + 1 = 8 cells
+        assert ip.induced_sum(lang, w0, w_psi, 6.0, max_cells=8) > 0
+        with pytest.raises(ip.GuardError):
+            ip.induced_sum(lang, w0, w_psi, 6.0, max_cells=7)
 
     def test_normalized_trend_toward_pressure(self):
         lang = full_shift(2)
@@ -256,6 +294,26 @@ class TestCharacterization:
             if sum(w_psi[s] for s in word) > budget
         ]
         assert res.partial_log_sum == pytest.approx(math.log(math.fsum(terms)), rel=1e-12)
+
+    def test_partial_sum_counts_words_on_the_budget_as_inside(self):
+        # full 2-shift, psi = 0.1, T = 0.3: the length-3 words land on the budget,
+        # so exceeding starts at n = 4; the tilt is 0 - 10 * 0.1 = -1 per symbol
+        lang = full_shift(2)
+        res = ip.characterization_sum(
+            lang, const_weights(lang, 0.0), const_weights(lang, 0.1), 10.0, 0.3
+        )
+        direct = math.log(math.fsum((2 / math.e) ** n for n in range(4, res.n_cap + 1)))
+        assert res.partial_log_sum == pytest.approx(direct, rel=1e-12)
+
+    def test_partial_sum_cell_guard(self):
+        lang = full_shift(2)
+        w0 = const_weights(lang, 0.0)
+        w_psi = weights({1: 1.0, 2: 1.4142})
+        ip.characterization_sum(lang, w0, w_psi, 1.0, 6.0, max_cells=8)  # see test_cell_guard
+        with pytest.raises(ip.GuardError):
+            ip.characterization_sum(lang, w0, w_psi, 1.0, 6.0, max_cells=7)
+        # the verdict alone never walks the cells
+        ip.characterization_sum(lang, w0, w_psi, 1.0, 6.0, include_partial=False, max_cells=0)
 
     def test_scan_flip_brackets_pressure(self):
         lang = full_shift(2)

@@ -1,11 +1,13 @@
 """Core symbolic objects: weights, word enumeration, cylinder trees."""
 
 import functools
+import math
 import random
 
 import pytest
 
 import invpressure as ip
+from invpressure.symbolic import NEG_INF, logsumexp
 from conftest import brute_words, full_shift, golden_mean, random_sft, single_branch
 
 
@@ -92,6 +94,23 @@ class TestWordWeight:
         w = ip.PerSymbolWeights({1: 1.0}, 1)
         with pytest.raises(ip.PreconditionError):
             ip.word_weight((1, 9), w)
+
+
+class TestLogSumExp:
+    def test_edge_cases(self):
+        assert logsumexp([]) == NEG_INF
+        assert logsumexp([NEG_INF, NEG_INF]) == NEG_INF
+        assert logsumexp([1.0, math.inf, NEG_INF]) == math.inf
+        assert logsumexp([-0.75]) == -0.75
+
+    def test_mixed_terms(self):
+        rng = random.Random(11)
+        for _ in range(100):
+            vals = [rng.uniform(-30, 30) for _ in range(rng.randrange(2, 12))]
+            vals += [NEG_INF] * rng.randrange(0, 3)
+            rng.shuffle(vals)
+            exact = math.log(math.fsum([math.exp(v) for v in vals]))
+            assert logsumexp(vals) == pytest.approx(exact, rel=1e-14, abs=1e-14)
 
 
 class TestCylinderTree:
