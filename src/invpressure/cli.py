@@ -359,7 +359,7 @@ class Run:
         tol = _real(self.task.get("tol", "1e-9"), "tol")
         res = pp_pressure(self.lang, w, Z, N, D, tol)
         self.info["critical"] = res.value
-        sol = cover_solution(self.lang, w, Z, res.value, N, D, "time", self.max_nodes)
+        sol = cover_solution(self.lang, w, Z, res.value, N, D, self.max_nodes)
         summary = [[_fmt(res.value), _fmt(res.value_below), _fmt(res.value_above), res.iterations]]
         cover_rows = [[_word_str(w_), _fmt(c)] for w_, c in zip(sol.words, sol.costs)]
         return {

@@ -248,7 +248,6 @@ def cover_solution(
     lam: float,
     N: int,
     D: int,
-    variant: str = "time",
     max_nodes: int = MAX_TREE_NODES,
 ) -> CoverSolution:
     """Read one optimal cover off the cover table (ties resolve to the shallower cylinder).
@@ -257,14 +256,7 @@ def cover_solution(
     it, so it visits only the cover and its ancestors; ``max_nodes`` bounds
     the number of cylinders visited.
     """
-    if variant == "time":
-        length_coeff, weight_coeff = -lam * weights.tau, 1.0
-    elif variant == "weight":
-        weights.require_positive("dimension weight")
-        length_coeff, weight_coeff = 0.0, -lam
-    else:
-        raise PreconditionError(f"unknown cover variant {variant!r}")
-    table = _table(lang, weights, length_coeff, weight_coeff, Z, N, D)
+    table = _table(lang, weights, -lam * weights.tau, 1.0, Z, N, D)
     layers, symbols, step, rel = table.graph.layers, lang.symbols, table.step, table.rel
     chosen: list[tuple[tuple[int, ...], float]] = []
     visited = 0

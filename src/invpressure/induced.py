@@ -2,17 +2,20 @@
 
 Horizons are measured in psi-weight rather than word count: a word class is
 charged to the level n at which its cumulative psi-weight first exceeds
-T*tau.  Both finite-budget sums read one cell walk, polynomial in T for a
-fixed alphabet, which decides each edge once.  The production route to the
-induced pressure is the Bowen root in ``capacity``.  The boundedness scan
-provides the independent cross-check: the growth sign of the exceed-level
-sums flips exactly at the root.
+T*tau.  Each psi weight and T*tau are rounded once to 12 decimals, onto one
+integer lattice, so every budget decision is exact integer arithmetic and a
+psi-sum landing on T*tau is inside the budget.  Both finite-budget sums read
+one cell walk, polynomial in T for a fixed alphabet, which decides each edge
+once.  The production route to the induced pressure is the Bowen root in
+``capacity``.  The boundedness scan provides the independent cross-check: the
+growth sign of the exceed-level sums flips exactly at the root.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from typing import Sequence
 
 from .errors import GuardError, PreconditionError
@@ -24,7 +27,6 @@ from .symbolic import (
     combine_weights,
     logaddexp,
     logsumexp,
-    word_weight,
 )
 from .capacity import level_log_sums
 
@@ -32,24 +34,36 @@ CONVERGENT = "convergent-with-bound"
 DIVERGENT = "divergent-evidence"
 INCONCLUSIVE = "inconclusive"
 
-_WKEY_DIGITS = 12  # psi-sums meet the budget, and cells merge, at this rounding
+_SCALE = 10**12  # psi weights and T*tau are counted in whole steps of 1e-12
 
 
-def _budget_levels(w_psi: PerSymbolWeights, T: float) -> int:
-    """floor(T*tau/min psi), the longest word inside the budget; every horizon
-    derived from T starts here, so one above MAX_DEPTH is refused before any build."""
+def _lattice(x: float) -> int:
+    """x in whole steps of 1e-12, rounded half to even; exact for every finite float."""
+    return round(Fraction(x) * _SCALE)
+
+
+def _budget_levels(w_psi: PerSymbolWeights, T: float) -> tuple[int, int, PerSymbolWeights]:
+    """(n_hi, budget, psi): T*tau and the psi weights on the lattice (a weight above
+    the budget, inf included, crosses on its own edge), and n_hi = budget // min psi,
+    the longest word inside the budget.  Every horizon derived from T starts at n_hi,
+    so one above MAX_DEPTH is refused before any build, in floats before any conversion."""
     w_psi.require_positive("psi weights")
     if T <= 0:
         raise PreconditionError("time budget T must be positive")
     span = T * w_psi.tau / min(w_psi.weights.values())
     if not span < MAX_DEPTH + 1:  # also refuses an overflow to inf
         raise GuardError(f"T={T!r} spans {span:.6g} levels, above the depth limit {MAX_DEPTH}")
-    return int(math.floor(span))
+    budget = _lattice(T * w_psi.tau)
+    psi = {s: budget + 1 if w == math.inf else _lattice(w) for s, w in w_psi.weights.items()}
+    least = min(psi.values())
+    if budget >= (MAX_DEPTH + 1) * least:  # a weight under 1e-9 can round far down, or to 0
+        raise GuardError(f"T={T!r} spans more than {MAX_DEPTH} levels at 12 decimals")
+    return budget // least, budget, replace(w_psi, weights=psi)
 
 
 def bookkeeping_index(word: Sequence[int], w_psi: PerSymbolWeights) -> int:
     """The unique positive integer m with (m-1)*r*tau < weight(word) <= m*r*tau,
-    where r is the largest per-symbol psi rate.
+    where r*tau is the largest psi weight, all weights rounded to 12 decimals.
 
     Rounds a branch's accumulated psi-weight to a whole number of
     maximal-rate steps; exp(-beta*weight) and exp(-beta*m*r*tau) then agree
@@ -58,12 +72,11 @@ def bookkeeping_index(word: Sequence[int], w_psi: PerSymbolWeights) -> int:
     w_psi.require_positive("psi weights")
     if not word:
         raise PreconditionError("bookkeeping index needs a nonempty word")
-    unit = w_psi.rate_max() * w_psi.tau
-    total = word_weight(word, w_psi)
-    m = math.ceil(total / unit)
-    if (m - 1) * unit >= total:  # float boundary: step back to keep the lower bound strict
-        m -= 1
-    return m
+    top = max(w_psi.weights.values())
+    unit = _lattice(top) if top < math.inf else 0
+    if unit == 0:
+        raise PreconditionError(f"largest psi weight {top!r} is inf or rounds to 0 at 12 decimals")
+    return -(-sum(_lattice(w_psi[s]) for s in word) // unit)
 
 
 def _budget_walk(
@@ -76,28 +89,26 @@ def _budget_walk(
     """The budget-T cell DP over (unit, psi-sum) cells of ``lang.unit_graph``,
     unit 0 being the empty word, carrying log-accumulated ``w_step`` masses.
 
-    An edge whose psi-sum, rounded to ``_WKEY_DIGITS``, is at most T*tau
-    rounded the same way keeps its child cell; any other edge crosses.  Yields
-    per level n = 0, 1, ... while cells remain the crossing cells of length-n
+    Psi-sums are integers on the 1e-12 lattice: an edge whose psi-sum is at
+    most the budget keeps its child cell, any other edge crosses.  Yields per
+    level n = 0, 1, ... while cells remain the crossing cells of length-n
     words as (log mass, [(symbol index, child unit), ...]), in cell order.
     """
-    n_hi = _budget_levels(w_psi, T)
-    budget = round(T * w_psi.tau, _WKEY_DIGITS)
-    # one level past n_hi absorbs a weight that rounds onto the budget
-    kids = lang.unit_graph(n_hi + 2).children
+    n_hi, budget, lattice = _budget_levels(w_psi, T)
+    kids = lang.unit_graph(n_hi + 1).children
     step = [w_step[s] for s in lang.symbols]
-    psi = [w_psi[s] for s in lang.symbols]
-    cells: dict[tuple[int, float], float] = {(0, 0.0): 0.0}
+    psi = [lattice[s] for s in lang.symbols]
+    cells: dict[tuple[int, int], float] = {(0, 0): 0.0}
     while cells:
         if len(cells) > max_cells:
             raise GuardError(f"budget cell DP exceeded {max_cells} cells")
-        nxt: dict[tuple[int, float], float] = {}
+        nxt: dict[tuple[int, int], float] = {}
         crossing: list[tuple[float, list]] = []
         for (unit, wsum), mass in cells.items():
             edges = None
             for edge in kids[unit]:
                 k, child = edge
-                w2 = round(wsum + psi[k], _WKEY_DIGITS)
+                w2 = wsum + psi[k]
                 if w2 > budget:
                     if edges is None:
                         edges = []
@@ -143,7 +154,7 @@ class CharacterizationResult:
 
 def _scan_horizon(w_psi: PerSymbolWeights, T: float, n_cap: int | None, window: int) -> int:
     """The checked level cap, which leaves a tail window past the budget."""
-    n_full = _budget_levels(w_psi, T) + 1
+    n_full = _budget_levels(w_psi, T)[0] + 1
     if n_cap is None:
         n_cap = n_full + window + 8
     if n_cap < n_full + window + 2:

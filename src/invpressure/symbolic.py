@@ -362,10 +362,6 @@ class SftLanguage(WordLanguage):
                 f"symbols {dead} have no outgoing transition; admissible words could not extend"
             )
 
-    @property
-    def transitions(self) -> tuple[tuple[int, int], ...]:
-        return tuple((i, j) for i in self.symbols for j in self._succ[i])
-
     def successors(self, symbol: int) -> tuple[int, ...]:
         return self._succ[symbol]
 

@@ -24,6 +24,7 @@ from conftest import (
     separated_sum,
     sparse_sft,
     weights,
+    word_cover_value,
 )
 
 ALL = ip.SubsetSpec.whole_space()
@@ -158,7 +159,8 @@ def test_criterion_08_flow_duality_and_sandwich():
         else:
             Z = ALL
         fw = ip.frostman_measure(lang, w, Z, lam, N, D)
-        W = ip.weighted_cover_value(lang, w, Z, lam, N, D)
+        # the cover optimum under caps exp(-lam*weight), over explicit words
+        W = word_cover_value(lang, w.scaled(-lam), Z, 0.0, N, D)
         ok &= abs(fw.total - W) <= 1e-10 * max(W, 1e-300)
         under = {}
         for leaf, m in fw.masses.items():
@@ -169,7 +171,7 @@ def test_criterion_08_flow_duality_and_sandwich():
             ok &= tot <= cap + 1e-12
         eps = (0.1, 0.01)[k % 2]
         rep = ip.sandwich_check(lang, w, Z, lam, eps, N, D)
-        ok &= rep.holds
+        ok &= rep.holds and abs(rep.w_at_lam - W) <= 1e-10 * max(W, 1e-300)
     report(8, "Frostman duality and sandwich (50 instances)", ok)
 
 

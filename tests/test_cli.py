@@ -202,6 +202,18 @@ class TestExitCodes:
         assert err.startswith("guard tripped: ") and err.count("\n") == 1
         assert main(["--config", path, "--out", str(tmp_path / "b")]) == 0
 
+    def test_induced_huge_psi_weight_is_0(self, tmp_path):
+        # a psi weight far above the budget crosses on its own edge: on the golden mean
+        # with psi (1e300, 1) and T = 1 the crossing prefixes are () and 2
+        cfg = load("golden-mean.json")
+        cfg["control_range"]["potentials"]["huge"] = {"a": "1e300", "b": "1.0"}
+        cfg["task"] = {"command": "induced", "phi": "zero", "psi": "huge", "T_grid": ["1"]}
+        out = tmp_path / "o"
+        assert main(["--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+        assert (out / "golden_mean.csv").read_text() == (
+            "T,log_sum,normalized\n1.0,0.6931471805599453,0.6931471805599453\n"
+        )
+
     def test_vp_check_honours_max_tree_nodes(self, tmp_path):
         cfg = load("golden-mean.json")
         cfg["system"]["transitions"] = [[1, 1], [1, 2], [2, 1], [2, 2]]

@@ -1,6 +1,7 @@
 """Induced (time-budget) sums, level sets, and the boundedness scan."""
 
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -22,15 +23,17 @@ from conftest import (
 
 def brute_induced_log_sum(lang, w_phi, w_psi, T):
     """Independent oracle: enumerate all words, test the crossing condition on
-    every extension, de-duplicate prefixes by hand."""
-    budget = T * w_psi.tau
-    n_hi = int(math.floor(budget / min(w_psi.weights.values()))) + 1
+    every extension, de-duplicate prefixes by hand.  The budget is decided in
+    exact rationals on the decimals the floats print as, like ``compute_level_sets``."""
+    psi = {s: Fraction(repr(w)) for s, w in w_psi.weights.items()}
+    budget = Fraction(repr(T)) * w_psi.tau
+    n_hi = math.floor(budget / min(psi.values())) + 1
     total = 0.0
     for n in range(0, n_hi + 1):
         prefixes = set()
         for word in lang.words(n + 1):
-            head = sum(w_psi[s] for s in word[:n])
-            if head <= budget < head + w_psi[word[n]]:
+            head = sum(psi[s] for s in word[:n])
+            if head <= budget < head + psi[word[n]]:
                 prefixes.add(word[:n])
         total += math.fsum(math.exp(sum(w_phi[s] for s in p)) for p in sorted(prefixes))
     return math.log(total)
@@ -120,8 +123,16 @@ class TestInducedSum:
         w0 = const_weights(lang, 0.0)
         got = ip.induced_sum(lang, w0, weights(psi, tau), T)
         assert got == pytest.approx(math.log(count), rel=1e-12)
-        if tau == 1:  # the decimal oracle reads the tau-3 psi as 0.30000000000000004
+        if tau == 1:  # the decimal oracles read the tau-3 psi as 0.30000000000000004
             assert induced_sum_spanning(lang, w0, weights(psi), T) == pytest.approx(got, rel=1e-12)
+            assert brute_induced_log_sum(lang, w0, weights(psi), T) == pytest.approx(got, rel=1e-12)
+
+    @pytest.mark.parametrize("big", [1e300, math.inf])
+    def test_psi_weight_above_the_budget_crosses_on_its_own_edge(self, big):
+        # full 2-shift, psi = (big, 1), T = 3: the crossing prefixes are (), 2, 22 and 222
+        lang = full_shift(2)
+        got = ip.induced_sum(lang, const_weights(lang, 0.0), weights({1: big, 2: 1.0}), 3.0)
+        assert got == pytest.approx(math.log(4), rel=1e-12)
 
     def test_cell_guard(self):
         lang = full_shift(2)
@@ -202,6 +213,17 @@ class TestBookkeepingIndex:
             assert rounded - abs(beta) * unit <= exact + 1e-9
             assert exact <= rounded + abs(beta) * unit + 1e-9
 
+    @pytest.mark.parametrize("psi", [{1: 0.1, 2: 0.3}, {1: 0.2, 2: 0.6}])
+    def test_whole_step_tie(self, psi):
+        # three of the small weight make one largest weight at 12 decimals, not in binary floats
+        assert ip.bookkeeping_index((1, 1, 1), weights(psi)) == 1
+        assert ip.bookkeeping_index((1, 1, 1, 1), weights(psi)) == 2
+
+    @pytest.mark.parametrize("top", [1e-13, math.inf])
+    def test_largest_weight_off_the_lattice_rejected(self, top):
+        with pytest.raises(ip.PreconditionError):
+            ip.bookkeeping_index((1,), weights({1: top}))
+
     def test_empty_word_rejected(self):
         with pytest.raises(ip.PreconditionError):
             ip.bookkeeping_index((), weights({1: 1.0}))
@@ -210,7 +232,12 @@ class TestBookkeepingIndex:
 class TestHorizonGuard:
     """Horizons derived from T are bounded by MAX_DEPTH before anything is built."""
 
-    @pytest.mark.parametrize("T,psi", [(1e9, 1.0), (MAX_DEPTH + 1, 1.0), (1e308, 1e-10)])
+    # the last two span fewer than MAX_DEPTH levels in floats but more on the 1e-12 lattice,
+    # where 4e-13 rounds to 0 and 1.4e-12 to 1e-12
+    @pytest.mark.parametrize(
+        "T,psi",
+        [(1e9, 1.0), (MAX_DEPTH + 1, 1.0), (1e308, 1e-10), (1e-10, 4e-13), (1.4e-9, 1.4e-12)],
+    )
     def test_huge_budget_refused_before_any_build(self, monkeypatch, T, psi):
         lang = golden_mean()
 
@@ -226,6 +253,15 @@ class TestHorizonGuard:
             ip.characterization_sum(lang, w0, w_psi, 0.5, T)
         with pytest.raises(ip.GuardError):
             ip.characterization_scan(lang, w0, w_psi, [0.5], T)
+
+    def test_default_cap_counts_the_budget_exactly(self):
+        # floor(0.3 / 0.1) = 3 at 12 decimals (2.9999999999999996 in binary floats):
+        # n_cap = 3 + 1 + window 12 + 8
+        lang = full_shift(2)
+        res = ip.characterization_scan(
+            lang, const_weights(lang, 0.0), const_weights(lang, 0.1), [0.0], 0.3
+        )
+        assert res[0].n_cap == 24
 
     def test_horizon_at_the_limit_runs(self):
         lang = golden_mean()
