@@ -327,13 +327,23 @@ def _find_root(f, lo: float, hi: float, eps: float, done=None):
     while an end has the wrong sign, the bracket moves past that end and
     doubles its width, and after _MAX_WIDENINGS moves the search is refused
     with GuardError.  The bracket then shrinks by ITP (Oliveira and
-    Takahashi, ACM TOMS 47(1), 2020): each step takes the regula falsi
-    point, truncates it towards the midpoint, and projects it into the ball
+    Takahashi, ACM TOMS 47(1), 2020): each step takes an interpolation
+    guess, truncates it towards the midpoint, and projects it into the ball
     around the midpoint that keeps the bracket within bisection's width
     plus one halving.  So at most ceil(log2(w0 / (2*eps))) + 1 steps bring
-    the width to 2*eps, and the steps converge superlinearly on a smooth
-    root.  The search stops there, when ``done(x, f(x))`` holds at a new
-    point, at float resolution, or after _MAX_STEPS steps.
+    the width to 2*eps, whatever the guesses.  The search stops there, when
+    ``done(x, f(x))`` holds at a new point, at float resolution, or after
+    _MAX_STEPS steps.
+
+    The guess is one-sided: the secant through the end that moved last and
+    the end it replaced, both on the same side of the root.  The cover
+    searches' f has a kink at its root (on the golden mean at D=48 its slope
+    is about -1.5 below the root and -53 above), where the chord through both
+    ends always lands on the steep side and ITP degrades to bisection; each
+    one-sided secant extrapolates one smooth branch into the kink, so the
+    ends close in from both sides.  On a smooth root it is the secant method.
+    The guess falls back to the chord through both ends before the first
+    move, when a value is not finite, or when the secant leaves the bracket.
     """
     f_lo, f_hi = f(lo), f(hi)
     width = hi - lo
@@ -360,13 +370,22 @@ def _find_root(f, lo: float, hi: float, eps: float, done=None):
     # the projection aims a few ulps inside eps, so rounding of the points
     # cannot cost the last halving
     aim = max(0.5 * eps, eps - 8.0 * math.ulp(max(abs(lo), abs(hi))))
+    last = None  # (x0, f0, x1, f1): the end that moved last, from x0 to x1
     while hi - lo > 2.0 * eps and steps < min(n_max, _MAX_STEPS):
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break
         x = mid
-        if math.isfinite(f_lo) and math.isfinite(f_hi):
+        guess = None
+        if last is not None:
+            x0, f0, x1, f1 = last
+            if math.isfinite(f0) and math.isfinite(f1) and f0 != f1:
+                guess = x1 - f1 * (x1 - x0) / (f1 - f0)
+                if not lo < guess < hi:
+                    guess = None
+        if guess is None and math.isfinite(f_lo) and math.isfinite(f_hi):
             guess = (f_lo * hi - f_hi * lo) / (f_lo - f_hi)
+        if guess is not None:
             gap = mid - guess
             push = kappa * (hi - lo) ** 2
             x = guess + math.copysign(push, gap) if push <= abs(gap) else mid
@@ -378,8 +397,10 @@ def _find_root(f, lo: float, hi: float, eps: float, done=None):
         fx = f(x)
         steps += 1
         if fx >= 0.0:
+            last = (lo, f_lo, x, fx)
             lo, f_lo = x, fx
         else:
+            last = (hi, f_hi, x, fx)
             hi, f_hi = x, fx
         if done is not None and done(x, fx):
             break

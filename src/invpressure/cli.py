@@ -438,6 +438,25 @@ class Run:
         return {"vp_check": (["candidate", "estimate", "gap", "slack", "within_upper_bound"], rows)}
 
 
+def _write_artifact(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` through ``path.tmp``, so no reader sees a torn file.
+
+    The old file is unlinked before the rename, not renamed over: on ext4
+    (and other file systems with delayed allocation) replacing an existing
+    file by rename or truncation makes the kernel write the new data out at
+    once, which costs a disk flush per artifact when a run rewrites an
+    earlier run's directory.
+    """
+    tmp = path + ".tmp"
+    with open(tmp, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+    try:
+        os.unlink(path)
+    except FileNotFoundError:
+        pass
+    os.rename(tmp, path)
+
+
 def run(config: dict, out_dir: str, force_guards: bool = False, threads: int = 1) -> dict:
     """Execute one config and write manifest + CSV artifacts into out_dir.
 
@@ -457,10 +476,7 @@ def run(config: dict, out_dir: str, force_guards: bool = False, threads: int = 1
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
-            fh.write(buf.getvalue())
-        os.replace(tmp, path)
+        _write_artifact(path, buf.getvalue())
         written.append(os.path.basename(path))
     manifest = {
         "command": r.command,
@@ -472,8 +488,10 @@ def run(config: dict, out_dir: str, force_guards: bool = False, threads: int = 1
         "wall_time_s": time.time() - started,
     }
     # one compact line: json.dumps runs the C encoder, json.dump and indent never do
-    with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(manifest, sort_keys=True, default=str) + "\n")
+    _write_artifact(
+        os.path.join(out_dir, "manifest.json"),
+        json.dumps(manifest, sort_keys=True, default=str) + "\n",
+    )
     return manifest
 
 

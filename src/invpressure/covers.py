@@ -13,15 +13,19 @@ unit and depth, so L^D is never materialized.  ``_CoverGraph`` compiles the
 child lists of one (language, target, D) once, from ``lang.unit_graph(D)``
 and the target words' trie, and lists the nodes live at each depth.
 ``_CoverTable`` evaluates one cost law on it by an iterative backward pass
-over those depths.  The cover value, the head prefactor, the optimal cover
-(an argmin walk) and the Frostman flow (a proportional push) are read-outs
-of the table.
+over those depths, one log-sum-exp per node with no function call: a node
+with one child takes the child's value as is, one with two children the
+closed form max + log(1 + exp(min - max)), and only wider nodes an ``fsum``,
+each bitwise equal to ``symbolic.logsumexp``.  The cover value, the head
+prefactor, the optimal cover (an argmin walk) and the Frostman flow (a
+proportional push) are read-outs of the table.
 
 Critical exponents (the pressure-like jump locations) are the lambda at
 which the truncated optimum crosses 1, found by the package's one
 bracketing driver (``capacity._find_root``: ITP steps inside a sign-checked
-bracket), with every evaluation on one compiled graph.  For
-cylinder-presented targets the crossing is measured relative to the target
+bracket, guessing by one-sided secants, which close in on the kink the
+log optimum has at its jump), with every evaluation on one compiled graph.
+For cylinder-presented targets the crossing is measured relative to the target
 words' own cover cost, which removes the fixed head prefactor and makes the
 detector track the subtree jump (the whole-space case keeps the literal
 threshold 1).  ``bs_dimension`` solves its Bowen equation with the same
@@ -161,6 +165,14 @@ class _CoverTable:
     node at depth n, and ``alpha[n][i]`` is the best including the node
     itself (min(0, rel) once n >= N; 0 keeps the node).  The value, the
     head, the optimal cover and the Frostman flow are all read off it.
+
+    The pass runs inline per node, by its number of children, and gives
+    bitwise ``symbolic.logsumexp`` of the children's values: one child is its
+    value; two are m + log(1.0 + exp(other - m)) with m the larger, which is
+    what ``fsum`` rounds the two terms 1.0 and exp(other - m) to; three or
+    more take m + log(fsum(exp(v - m))); none give -inf, and an infinite m
+    is returned as is.  Every jump step builds one table, and most nodes of
+    a sparse relation have one or two children.
     """
 
     def __init__(self, graph: _CoverGraph, step: Sequence[float], N: int):
@@ -171,8 +183,32 @@ class _CoverTable:
         a = [0.0] * graph.leaves
         self.rel: list[list[float]] = [a] * (D + 1)
         self.alpha: list[list[float]] = [a] * (D + 1)
+        exp, log, fsum, inf = math.exp, math.log, math.fsum, math.inf
         for n in range(D - 1, -1, -1):
-            rel = [logsumexp([step[k] + a[j] for k, j in kids]) for kids in graph.layers[n]]
+            rel = []
+            put = rel.append
+            for kids in graph.layers[n]:
+                arity = len(kids)
+                if arity == 1:
+                    k, j = kids[0]
+                    put(step[k] + a[j])
+                elif arity == 2:
+                    (k, j), (k2, j2) = kids
+                    m, o = step[k] + a[j], step[k2] + a[j2]
+                    if o > m:
+                        m, o = o, m
+                    if m != inf and m != NEG_INF:
+                        # fsum of the two terms 1.0 and exp(o - m) is their rounded sum
+                        m += log(1.0 + exp(o - m))
+                    put(m)
+                elif arity:
+                    vals = [step[k] + a[j] for k, j in kids]
+                    m = max(vals)
+                    if m != inf and m != NEG_INF:
+                        m += log(fsum([exp(v - m) for v in vals]))
+                    put(m)
+                else:
+                    put(NEG_INF)
             a = [v if v < 0.0 else 0.0 for v in rel] if n >= N else rel
             self.rel[n], self.alpha[n] = rel, a
 

@@ -252,14 +252,16 @@ def lower_bs_pressure(
     depth_sums = [0.0] * D
     value = 0.0
     slack = 0.0
+    # the prefix table holds every cylinder's mass, a leaf's own included
+    mass, w = measure._prefix_table(), {s: weights[s] for s in measure.lang.symbols}
     for leaf, m in sorted(measure.masses.items()):
         if m <= 0.0:
             continue
         ratios = []
         wsum = 0.0
         for n in range(1, D + 1):
-            wsum += weights[leaf[n - 1]]
-            r = -math.log(measure.mass(leaf[:n])) / wsum
+            wsum += w[leaf[n - 1]]
+            r = -math.log(mass[leaf[:n]]) / wsum
             ratios.append(r)
             depth_sums[n - 1] += m * r
         window = ratios[lo - 1 :]

@@ -175,6 +175,18 @@ def log_cover_optimum(lang, step: dict, N: int, D: int) -> float:
     return below(None, 0)
 
 
+def reference_cover_table(graph, step, N: int):
+    """``rel`` and ``alpha`` of ``covers._CoverTable(graph, step, N)`` by a per-node
+    ``logsumexp`` pass over the graph's layers."""
+    a = [0.0] * graph.leaves
+    rel_all, alpha_all = [a] * (graph.D + 1), [a] * (graph.D + 1)
+    for n in range(graph.D - 1, -1, -1):
+        rel = [logsumexp([step[k] + a[j] for k, j in kids]) for kids in graph.layers[n]]
+        a = [v if v < 0.0 else 0.0 for v in rel] if n >= N else rel
+        rel_all[n], alpha_all[n] = rel, a
+    return rel_all, alpha_all
+
+
 def nested_bisection_dimension(lang, w: ip.PerSymbolWeights, N: int, D: int) -> float:
     """Root t of crit(t) = 0 by bisection, where crit(t), the lambda at which the
     whole-space optimum with cost exp(-lam*n*tau - t*weight) crosses 1, is itself

@@ -483,6 +483,9 @@ class TestRootDriver:
         assert hi - lo <= tol
         # two evaluations check the bracket's ends; the rest shrink it
         assert len(calls) - 2 == steps <= math.ceil(math.log2((hi0 - lo0) / tol)) + 1
+        # one-sided secants close in on the kink from both ends: at most half
+        # the steps of plain bisection, where a chord guess takes all of them
+        assert steps <= 0.5 * math.ceil(math.log2((hi0 - lo0) / tol))
 
     def test_bowen_root_needs_fewer_oracle_calls_than_bisection(self, monkeypatch):
         lang, w_phi, w_psi = golden_mean(), weights({1: 0.0, 2: 0.0}), weights({1: 1.0, 2: 2.0})
@@ -506,6 +509,7 @@ class TestRootDriver:
             res = f(beta)
         assert itp_calls < len(calls)
         assert abs(cert.beta_hat - beta) <= 2 * tol
+        assert itp_calls <= 10  # one-sided secants cost a smooth root no extra calls here
 
     @pytest.mark.parametrize("lo0,hi0", [(1.0, 2.0), (-5.0, -4.0), (0.29, 0.2999), (0.3001, 0.31)])
     def test_bracket_hint_without_the_root_is_widened(self, lo0, hi0):

@@ -70,6 +70,17 @@ class TestDeterminism:
                 b2 = (tmp_path / "b" / name / artifact).read_bytes()
                 assert b1 == b2
 
+    def test_rerun_into_the_same_directory(self, tmp_path):
+        for name in BUNDLED:
+            cfg, out = load(name), tmp_path / name
+            first = run(cfg, str(out))
+            before = {f: (out / f).read_bytes() for f in first["outputs"]}
+            second = run(cfg, str(out))
+            assert second["outputs"] == first["outputs"]
+            assert {f: (out / f).read_bytes() for f in second["outputs"]} == before
+            assert (out / "manifest.json").read_text(encoding="utf-8").count("\n") == 1
+            assert not list(out.glob("*.tmp"))
+
 
 #: tasks with one malformed integer field or one non-finite real
 MALFORMED = {

@@ -1,6 +1,7 @@
 """Cover optimization: outer sums, critical exponents, duality, Frostman flows."""
 
 import math
+from types import SimpleNamespace
 
 import pytest
 
@@ -15,7 +16,9 @@ from conftest import (
     lp_cover_min,
     nested_bisection_dimension,
     random_itinerary,
+    random_sft,
     random_weights,
+    reference_cover_table,
     single_branch,
     sparse_sft,
     weights,
@@ -132,6 +135,12 @@ class TestPpPressure:
                 lang, const_weights(lang, 0.0), ip.SubsetSpec.cylinders([word]), 1, 12, 1e-9
             )
             assert res.value == pytest.approx(math.log(2), abs=5e-9)
+
+    def test_golden_mean_kinked_jump_in_few_steps(self):
+        # the detector has a kink at its root, where bisection takes 33 steps
+        res = ip.pp_pressure(golden_mean(), weights({1: 0.3, 2: -0.2}), ALL, 1, 48, 1e-9)
+        assert res.iterations <= 15
+        assert res.value_below >= 1.0 >= res.value_above
 
 
 class TestBsCoverValue:
@@ -456,3 +465,54 @@ class TestSearchesOnOneGraph:
             W = word_cover_value(lang, w.scaled(-lam), Z, 0.0, N, D)
             assert fw.total == pytest.approx(W, rel=1e-12)
             assert math.fsum(fw.masses.values()) == pytest.approx(fw.total, rel=1e-12)
+
+
+def _bits(rows):
+    return [[v.hex() for v in row] for row in rows]
+
+
+class TestCoverTablePass:
+    """The table's per-node pass, bitwise against the per-node ``logsumexp`` reference."""
+
+    def test_compiled_graphs(self, rng):
+        arities = set()
+        for trial in range(30):
+            kind = trial % 3
+            if kind == 0:
+                lang = random_sft(rng, rng.choice((2, 3, 5)))
+            elif kind == 1:
+                lang = sparse_sft(rng, 4)
+            else:
+                lang = random_itinerary(rng, 12, 3)
+            Z = ALL if trial % 2 else ip.SubsetSpec.cylinders(lang.words(2)[: rng.randrange(1, 4)])
+            D = rng.randrange(3, 9)
+            N = rng.randrange(1, D + 1)
+            graph = covers._CoverGraph(lang, Z, D)
+            step = [rng.uniform(-2.0, 1.0) for _ in lang.symbols]
+            if trial % 4 == 0:
+                step[rng.randrange(len(step))] = -math.inf
+            table = covers._CoverTable(graph, step, N)
+            rel, alpha = reference_cover_table(graph, step, N)
+            assert _bits(table.rel) == _bits(rel) and _bits(table.alpha) == _bits(alpha)
+            arities.update(min(len(kids), 3) for layer in graph.layers for kids in layer)
+        assert arities == {1, 2, 3}
+
+    def test_hand_built_layers(self, rng):
+        # dead ends and infinite steps never come out of a compiled language
+        q = 4
+        for _ in range(200):
+            D = rng.randrange(1, 6)
+            widths = [1] + [rng.randrange(1, 6) for _ in range(D)]
+            layers = [
+                [
+                    [(rng.randrange(q), rng.randrange(widths[n + 1])) for _ in range(rng.randrange(5))]
+                    for _ in range(widths[n])
+                ]
+                for n in range(D)
+            ]
+            graph = SimpleNamespace(D=D, leaves=widths[D], layers=layers)
+            step = [rng.choice((-math.inf, math.inf, 0.0, rng.uniform(-3.0, 3.0))) for _ in range(q)]
+            N = rng.randrange(1, D + 1)
+            table = covers._CoverTable(graph, step, N)
+            rel, alpha = reference_cover_table(graph, step, N)
+            assert _bits(table.rel) == _bits(rel) and _bits(table.alpha) == _bits(alpha)

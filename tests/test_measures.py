@@ -122,6 +122,20 @@ class TestLowerBsPressure:
         window = est.depth_values[est.depth - est.tail_window :]
         assert est.value <= min(window) + 1e-12
 
+    def test_ratios_of_every_prefix_mass(self):
+        lang, w = golden_mean(), weights({1: 1.0, 2: 1.7})
+        mu = ip.cylinder_masses(ip.parry_measure(lang), lang, 9)
+        est = ip.lower_bs_pressure(mu, w)
+        value, sums = 0.0, [0.0] * 9
+        for leaf, m in sorted(mu.masses.items()):
+            if m > 0.0:
+                ratios = [-math.log(mu.mass(leaf[:n])) / ip.word_weight(leaf[:n], w)
+                          for n in range(1, 10)]
+                value += m * min(ratios[-3:])
+                for n, r in enumerate(ratios):
+                    sums[n] += m * r
+        assert est.value == value and est.depth_values == tuple(sums)
+
     def test_positive_weight_required(self):
         lang = full_shift(2)
         mu = ip.cylinder_masses(ip.bernoulli_measure(lang, [0.5, 0.5]), lang, 4)
