@@ -126,10 +126,6 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _word_str(word) -> str:
-    return "-".join(str(s) for s in word)
-
-
 class Run:
     """One parsed configuration, ready to execute."""
 
@@ -251,6 +247,11 @@ class Run:
             return SubsetSpec.cylinders(words)
         raise ConfigError(f"unknown subset variant {block.get('variant')!r}")
 
+    def word_labels(self, words) -> list[str]:
+        """Each word's symbols joined by '-', through one str per symbol of the run."""
+        label = {s: str(s) for s in self.lang.symbols}.__getitem__
+        return ["-".join(map(label, w)) for w in words]
+
     def task_int(self, key: str, default: int | None) -> int | None:
         value = self.task.get(key, default)
         return None if value is None else _int(value, key)
@@ -361,7 +362,7 @@ class Run:
         self.info["critical"] = res.value
         sol = cover_solution(self.lang, w, Z, res.value, N, D, self.max_nodes)
         summary = [[_fmt(res.value), _fmt(res.value_below), _fmt(res.value_above), res.iterations]]
-        cover_rows = [[_word_str(w_), _fmt(c)] for w_, c in zip(sol.words, sol.costs)]
+        cover_rows = [[label, repr(c)] for label, c in zip(self.word_labels(sol.words), sol.costs)]
         return {
             "pp_pressure": (["critical", "value_below", "value_above", "iterations"], summary),
             "cover_solution": (["word", "cost"], cover_rows),
@@ -389,7 +390,9 @@ class Run:
         D = self.task_depth("D", 12)
         fw = frostman_measure(self.lang, w, Z, lam, N, D, self.max_nodes)
         self.info["total"] = fw.total
-        rows = [[_word_str(word), _fmt(mass)] for word, mass in sorted(fw.masses.items())]
+        leaves = sorted(fw.masses.items())
+        labels = self.word_labels(word for word, _ in leaves)
+        rows = [[label, repr(mass)] for label, (_, mass) in zip(labels, leaves)]
         return {"frostman": (["word", "mass"], rows)}
 
     def _cmd_sandwich(self):

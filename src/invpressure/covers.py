@@ -10,15 +10,21 @@ it doubles as the Frostman-type measure.
 One unit-factored table computes that min-cut: the optimal cost below a
 cylinder, relative to its own, depends only on the cylinder's continuation
 unit and depth, so L^D is never materialized.  ``_CoverGraph`` compiles the
-child lists of one (language, target, D) once, from ``lang.unit_graph(D)``
-and the target words' trie, and lists the nodes live at each depth.
+child lists of one (language, target, D), from ``lang.unit_graph(D)`` and the
+target words' trie, and lists the nodes live at each depth.  It is compiled
+once per language: ``_cover_graph`` keeps it on the language, keyed by
+(target, D), so a search, the read-outs after it and every table of a
+sandwich share one graph, and no reader may mutate its lists.
 ``_CoverTable`` evaluates one cost law on it by an iterative backward pass
 over those depths, one log-sum-exp per node with no function call: a node
 with one child takes the child's value as is, one with two children the
 closed form max + log(1 + exp(min - max)), and only wider nodes an ``fsum``,
 each bitwise equal to ``symbolic.logsumexp``.  The cover value, the head
 prefactor, the optimal cover (an argmin walk) and the Frostman flow (a
-proportional push) are read-outs of the table.
+proportional push) are read-outs of the table.  The flow is pushed by one
+stage per depth, which lists each live node's flowing children once and
+takes its parents in word order; the stages are chained generators, so a
+cylinder costs one step and only the current path of prefixes is held.
 
 Critical exponents (the pressure-like jump locations) are the lambda at
 which the truncated optimum crosses 1, found by the package's one
@@ -154,6 +160,19 @@ class _CoverGraph:
         return units
 
 
+def _cover_graph(lang: WordLanguage, Z: SubsetSpec, D: int) -> _CoverGraph:
+    """The ``_CoverGraph`` of (lang, Z, D), compiled once per language.
+
+    It is kept on the language, keyed by (Z, D), as the unit graph is, so a
+    search and the read-outs after it share one graph.
+    """
+    graphs = lang._cover_graphs
+    graph = graphs.get((Z, D))
+    if graph is None:
+        graph = graphs[Z, D] = _CoverGraph(lang, Z, D)
+    return graph
+
+
 class _CoverTable:
     """The cover table of one cost law on a compiled ``_CoverGraph``.
 
@@ -237,7 +256,7 @@ def _table(
 ) -> _CoverTable:
     """The cover table of cost law exp(length_coeff*depth + weight_coeff*weight(s))."""
     step = [length_coeff + weight_coeff * weights[s] for s in lang.symbols]
-    return _CoverTable(_CoverGraph(lang, Z, D), step, N)
+    return _CoverTable(_cover_graph(lang, Z, D), step, N)
 
 
 def cover_value(
@@ -388,7 +407,7 @@ def pp_pressure(
     if tol <= 0:
         raise PreconditionError("tol must be positive")
     n_detect = _detect_depth(Z, N, D)
-    graph = _CoverGraph(lang, Z, D)
+    graph = _cover_graph(lang, Z, D)
     wts, tau = [weights[s] for s in lang.symbols], weights.tau
     steps = lambda lam: [-lam * tau + w for w in wts]
     span = weights.rate_absmax() + math.log(max(2, len(lang.symbols))) / tau + 1.0
@@ -436,7 +455,7 @@ def bs_jump(
     Z = Z or SubsetSpec.whole_space()
     weights.require_positive("dimension weight")
     n_detect = _detect_depth(Z, N, D)
-    return _bs_jump(_CoverGraph(lang, Z, D), weights, N, n_detect, tol)
+    return _bs_jump(_cover_graph(lang, Z, D), weights, N, n_detect, tol)
 
 
 @dataclass(frozen=True)
@@ -483,7 +502,7 @@ def bs_dimension(
     r, big = weights.rate_min(), weights.rate_max()
     inner = tol * min(1.0 / 16.0, 0.5 * r)
     n_detect = _detect_depth(Z, N, D)
-    graph = _CoverGraph(lang, Z, D)
+    graph = _cover_graph(lang, Z, D)
     wts, tau = [weights[s] for s in lang.symbols], weights.tau
     seen: list[tuple[float, float]] = []  # (t, Phi(t)) evaluated so far
 
@@ -568,8 +587,10 @@ def frostman_measure(
     trees), and every cylinder with N <= depth <= D holds mass at most
     exp(-lam*weight): dividing by the total yields the Frostman-type bounds
     with constant 1/total.  Each node passes its flow to its children in
-    proportion to their capped optima in the cover table; ``max_nodes``
-    bounds the number of cylinders visited.
+    proportion to their capped optima in the cover table, by one stage per
+    depth that takes its parents in word order, so the leaves come out in
+    word order; ``max_nodes`` bounds the number of cylinders that receive
+    flow.
     """
     if Z.is_empty:
         raise PreconditionError("target set is empty at this resolution")
@@ -580,25 +601,33 @@ def frostman_measure(
     total = table.total
     if total == NEG_INF:
         raise PreconditionError("target set carries no flow at this lambda")
-    masses: dict[tuple[int, ...], float] = {}
     visited = 0
-    stack = [(0, 0, (), total)]  # (depth, position among the live nodes, word, log flow)
-    while stack:
-        n, i, word, logf = stack.pop()
-        if n == D:
-            masses[word] = math.exp(logf)
-            continue
-        ls = rel[n][i]
-        pushed = []
-        for k, j in layers[n][i]:
-            share = step[k] + alpha[n + 1][j]
-            if share == NEG_INF:
-                continue
-            visited += 1
+
+    def push(n: int, level):
+        """The cylinders at depth n + 1 that receive flow from ``level``, in word order."""
+        nonlocal visited
+        alpha1 = alpha[n + 1]
+        # each live node's flowing children: (position, word suffix, log share)
+        pushes = [
+            [(j, (symbols[k],), share) for k, j in kids for share in (step[k] + alpha1[j],)
+             if share != NEG_INF]
+            for kids in layers[n]
+        ]
+        ls_n = rel[n]
+        for i, word, logf in level:
+            out = pushes[i]
+            visited += len(out)
             if visited > max_nodes:
                 raise GuardError(f"flow read-out exceeded {max_nodes} cylinders")
-            pushed.append((n + 1, j, word + (symbols[k],), logf + share - ls))
-        stack.extend(reversed(pushed))
+            ls = ls_n[i]
+            for j, suffix, share in out:
+                yield j, word + suffix, logf + share - ls
+
+    flows = [(0, (), total)]  # (position among the live nodes, word, log flow)
+    for n in range(D):
+        flows = push(n, flows)
+    exp = math.exp
+    masses = {word: exp(logf) for _, word, logf in flows}
     return FrostmanWeights(masses, math.exp(total), lam, N, D)
 
 
@@ -630,15 +659,17 @@ def sandwich_check(
     N: int,
     D: int,
 ) -> SandwichReport:
-    """R(lam+eps, N) <= W(lam, N) <= R(lam, N) on computed values."""
+    """R(lam+eps, N) <= W(lam, N) <= R(lam, N) on computed values.
+
+    On the cylinder tree W(lam) = R(lam) by min-cut duality
+    (``weighted_cover_value``), so one table gives both.
+    """
     if eps <= 0:
         raise PreconditionError("eps must be positive")
+    r_plus = bs_cover_value(lang, weights, Z, lam + eps, N, D)
+    r_at_lam = bs_cover_value(lang, weights, Z, lam, N, D)
     return SandwichReport(
-        lam=lam,
-        eps=eps,
-        r_at_lam_plus_eps=bs_cover_value(lang, weights, Z, lam + eps, N, D),
-        w_at_lam=weighted_cover_value(lang, weights, Z, lam, N, D),
-        r_at_lam=bs_cover_value(lang, weights, Z, lam, N, D),
+        lam=lam, eps=eps, r_at_lam_plus_eps=r_plus, w_at_lam=r_at_lam, r_at_lam=r_at_lam
     )
 
 

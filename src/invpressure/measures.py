@@ -7,12 +7,22 @@ measure-theoretic lower pressure is approximated per branch by the decay
 ratio -log(mass)/weight, with the liminf proxied by the minimum over a
 trailing depth window; the window oscillation is reported as the slack of
 every finite-depth comparison.
+
+A Markov chain is evaluated on the depth-D cylinders by one walk stage per
+depth, each listing a unit's children once.  A measure's shallower masses
+come from a prefix trie of node ids, built once per measure, with each
+node's mass summed over its words in the order of the mass table.
+``lower_bs_pressure`` computes each cylinder's ratio once, on its trie node,
+and reads every branch's ratios off its leaf.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, reduce
+from itertools import chain
+from operator import add, mul, sub
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -141,17 +151,10 @@ class CylinderMeasure:
         self.lang = lang
         self.depth = depth
         self.masses = dict(masses)
-        self._prefix: dict[tuple[int, ...], float] | None = None
 
-    def _prefix_table(self) -> dict[tuple[int, ...], float]:
-        if self._prefix is None:
-            table: dict[tuple[int, ...], float] = {}
-            for word, m in self.masses.items():
-                for n in range(1, len(word) + 1):
-                    key = word[:n]
-                    table[key] = table.get(key, 0.0) + m
-            self._prefix = table
-        return self._prefix
+    @cached_property
+    def _trie(self) -> "_PrefixTrie":
+        return _PrefixTrie(self.masses)
 
     def mass(self, word: Sequence[int]) -> float:
         word = tuple(word)
@@ -161,7 +164,13 @@ class CylinderMeasure:
             return self.masses.get(word, 0.0)
         if len(word) > self.depth:
             raise PreconditionError("word deeper than the measure's resolution")
-        return self._prefix_table().get(word, 0.0)
+        trie = self._trie
+        v = 0
+        for s in word:
+            v = trie.child.get((v, s))
+            if v is None:
+                return 0.0
+        return trie.mass[v]
 
     def supported_on(self, Z: SubsetSpec) -> bool:
         if Z.is_whole_space:
@@ -188,34 +197,70 @@ class CylinderMeasure:
         return CylinderMeasure(self.lang, self.depth, {w: m / total for w, m in kept.items()})
 
 
+class _PrefixTrie:
+    """The prefix trie of a measure's mass-bearing words, by node id.
+
+    Node 0 is the empty word and every other node one prefix, numbered on
+    first sight: ``child[v, s]`` is the child of node v by symbol s,
+    ``up[v]`` and ``sym[v]`` are node v's parent and last symbol, and
+    ``leaf`` maps each word to its node.  ``mass[v]`` adds the masses of the
+    words below v one at a time, in the order of the mass table.
+    """
+
+    def __init__(self, masses: Mapping[tuple[int, ...], float]):
+        child: dict[tuple[int, int], int] = {}
+        up, sym, mass = [0], [0], [0.0]
+        leaf: dict[tuple[int, ...], int] = {}
+        for word, m in masses.items():
+            v = 0
+            for s in word:
+                c = child.get((v, s))
+                if c is None:
+                    c = child[v, s] = len(mass)
+                    up.append(v)
+                    sym.append(s)
+                    mass.append(0.0)
+                mass[c] += m
+                v = c
+            leaf[word] = v
+        self.child, self.up, self.sym, self.mass, self.leaf = child, up, sym, mass, leaf
+
+
 def cylinder_masses(
     mu: MarkovMeasure, lang: WordLanguage, depth: int, max_nodes: int = MAX_TREE_NODES
 ) -> CylinderMeasure:
     """Evaluate a Markov chain on all depth-D cylinders: pi_{s0} * prod P.
 
-    The cylinders are walked on the children of ``lang.unit_graph(depth)``;
-    ``max_nodes`` bounds the number of cylinders visited.
+    The cylinders are walked on the children of ``lang.unit_graph(depth)``
+    by one generator stage per depth, each taking its parents in reverse
+    word order, which is the order of the returned masses; only the current
+    path is held.  ``max_nodes`` bounds the number of cylinders visited.
     """
     if isinstance(lang, SftLanguage):
         mu.check_support(lang)
     kids = lang.unit_graph(depth).children
-    symbols = lang.symbols
+    symbols, matrix = lang.symbols, mu.matrix
     pos = [mu.index(s) for s in symbols]
-    masses: dict[tuple[int, ...], float] = {}
-    stack = [((), 0, -1, 1.0)]  # (word, unit, chain state of its last symbol, mass)
+    # each unit's children, last symbol first: (child unit, word suffix, chain state)
+    out = [[(c, (symbols[k],), pos[k]) for k, c in reversed(row)] for row in kids]
     visited = 0
-    while stack:
-        word, unit, last, m = stack.pop()
-        if len(word) == depth:
-            masses[word] = m
-            continue
-        for k, child in kids[unit]:
-            visited += 1
+
+    def step(level):
+        """The cylinders one symbol below ``level``'s, in reverse word order."""
+        nonlocal visited
+        for word, unit, row, m in level:
+            children = out[unit]
+            visited += len(children)
             if visited > max_nodes:
                 raise GuardError(f"cylinder walk exceeded {max_nodes} cylinders")
-            step = mu.matrix[last][pos[k]] if word else mu.stationary[pos[k]]
-            stack.append((word + (symbols[k],), child, pos[k], m * step))
-    return CylinderMeasure(lang, depth, masses)
+            for child, suffix, p in children:
+                yield word + suffix, child, matrix[p], m * row[p]
+
+    # (word, unit, transition row of its last symbol, mass)
+    level = [((), 0, mu.stationary, 1.0)]
+    for _ in range(depth):
+        level = step(level)
+    return CylinderMeasure(lang, depth, {word: m for word, _, _, m in level})
 
 
 def frostman_cylinder_measure(lang: WordLanguage, fw: FrostmanWeights) -> CylinderMeasure:
@@ -249,28 +294,38 @@ def lower_bs_pressure(
     if not 1 <= tail_window <= D:
         raise PreconditionError("tail window must lie in 1..depth")
     lo = D - tail_window + 1
-    depth_sums = [0.0] * D
-    value = 0.0
-    slack = 0.0
-    # the prefix table holds every cylinder's mass, a leaf's own included
-    mass, w = measure._prefix_table(), {s: weights[s] for s in measure.lang.symbols}
-    for leaf, m in sorted(measure.masses.items()):
-        if m <= 0.0:
-            continue
-        ratios = []
-        wsum = 0.0
-        for n in range(1, D + 1):
-            wsum += w[leaf[n - 1]]
-            r = -math.log(mass[leaf[:n]]) / wsum
-            ratios.append(r)
-            depth_sums[n - 1] += m * r
-        window = ratios[lo - 1 :]
-        value += m * min(window)
-        slack = max(slack, max(window) - min(window))
+    trie, w = measure._trie, {s: weights[s] for s in measure.lang.symbols}
+    up, sym, mass = trie.up, trie.sym, trie.mass
+    # each cylinder's ratio once, its weight summed along its path from the
+    # root (a parent's node id is below its child's)
+    log = math.log
+    wsum, ratio = [0.0] * len(mass), [0.0] * len(mass)
+    for v in range(1, len(mass)):
+        if mass[v] > 0.0:
+            u = up[v]
+            if u and mass[u] <= 0.0:
+                raise PreconditionError("a prefix of a positive-mass word has no positive mass")
+            wsum[v] = ws = wsum[u] + w[sym[v]]
+            ratio[v] = -log(mass[v]) / ws
+    masses, leaf = measure.masses, trie.leaf
+    words = [word for word in sorted(masses) if masses[word] > 0.0]
+    ms = list(map(masses.__getitem__, words))
+    # depth by depth from the leaves up, each word's cylinder there and its
+    # ratio; every sum runs over the words in order, one term at a time
+    col = list(map(leaf.__getitem__, words))
+    depth_sums, tail = [0.0] * D, []
+    for n in range(D, 0, -1):
+        rc = list(map(ratio.__getitem__, col))
+        depth_sums[n - 1] = reduce(add, map(mul, ms, rc), 0.0)
+        if n >= lo:
+            tail.append(rc)
+        col = list(map(up.__getitem__, col))
+    tail.reverse()
+    lows, highs = list(map(min, zip(*tail))), list(map(max, zip(*tail)))
     return LowerBsEstimate(
-        value=value,
+        value=reduce(add, map(mul, ms, lows), 0.0),
         depth_values=tuple(depth_sums),
-        slack=slack,
+        slack=max(chain((0.0,), map(sub, highs, lows))),
         tail_window=tail_window,
         depth=D,
     )

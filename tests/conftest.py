@@ -85,6 +85,17 @@ def random_itinerary(rng, states: int, cells: int):
     return ip.itinerary_language(sys, spec)
 
 
+def golden_itinerary(D: int):
+    """Itinerary language of the left shift on bit strings of length D without
+    "11" (a 0 shifted in): up to depth D its words are the golden-mean words."""
+    states = tuple(x for x in (format(k, f"0{D}b") for k in range(2**D)) if "11" not in x)
+    sys = ip.FiniteStateSystem(
+        states, {(x, "u"): x[1:] + "0" for x in states}, states,
+        {x: 1 + int(x[0]) for x in states},
+    )
+    return ip.itinerary_language(sys, ip.PartitionSpec(1, {1: ("u",), 2: ("u",)}))
+
+
 def random_finite_state(rng, states: int, cells: int, tau: int, leak: float):
     """(system, spec) whose moves leave the invariant set or are undefined with
     probability ``leak`` each; a leak of 0 gives a valid partition."""
@@ -446,6 +457,39 @@ def word_cover_value(lang, weights, Z, lam: float, N: int, D: int,
     if found != targets:
         raise ip.PreconditionError(f"target words {sorted(targets - found)} are not admissible")
     return math.exp(total)
+
+
+def reference_prefix_masses(masses: Mapping) -> dict:
+    """The mass of every prefix of the mass-bearing words, keyed by the prefix
+    tuple: one running sum per prefix, over the words in the order of ``masses``."""
+    table: dict = {}
+    for word, m in masses.items():
+        for n in range(1, len(word) + 1):
+            key = word[:n]
+            table[key] = table.get(key, 0.0) + m
+    return table
+
+
+def reference_lower_bs(measure, w: ip.PerSymbolWeights, tail_window: int = 3):
+    """(value, depth_values, slack) of ``ip.lower_bs_pressure``, leaf by leaf and
+    depth by depth through ``reference_prefix_masses``."""
+    D = measure.depth
+    lo = D - tail_window + 1
+    mass = reference_prefix_masses(measure.masses)
+    depth_sums, value, slack = [0.0] * D, 0.0, 0.0
+    for leaf, m in sorted(measure.masses.items()):
+        if m <= 0.0:
+            continue
+        ratios, wsum = [], 0.0
+        for n in range(1, D + 1):
+            wsum += w[leaf[n - 1]]
+            r = -math.log(mass[leaf[:n]]) / wsum
+            ratios.append(r)
+            depth_sums[n - 1] += m * r
+        window = ratios[lo - 1 :]
+        value += m * min(window)
+        slack = max(slack, max(window) - min(window))
+    return value, tuple(depth_sums), slack
 
 
 @pytest.fixture

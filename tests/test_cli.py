@@ -1,5 +1,6 @@
 """Config-driven runs: schema handling, exit codes, artifacts, determinism."""
 
+import hashlib
 import json
 import math
 
@@ -384,3 +385,101 @@ class TestCommands:
         assert (tmp_path / "t1" / "full_shift_3.csv").read_bytes() == (
             tmp_path / "t4" / "full_shift_3.csv"
         ).read_bytes()
+
+
+SPARSE4 = {
+    "control_range": {
+        "values": ["a", "b", "c", "d"],
+        "potentials": {
+            "phi": {"a": "0.31", "b": "-0.42", "c": "0.17", "d": "-0.05"},
+            "w": {"a": "0.8", "b": "1.3", "c": "1.05", "d": "1.7"},
+        },
+    },
+    "partition": {"tau": 1, "control_words": {"1": ["a"], "2": ["b"], "3": ["c"], "4": ["d"]}},
+    "system": {
+        "type": "sft",
+        "transitions": [[1, 2], [2, 3], [3, 4], [4, 1], [1, 3], [2, 2], [4, 2]],
+    },
+    "output": {"prefix": "sparse4"},
+}
+
+#: the tasks of the cover read-outs; the sparse relation's target is two
+#: cylinders of at most two symbols, since Python 3.12's built-in ``sum``
+#: (which adds up a target word's steps) rounds three or more terms differently
+READ_OUTS = {
+    "frostman": {"command": "frostman", "phi": "w", "lambda": "0.45", "D": 12},
+    "pp-pressure": {"command": "pp-pressure", "phi": "phi", "D": 12},
+    "vp-check": {
+        "command": "vp-check", "phi": "w", "D": 12,
+        "candidates": [{"type": "parry", "name": "parry"}],
+    },
+    "sandwich": {"command": "sandwich", "phi": "w", "lambda": "0.45", "epsilon": "0.05", "D": 12},
+}
+
+#: sha256 of every CSV of each read-out, with glibc's exp and log: a change in
+#: how any read-out associates its float sums changes a digest
+GOLDEN_BYTES = {
+    ("golden", "frostman"): {
+        "golden_mean.csv":
+            "7141c5e67dbdb7eac310f16966375c473208988e9c48d82ad7a1e851862ac287",
+    },
+    ("golden", "pp-pressure"): {
+        "golden_mean.csv":
+            "351f1c89f6dd9433f7db0e1262ad6e044aacae6e7580fb4a3e38a902825ad653",
+        "golden_mean_cover_solution.csv":
+            "3213ea84f1161f950f8bc838410fe0c7e0d65685cf87dba2a369f560f9627e24",
+    },
+    ("golden", "sandwich"): {
+        "golden_mean.csv":
+            "5a9dcbca622529c0e79a2d55a9b3d770f87396df8cc20c6f4f8fed1654b0be5f",
+    },
+    ("golden", "vp-check"): {
+        "golden_mean.csv":
+            "90c03ea76b2360fc1c31e2f64199f441df16e27aaef3f22224e85617820169f1",
+    },
+    ("sparse4", "frostman"): {
+        "sparse4.csv":
+            "8f744cfd78a0ea31211a3160502840dfa3dc0d1eee8541adca78b4f9923c1ab9",
+    },
+    ("sparse4", "pp-pressure"): {
+        "sparse4.csv":
+            "7d242ec289edb0461c45e6881f235326532b8abec38b58985f70045d5c999f6e",
+        "sparse4_cover_solution.csv":
+            "931ac95480b437362c764276036db455e77afffa4ad93a08c25483c252ef85a6",
+    },
+    ("sparse4", "sandwich"): {
+        "sparse4.csv":
+            "e5e7ffcc42a18ea049248cb8ab56560a0fe3bea28547533ba6499e44be314e97",
+    },
+    ("sparse4", "vp-check"): {
+        "sparse4.csv":
+            "a6a840745f3d93debc8401068f75e79112bfbf50540b1f5f1bda1157ddc1ff93",
+    },
+}
+
+
+def _read_out_config(relation, command):
+    if relation == "golden":
+        cfg = load("golden-mean.json")
+        cfg["control_range"]["potentials"].update(
+            phi={"a": "0.23", "b": "-0.61"}, w={"a": "1.0", "b": "1.6"}
+        )
+    else:
+        cfg = json.loads(json.dumps(SPARSE4))
+    task = dict(READ_OUTS[command])
+    if relation == "sparse4" and command != "vp-check":
+        task["subset"] = {"variant": "cylinders", "words": [[1, 3], [2]]}
+    cfg["task"] = task
+    return cfg
+
+
+class TestGoldenBytes:
+    @pytest.mark.parametrize("relation", ["golden", "sparse4"])
+    @pytest.mark.parametrize("command", sorted(READ_OUTS))
+    def test_read_out_csvs(self, tmp_path, relation, command):
+        manifest = run(_read_out_config(relation, command), str(tmp_path))
+        digests = {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in manifest["outputs"]
+        }
+        assert digests == GOLDEN_BYTES[relation, command]

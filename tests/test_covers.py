@@ -336,6 +336,22 @@ class TestWeightedCoverAndFrostman:
             W = ip.weighted_cover_value(lang, w, ALL, lam, 1, 6)
             assert fw.total == pytest.approx(W, rel=1e-10)
 
+    @pytest.mark.parametrize("target", ["whole", "cylinders"])
+    def test_flow_guard(self, target):
+        # depth 10 of the full 2-shift: flow enters 2 + 4 + ... + 2^10 = 2^11 - 2
+        # cylinders; under [1] and [2, 1] it enters 1 + 2 + ... + 2^9 = 2^10 - 1
+        # and 1 + 1 + 2 + ... + 2^8 = 2^9 cylinders
+        lang, w = full_shift(2), const_weights(full_shift(2), 1.0)
+        if target == "whole":
+            Z, visits, leaves = ALL, 2**11 - 2, 2**10
+        else:
+            Z = ip.SubsetSpec.cylinders([(1,), (2, 1)])
+            visits, leaves = 2**10 - 1 + 2**9, 2**9 + 2**8
+        fw = ip.frostman_measure(lang, w, Z, 0.5, 1, 10, max_nodes=visits)
+        assert len(fw.masses) == leaves
+        with pytest.raises(ip.GuardError):
+            ip.frostman_measure(lang, w, Z, 0.5, 1, 10, max_nodes=visits - 1)
+
 
 class TestSandwich:
     def test_randomized_golden_instances(self, rng):

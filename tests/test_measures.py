@@ -1,11 +1,23 @@
 """Cylinder measures, lower pressure estimates, and the variational check."""
 
+import itertools
 import math
 
 import pytest
 
 import invpressure as ip
-from conftest import const_weights, full_shift, golden_mean, weights
+from conftest import (
+    const_weights,
+    full_shift,
+    golden_itinerary,
+    golden_mean,
+    random_itinerary,
+    random_sft,
+    random_weights,
+    reference_lower_bs,
+    reference_prefix_masses,
+    weights,
+)
 
 ALL = ip.SubsetSpec.whole_space()
 LOG_GOLDEN = math.log((1 + math.sqrt(5)) / 2)
@@ -141,6 +153,63 @@ class TestLowerBsPressure:
         mu = ip.cylinder_masses(ip.bernoulli_measure(lang, [0.5, 0.5]), lang, 4)
         with pytest.raises(ip.PreconditionError):
             ip.lower_bs_pressure(mu, weights({1: 1.0, 2: -1.0}))
+
+
+def _check_against_prefix_reference(mu, w, tail_window=3):
+    """Every prefix mass and the lower pressure, bitwise against the reference."""
+    ref = reference_prefix_masses(mu.masses)
+    assert {word: mu.mass(word).hex() for word in ref} == {word: m.hex() for word, m in ref.items()}
+    est = ip.lower_bs_pressure(mu, w, tail_window)
+    value, depth_values, slack = reference_lower_bs(mu, w, tail_window)
+    assert (est.value.hex(), est.slack.hex()) == (value.hex(), slack.hex())
+    assert [v.hex() for v in est.depth_values] == [v.hex() for v in depth_values]
+
+
+class TestPrefixTrie:
+    """Prefix masses and lower pressures against the tuple-slice prefix table of conftest."""
+
+    def test_parry_and_frostman_on_relations(self, rng):
+        for trial in range(6):
+            lang = golden_mean() if trial == 0 else random_sft(rng, rng.choice((3, 4)))
+            w = random_weights(rng, lang, 0.3, 1.5)
+            D = rng.randrange(5, 9)
+            parry = ip.cylinder_masses(ip.parry_measure(lang), lang, D)
+            _check_against_prefix_reference(parry, w, rng.randrange(1, 4))
+            Z = ALL if trial % 2 else ip.SubsetSpec.cylinders(lang.words(2)[:2])
+            fw = ip.frostman_measure(lang, w, Z, rng.uniform(0.2, 0.8), 1, D)
+            _check_against_prefix_reference(ip.frostman_cylinder_measure(lang, fw), w)
+
+    def test_parry_and_frostman_on_itineraries(self, rng):
+        D = 8
+        lang = golden_itinerary(D)
+        w = random_weights(rng, lang, 0.3, 1.5)
+        parry = ip.cylinder_masses(ip.parry_measure(golden_mean()), lang, D)
+        _check_against_prefix_reference(parry, w)
+        for trial in range(4):
+            lang = random_itinerary(rng, 14, 3)
+            w = random_weights(rng, lang, 0.3, 1.5)
+            Z = ALL if trial % 2 else ip.SubsetSpec.cylinders(lang.words(2)[:1])
+            fw = ip.frostman_measure(lang, w, Z, rng.uniform(0.2, 0.8), 1, rng.randrange(4, 9))
+            _check_against_prefix_reference(ip.frostman_cylinder_measure(lang, fw), w, 2)
+
+    def test_shuffled_hand_built_measure(self, rng):
+        # a mass table in no walk's order, with zero-mass words mixed in
+        lang, D = full_shift(3), 6
+        words = list(itertools.product(lang.symbols, repeat=D))
+        rng.shuffle(words)
+        raw = [rng.random() if rng.random() < 0.8 else 0.0 for _ in words]
+        total = math.fsum(raw)
+        mu = ip.CylinderMeasure(lang, D, {word: x / total for word, x in zip(words, raw)})
+        for tail_window in (1, 3, D):
+            _check_against_prefix_reference(mu, random_weights(rng, lang, 0.3, 1.5), tail_window)
+
+    def test_positive_word_under_a_non_positive_prefix_is_refused(self):
+        # the rounding noise a mass table may carry leaves the cylinder [1] below 0
+        lang = full_shift(2)
+        mu = ip.CylinderMeasure(lang, 2, {(1, 1): 1e-16, (1, 2): -1e-15, (2, 1): 1.0})
+        assert mu.mass((1,)) < 0.0
+        with pytest.raises(ip.PreconditionError):
+            ip.lower_bs_pressure(mu, const_weights(lang, 1.0), 1)
 
 
 class TestVpCheck:
