@@ -12,8 +12,8 @@ cylinder, relative to its own, depends only on the cylinder's continuation
 unit and depth, so L^D is never materialized.  ``_CoverGraph`` compiles the
 child lists of one (language, target, D), from ``lang.unit_graph(D)`` and the
 target words' trie, and lists the nodes live at each depth.  It is compiled
-once per language: ``_cover_graph`` keeps it on the language, keyed by
-(target, D), so a search, the read-outs after it and every table of a
+once per language: ``_cover_graph`` keeps it while the language lives,
+keyed by (target, D), so a search, the read-outs after it and every table of a
 sandwich share one graph, and no reader may mutate its lists.
 ``_CoverTable`` evaluates one cost law on it by an iterative backward pass
 over those depths, one log-sum-exp per node with no function call: a node
@@ -21,10 +21,10 @@ with one child takes the child's value as is, one with two children the
 closed form max + log(1 + exp(min - max)), and only wider nodes an ``fsum``,
 each bitwise equal to ``symbolic.logsumexp``.  The cover value, the head
 prefactor, the optimal cover (an argmin walk) and the Frostman flow (a
-proportional push) are read-outs of the table.  The flow is pushed by one
-stage per depth, which lists each live node's flowing children once and
-takes its parents in word order; the stages are chained generators, so a
-cylinder costs one step and only the current path of prefixes is held.
+proportional push) are read-outs of the table.  The flow is pushed depth
+first in word order, on an explicit stack, through child lists built once
+per live node, so a cylinder costs one step, the walk runs in one frame at
+any depth, and the stack holds only the pending siblings of one path.
 
 Critical exponents (the pressure-like jump locations) are the lambda at
 which the truncated optimum crosses 1, found by the package's one
@@ -42,6 +42,7 @@ bounds give around the points it has already evaluated.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -160,13 +161,20 @@ class _CoverGraph:
         return units
 
 
+#: the cover graphs compiled on each language so far, by (target set, depth);
+#: every caller shares them, so none may mutate their lists
+_COVER_GRAPHS: "weakref.WeakKeyDictionary[WordLanguage, dict]" = weakref.WeakKeyDictionary()
+
+
 def _cover_graph(lang: WordLanguage, Z: SubsetSpec, D: int) -> _CoverGraph:
     """The ``_CoverGraph`` of (lang, Z, D), compiled once per language.
 
-    It is kept on the language, keyed by (Z, D), as the unit graph is, so a
-    search and the read-outs after it share one graph.
+    It is kept for as long as the language lives, keyed by (Z, D), as the
+    unit graph is, so a search and the read-outs after it share one graph.
     """
-    graphs = lang._cover_graphs
+    graphs = _COVER_GRAPHS.get(lang)
+    if graphs is None:
+        graphs = _COVER_GRAPHS[lang] = {}
     graph = graphs.get((Z, D))
     if graph is None:
         graph = graphs[Z, D] = _CoverGraph(lang, Z, D)
@@ -587,10 +595,9 @@ def frostman_measure(
     trees), and every cylinder with N <= depth <= D holds mass at most
     exp(-lam*weight): dividing by the total yields the Frostman-type bounds
     with constant 1/total.  Each node passes its flow to its children in
-    proportion to their capped optima in the cover table, by one stage per
-    depth that takes its parents in word order, so the leaves come out in
-    word order; ``max_nodes`` bounds the number of cylinders that receive
-    flow.
+    proportion to their capped optima in the cover table, depth first in
+    word order, so the leaves come out in word order; ``max_nodes`` bounds
+    the number of cylinders that receive flow.
     """
     if Z.is_empty:
         raise PreconditionError("target set is empty at this resolution")
@@ -601,33 +608,34 @@ def frostman_measure(
     total = table.total
     if total == NEG_INF:
         raise PreconditionError("target set carries no flow at this lambda")
-    visited = 0
-
-    def push(n: int, level):
-        """The cylinders at depth n + 1 that receive flow from ``level``, in word order."""
-        nonlocal visited
-        alpha1 = alpha[n + 1]
-        # each live node's flowing children: (position, word suffix, log share)
-        pushes = [
-            [(j, (symbols[k],), share) for k, j in kids for share in (step[k] + alpha1[j],)
-             if share != NEG_INF]
-            for kids in layers[n]
+    # each live node, from the leaves' parents up: (its flowing children as
+    # (child, word suffix, log share), its log optimum below, whether its
+    # children are leaves)
+    suffixes = [(s,) for s in symbols]
+    below: list = [None] * table.graph.leaves
+    for n in range(D - 1, -1, -1):
+        alpha1, final = alpha[n + 1], n == D - 1
+        below = [
+            ([(below[j], suffixes[k], share) for k, j in kids for share in (step[k] + alpha1[j],)
+              if share != NEG_INF], ls, final)
+            for kids, ls in zip(layers[n], rel[n])
         ]
-        ls_n = rel[n]
-        for i, word, logf in level:
-            out = pushes[i]
-            visited += len(out)
-            if visited > max_nodes:
-                raise GuardError(f"flow read-out exceeded {max_nodes} cylinders")
-            ls = ls_n[i]
-            for j, suffix, share in out:
-                yield j, word + suffix, logf + share - ls
-
-    flows = [(0, (), total)]  # (position among the live nodes, word, log flow)
-    for n in range(D):
-        flows = push(n, flows)
     exp = math.exp
-    masses = {word: exp(logf) for _, word, logf in flows}
+    masses: dict[tuple[int, ...], float] = {}
+    visited = 0
+    stack = [(below[0], (), total)]  # (node, word, log flow)
+    pop, push = stack.pop, stack.append
+    while stack:
+        (out, ls, final), word, logf = pop()
+        visited += len(out)
+        if visited > max_nodes:
+            raise GuardError(f"flow read-out exceeded {max_nodes} cylinders")
+        if final:
+            for _, suffix, share in out:
+                masses[word + suffix] = exp(logf + share - ls)
+        else:
+            for node, suffix, share in reversed(out):
+                push((node, word + suffix, logf + share - ls))
     return FrostmanWeights(masses, math.exp(total), lam, N, D)
 
 

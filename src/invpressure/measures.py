@@ -8,10 +8,12 @@ ratio -log(mass)/weight, with the liminf proxied by the minimum over a
 trailing depth window; the window oscillation is reported as the slack of
 every finite-depth comparison.
 
-A Markov chain is evaluated on the depth-D cylinders by one walk stage per
-depth, each listing a unit's children once.  A measure's shallower masses
-come from a prefix trie of node ids, built once per measure, with each
-node's mass summed over its words in the order of the mass table.
+A Markov chain is evaluated on the depth-D cylinders by one depth-first walk
+on an explicit stack, reading each unit's children from lists built once.
+A measure's shallower masses come from a prefix trie of node ids, built once
+per measure from its words in sorted order, with each node's mass summed
+over its words in the order of the mass table; a prefix is found by
+bisecting the sorted words, so no table keyed by prefix is kept.
 ``lower_bs_pressure`` computes each cylinder's ratio once, on its trie node,
 and reads every branch's ratios off its leaf.
 """
@@ -19,9 +21,11 @@ and reads every branch's ratios off its leaf.
 from __future__ import annotations
 
 import math
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import chain
+from itertools import chain, compress
 from operator import add, mul, sub
 from typing import Mapping, Sequence
 
@@ -165,11 +169,13 @@ class CylinderMeasure:
         if len(word) > self.depth:
             raise PreconditionError("word deeper than the measure's resolution")
         trie = self._trie
-        v = 0
-        for s in word:
-            v = trie.child.get((v, s))
-            if v is None:
-                return 0.0
+        words = trie.words
+        i = bisect_left(words, word)
+        if i == len(words) or words[i][: len(word)] != word:
+            return 0.0
+        v, up = trie.leaf[i], trie.up
+        for _ in range(self.depth - len(word)):
+            v = up[v]
         return trie.mass[v]
 
     def supported_on(self, Z: SubsetSpec) -> bool:
@@ -198,32 +204,47 @@ class CylinderMeasure:
 
 
 class _PrefixTrie:
-    """The prefix trie of a measure's mass-bearing words, by node id.
+    """The prefix trie of a measure's words, by node id.
 
-    Node 0 is the empty word and every other node one prefix, numbered on
-    first sight: ``child[v, s]`` is the child of node v by symbol s,
-    ``up[v]`` and ``sym[v]`` are node v's parent and last symbol, and
-    ``leaf`` maps each word to its node.  ``mass[v]`` adds the masses of the
-    words below v one at a time, in the order of the mass table.
+    The words are taken in sorted order and their prefixes numbered on first
+    sight, node 0 being the empty word, so a parent's id is below its
+    children's.  ``words`` lists the words in that order and ``leaf[i]`` is
+    the node of ``words[i]``; ``up[v]`` and ``sym[v]`` are node v's parent
+    and last symbol.  ``mass[v]`` adds the masses of the words below v one
+    at a time, in the order of the mass table.  A prefix is found by
+    bisecting ``words``, so the trie keeps no table keyed by prefix.
     """
 
     def __init__(self, masses: Mapping[tuple[int, ...], float]):
-        child: dict[tuple[int, int], int] = {}
-        up, sym, mass = [0], [0], [0.0]
-        leaf: dict[tuple[int, ...], int] = {}
-        for word, m in masses.items():
-            v = 0
-            for s in word:
-                c = child.get((v, s))
-                if c is None:
-                    c = child[v, s] = len(mass)
-                    up.append(v)
-                    sym.append(s)
-                    mass.append(0.0)
-                mass[c] += m
-                v = c
-            leaf[word] = v
-        self.child, self.up, self.sym, self.mass, self.leaf = child, up, sym, mass, leaf
+        table = list(masses)
+        order = sorted(range(len(table)), key=table.__getitem__)
+        up, sym = array("q", [0]), [0]
+        node = array("q", bytes(8 * len(table)))  # each word's node, in table order
+        path, prev = [0], ()
+        for k in order:
+            word = table[k]
+            n = 0  # the length of the prefix it shares with the word before it
+            for a, b in zip(word, prev):
+                if a != b:
+                    break
+                n += 1
+            del path[n + 1 :]
+            v = path[n]
+            for s in word[n:]:
+                up.append(v)
+                sym.append(s)
+                v = len(sym) - 1
+                path.append(v)
+            node[k] = v
+            prev = word
+        mass = array("d", bytes(8 * len(sym)))
+        for v, m in zip(node, masses.values()):
+            while v:
+                mass[v] += m
+                v = up[v]
+        self.words = list(map(table.__getitem__, order))
+        self.leaf = array("q", map(node.__getitem__, order))
+        self.up, self.sym, self.mass = up, sym, mass
 
 
 def cylinder_masses(
@@ -231,36 +252,38 @@ def cylinder_masses(
 ) -> CylinderMeasure:
     """Evaluate a Markov chain on all depth-D cylinders: pi_{s0} * prod P.
 
-    The cylinders are walked on the children of ``lang.unit_graph(depth)``
-    by one generator stage per depth, each taking its parents in reverse
-    word order, which is the order of the returned masses; only the current
-    path is held.  ``max_nodes`` bounds the number of cylinders visited.
+    The cylinders are walked depth first on the children of
+    ``lang.unit_graph(depth)``, listed once per unit, by an explicit stack
+    that yields them in reverse word order, which is the order of the
+    returned masses.  ``max_nodes`` bounds the number of cylinders visited.
     """
+    if depth < 1:
+        raise PreconditionError("depth must be >= 1")
     if isinstance(lang, SftLanguage):
         mu.check_support(lang)
     kids = lang.unit_graph(depth).children
     symbols, matrix = lang.symbols, mu.matrix
     pos = [mu.index(s) for s in symbols]
-    # each unit's children, last symbol first: (child unit, word suffix, chain state)
-    out = [[(c, (symbols[k],), pos[k]) for k, c in reversed(row)] for row in kids]
-    visited = 0
-
-    def step(level):
-        """The cylinders one symbol below ``level``'s, in reverse word order."""
-        nonlocal visited
-        for word, unit, row, m in level:
-            children = out[unit]
-            visited += len(children)
-            if visited > max_nodes:
-                raise GuardError(f"cylinder walk exceeded {max_nodes} cylinders")
-            for child, suffix, p in children:
-                yield word + suffix, child, matrix[p], m * row[p]
-
-    # (word, unit, transition row of its last symbol, mass)
-    level = [((), 0, mu.stationary, 1.0)]
-    for _ in range(depth):
-        level = step(level)
-    return CylinderMeasure(lang, depth, {word: m for word, _, _, m in level})
+    suffixes = [(s,) for s in symbols]
+    # each unit's children: (child unit, word suffix, chain state)
+    out = [[(c, suffixes[k], pos[k]) for k, c in row] for row in kids]
+    masses: dict[tuple[int, ...], float] = {}
+    visited, last = 0, depth - 1
+    stack = [((), 0, mu.stationary, 1.0)]  # (word, unit, transition row of its last symbol, mass)
+    pop, push = stack.pop, stack.append
+    while stack:
+        word, unit, row, m = pop()
+        children = out[unit]
+        visited += len(children)
+        if visited > max_nodes:
+            raise GuardError(f"cylinder walk exceeded {max_nodes} cylinders")
+        if len(word) == last:
+            for _, suffix, p in reversed(children):
+                masses[word + suffix] = m * row[p]
+        else:
+            for c, suffix, p in children:
+                push((word + suffix, c, matrix[p], m * row[p]))
+    return CylinderMeasure(lang, depth, masses)
 
 
 def frostman_cylinder_measure(lang: WordLanguage, fw: FrostmanWeights) -> CylinderMeasure:
@@ -299,20 +322,22 @@ def lower_bs_pressure(
     # each cylinder's ratio once, its weight summed along its path from the
     # root (a parent's node id is below its child's)
     log = math.log
-    wsum, ratio = [0.0] * len(mass), [0.0] * len(mass)
+    wsum, ratio = array("d", bytes(8 * len(mass))), [0.0] * len(mass)
     for v in range(1, len(mass)):
-        if mass[v] > 0.0:
+        m = mass[v]
+        if m > 0.0:
             u = up[v]
             if u and mass[u] <= 0.0:
                 raise PreconditionError("a prefix of a positive-mass word has no positive mass")
             wsum[v] = ws = wsum[u] + w[sym[v]]
-            ratio[v] = -log(mass[v]) / ws
-    masses, leaf = measure.masses, trie.leaf
-    words = [word for word in sorted(masses) if masses[word] > 0.0]
-    ms = list(map(masses.__getitem__, words))
+            ratio[v] = -log(m) / ws
+    del wsum
+    # the words in sorted order that carry mass, and their leaves
+    ms = list(map(measure.masses.__getitem__, trie.words))
+    keep = [m > 0.0 for m in ms]
+    ms, col = list(compress(ms, keep)), list(compress(trie.leaf, keep))
     # depth by depth from the leaves up, each word's cylinder there and its
     # ratio; every sum runs over the words in order, one term at a time
-    col = list(map(leaf.__getitem__, words))
     depth_sums, tail = [0.0] * D, []
     for n in range(D, 0, -1):
         rc = list(map(ratio.__getitem__, col))

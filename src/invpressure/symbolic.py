@@ -314,15 +314,6 @@ class WordLanguage:
         """
         return self._unit_walk.graph_to(self, depth)
 
-    @cached_property
-    def _cover_graphs(self) -> dict:
-        """The cover graphs compiled on this language so far, by (target set, depth).
-
-        ``covers`` fills and reads it; like ``unit_graph``'s, the graphs are
-        shared by every caller, so none may mutate them.
-        """
-        return {}
-
     def iter_words(self, n: int, max_words: int = MAX_WORDS) -> Iterator[tuple[int, ...]]:
         """Admissible words of length n, in lexicographic order."""
         if n < 0:

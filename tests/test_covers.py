@@ -7,6 +7,7 @@ import pytest
 
 import invpressure as ip
 from invpressure import covers
+from invpressure.symbolic import MAX_DEPTH
 from conftest import (
     brute_cover_min,
     const_weights,
@@ -352,6 +353,18 @@ class TestWeightedCoverAndFrostman:
         with pytest.raises(ip.GuardError):
             ip.frostman_measure(lang, w, Z, 0.5, 1, 10, max_nodes=visits - 1)
 
+
+    @pytest.mark.parametrize("target", ["whole", "cylinder"])
+    def test_flow_at_the_depth_limit(self, target):
+        # a 2-cycle has two words at every depth, so its flow at the depth
+        # limit is cheap, and it runs in one frame at any depth
+        lang = ip.compile_sft([1, 2], [(1, 2), (2, 1)])
+        w = weights({1: 0.7, 2: 1.3})
+        Z = ALL if target == "whole" else ip.SubsetSpec.cylinders([(2,)])
+        fw = ip.frostman_measure(lang, w, Z, 0.5, 1, MAX_DEPTH)
+        words = [(1, 2) * (MAX_DEPTH // 2), (2, 1) * (MAX_DEPTH // 2)]
+        assert list(fw.masses) == (words if target == "whole" else words[1:])
+        assert math.fsum(fw.masses.values()) == pytest.approx(fw.total, rel=1e-9)
 
 class TestSandwich:
     def test_randomized_golden_instances(self, rng):

@@ -6,6 +6,7 @@ import math
 import pytest
 
 import invpressure as ip
+from invpressure.symbolic import MAX_DEPTH
 from conftest import (
     const_weights,
     full_shift,
@@ -56,6 +57,16 @@ class TestCylinderMasses:
         assert len(ip.cylinder_masses(mu, lang, 10, max_nodes=2**11 - 2).masses) == 2**10
         with pytest.raises(ip.GuardError):
             ip.cylinder_masses(mu, lang, 10, max_nodes=2**11 - 3)
+
+    def test_walk_at_the_depth_limit(self):
+        # a 2-cycle has two words at every depth, so its walk at the depth
+        # limit is cheap, and it runs in one frame at any depth
+        lang = ip.compile_sft([1, 2], [(1, 2), (2, 1)])
+        mu = ip.cylinder_masses(ip.parry_measure(lang), lang, MAX_DEPTH)
+        assert list(mu.masses) == [(2, 1) * (MAX_DEPTH // 2), (1, 2) * (MAX_DEPTH // 2)]
+        assert mu.masses == pytest.approx({word: 0.5 for word in mu.masses}, rel=1e-12)
+        assert mu.mass((1, 2, 1)) == mu.masses[(1, 2) * (MAX_DEPTH // 2)]
+        _check_against_prefix_reference(mu, const_weights(lang, 1.0))
 
     def test_point_mass_on_fixed_itinerary(self):
         lang = full_shift(2)
@@ -174,9 +185,12 @@ class TestPrefixTrie:
             w = random_weights(rng, lang, 0.3, 1.5)
             D = rng.randrange(5, 9)
             parry = ip.cylinder_masses(ip.parry_measure(lang), lang, D)
+            # the walks' orders, which the prefix masses are summed in
+            assert list(parry.masses) == sorted(parry.masses, reverse=True)
             _check_against_prefix_reference(parry, w, rng.randrange(1, 4))
             Z = ALL if trial % 2 else ip.SubsetSpec.cylinders(lang.words(2)[:2])
             fw = ip.frostman_measure(lang, w, Z, rng.uniform(0.2, 0.8), 1, D)
+            assert list(fw.masses) == sorted(fw.masses)
             _check_against_prefix_reference(ip.frostman_cylinder_measure(lang, fw), w)
 
     def test_parry_and_frostman_on_itineraries(self, rng):
@@ -289,6 +303,21 @@ class TestVpCheck:
                 [("everywhere", ip.bernoulli_measure(lang, [0.5, 0.5]))],
                 D=8,
             )
+
+    def test_candidate_values_match_the_prefix_reference(self, rng):
+        # every row of a report, bitwise against the tuple-slice reference
+        for trial in range(3):
+            lang = golden_mean() if trial == 0 else random_sft(rng, 3)
+            w, tol, D = random_weights(rng, lang, 0.3, 1.5), 1e-6, 9
+            parry = ip.parry_measure(lang)
+            rep = ip.vp_check(lang, w, ALL, [("parry", parry)], D=D, tol=tol)
+            fw = ip.frostman_measure(lang, w, ALL, rep.dimension - tol, 1, D)
+            refs = [
+                reference_lower_bs(ip.cylinder_masses(parry, lang, D), w),
+                reference_lower_bs(ip.frostman_cylinder_measure(lang, fw), w),
+            ]
+            for row, (value, _, slack) in zip(rep.candidates, refs):
+                assert (row.value.hex(), row.slack.hex()) == (value.hex(), slack.hex())
 
     def test_markov_candidate_from_matrix(self):
         lang = golden_mean()
