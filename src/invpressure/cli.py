@@ -27,6 +27,7 @@ from . import __version__
 from .errors import ConfigError, GuardError, PreconditionError
 from .symbolic import (
     MAX_DEPTH,
+    MAX_EXPONENT,
     MAX_GRID_POINTS,
     MAX_TREE_NODES,
     MAX_WORDS,
@@ -72,6 +73,8 @@ def _real(value, where: str) -> float:
         x = float(value)
     except ValueError:
         raise ConfigError(f"{where}: cannot parse real {value!r}") from None
+    except OverflowError:
+        raise ConfigError(f"{where}: a {len(str(value))}-digit integer overflows a float") from None
     if not math.isfinite(x):
         raise ConfigError(f"{where}: expected a finite real, got {value!r}")
     return x
@@ -87,12 +90,18 @@ def _int(value, where: str) -> int:
 
 
 def _fraction(value, where: str) -> Fraction:
+    """An exact rational; its decimal exponent is checked first, because
+    ``Fraction``'s parse time grows faster than linearly with it."""
     if not isinstance(value, (str, int)):
         raise ConfigError(f"{where}: expected an exact decimal string, got {value!r}")
+    text = str(value)
+    _, e, exponent = text.lower().partition("e")
     try:
-        return Fraction(str(value))
+        if not e or abs(int(exponent)) <= MAX_EXPONENT:
+            return Fraction(text)
     except ValueError:
         raise ConfigError(f"{where}: cannot parse rational {value!r}") from None
+    raise ConfigError(f"{where}: exponent of {value!r} exceeds {MAX_EXPONENT} in magnitude")
 
 
 def _typed(value, kind: type | None, where: str):
@@ -147,6 +156,12 @@ class Run:
             raise ConfigError(f"unknown command {self.command!r}; expected one of {COMMANDS}")
         output = _optional(config, "output", "config", dict, {})
         self.prefix = output.get("prefix", self.command.replace("-", "_"))
+        if (
+            not isinstance(self.prefix, str)
+            or self.prefix in ("", ".", "..")
+            or any(c in self.prefix for c in "/\\\0")
+        ):
+            raise ConfigError(f"output.prefix: expected a file name, got {self.prefix!r}")
         self.system = self._parse_system(self.system_block)
         self.lang = None
         if self.command != "validate":
@@ -414,6 +429,7 @@ class Run:
     def _cmd_vp_check(self):
         w = self.weights("phi")
         K = self.subset()
+        N = self.task_int("N", 1)
         D = self.task_depth("D", 12)
         tol = _real(self.task.get("tol", "1e-6"), "tol")
         cands = []
@@ -432,7 +448,7 @@ class Run:
             else:
                 raise ConfigError(f"unknown candidate type {kind!r}")
             cands.append((name, mu))
-        rep = vp_check(self.lang, w, K, cands, D, tol, max_nodes=self.max_nodes)
+        rep = vp_check(self.lang, w, K, cands, D, tol, N=N, max_nodes=self.max_nodes)
         self.info.update(dimension=rep.dimension, best=rep.best_name, best_value=rep.best_value)
         rows = [
             [r.name, _fmt(r.value), _fmt(r.gap), _fmt(r.slack), r.within_upper_bound]
@@ -513,7 +529,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             config = json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, ValueError) as e:  # ValueError: bad JSON, UTF-8 or an over-long integer
         print(f"error: cannot read config: {e}", file=sys.stderr)
         return 2
     try:

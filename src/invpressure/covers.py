@@ -12,9 +12,9 @@ cylinder, relative to its own, depends only on the cylinder's continuation
 unit and depth, so L^D is never materialized.  ``_CoverGraph`` compiles the
 child lists of one (language, target, D), from ``lang.unit_graph(D)`` and the
 target words' trie, and lists the nodes live at each depth.  It is compiled
-once per language: ``_cover_graph`` keeps it while the language lives,
-keyed by (target, D), so a search, the read-outs after it and every table of a
-sandwich share one graph, and no reader may mutate its lists.
+once per language: ``_cover_graph`` keeps it on the language, next to its
+unit walk, keyed by (target, D), so a search, the read-outs after it and every
+table of a sandwich share one graph, and no reader may mutate its lists.
 ``_CoverTable`` evaluates one cost law on it by an iterative backward pass
 over those depths, one log-sum-exp per node with no function call: a node
 with one child takes the child's value as is, one with two children the
@@ -42,8 +42,9 @@ bounds give around the points it has already evaluated.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import Mapping, Sequence
 
 from .errors import GuardError, PreconditionError
@@ -161,20 +162,13 @@ class _CoverGraph:
         return units
 
 
-#: the cover graphs compiled on each language so far, by (target set, depth);
-#: every caller shares them, so none may mutate their lists
-_COVER_GRAPHS: "weakref.WeakKeyDictionary[WordLanguage, dict]" = weakref.WeakKeyDictionary()
-
-
 def _cover_graph(lang: WordLanguage, Z: SubsetSpec, D: int) -> _CoverGraph:
     """The ``_CoverGraph`` of (lang, Z, D), compiled once per language.
 
-    It is kept for as long as the language lives, keyed by (Z, D), as the
-    unit graph is, so a search and the read-outs after it share one graph.
+    It is kept on the language, keyed by (Z, D), as the unit graph is, so a
+    search and the read-outs after it share one graph.
     """
-    graphs = _COVER_GRAPHS.get(lang)
-    if graphs is None:
-        graphs = _COVER_GRAPHS[lang] = {}
+    graphs = lang._cover_graphs
     graph = graphs.get((Z, D))
     if graph is None:
         graph = graphs[Z, D] = _CoverGraph(lang, Z, D)
@@ -249,8 +243,8 @@ class _CoverTable:
         """log cost of covering the target by its own defining words."""
         if self.graph.whole:
             return 0.0
-        step = self.step
-        return logsumexp([sum(step[k] for k in word) for word in self.graph.targets])
+        # a left fold: from Python 3.12 on the built-in sum compensates, so rounds otherwise
+        return logsumexp([reduce(add, map(self.step.__getitem__, w)) for w in self.graph.targets])
 
 
 def _table(
@@ -430,23 +424,6 @@ def pp_pressure(
     )
 
 
-def _bs_jump(
-    graph: _CoverGraph, weights: PerSymbolWeights, N: int, n_detect: int, tol: float
-) -> JumpEstimate:
-    """``bs_jump`` on a compiled cover graph."""
-    wts = [weights[s] for s in graph.symbols]
-    steps = lambda lam: [-lam * w for w in wts]
-    hi0 = math.log(max(2, len(graph.symbols))) / (weights.tau * weights.rate_min()) + 1.0
-    crit, iters, (lo, hi) = _jump(graph, steps, n_detect, -1.0, hi0, tol)
-    return JumpEstimate(
-        critical=crit,
-        value_below=math.exp(_CoverTable(graph, steps(lo - tol), N).total),
-        value_above=math.exp(_CoverTable(graph, steps(hi + tol), N).total),
-        iterations=iters,
-        bracket=(lo, hi),
-    )
-
-
 def bs_jump(
     lang: WordLanguage,
     weights: PerSymbolWeights,
@@ -463,7 +440,18 @@ def bs_jump(
     Z = Z or SubsetSpec.whole_space()
     weights.require_positive("dimension weight")
     n_detect = _detect_depth(Z, N, D)
-    return _bs_jump(_cover_graph(lang, Z, D), weights, N, n_detect, tol)
+    graph = _cover_graph(lang, Z, D)
+    wts = [weights[s] for s in lang.symbols]
+    steps = lambda lam: [-lam * w for w in wts]
+    hi0 = math.log(max(2, len(lang.symbols))) / (weights.tau * weights.rate_min()) + 1.0
+    crit, iters, (lo, hi) = _jump(graph, steps, n_detect, -1.0, hi0, tol)
+    return JumpEstimate(
+        critical=crit,
+        value_below=math.exp(_CoverTable(graph, steps(lo - tol), N).total),
+        value_above=math.exp(_CoverTable(graph, steps(hi + tol), N).total),
+        iterations=iters,
+        bracket=(lo, hi),
+    )
 
 
 @dataclass(frozen=True)
@@ -539,7 +527,7 @@ def bs_dimension(
     )
     t, res = (lo, f_lo) if abs(f_lo) <= abs(f_hi) else (hi, f_hi)
     cert = RootCertificate(t, res, (abs(res) + inner) / r, (lo, hi), iters)
-    return BsDimension(t, cert, _bs_jump(graph, weights, N, n_detect, inner))
+    return BsDimension(t, cert, bs_jump(lang, weights, Z, N, D, inner))
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,11 @@ DIVERGENT = "divergent-evidence"
 INCONCLUSIVE = "inconclusive"
 
 _SCALE = 10**12  # psi weights and T*tau are counted in whole steps of 1e-12
+#: levels the tail growth verdict averages over: divisible by every relation
+#: period up to 4, which washes out imprimitive oscillation
+WINDOW = 12
+#: least mean log-growth per level, either way, that makes a verdict
+MARGIN = 1e-3
 
 
 def _lattice(x: float) -> int:
@@ -149,32 +154,29 @@ class CharacterizationResult:
     partial_log_sum: float | None
     tail_log_bound: float | None
     n_cap: int
-    window: int
 
 
-def _scan_horizon(w_psi: PerSymbolWeights, T: float, n_cap: int | None, window: int) -> int:
+def _scan_horizon(w_psi: PerSymbolWeights, T: float, n_cap: int | None) -> int:
     """The checked level cap, which leaves a tail window past the budget."""
     n_full = _budget_levels(w_psi, T)[0] + 1
     if n_cap is None:
-        n_cap = n_full + window + 8
-    if n_cap < n_full + window + 2:
+        n_cap = n_full + WINDOW + 8
+    if n_cap < n_full + WINDOW + 2:
         raise PreconditionError(
-            f"n_cap={n_cap} leaves no all-words tail window (need >= {n_full + window + 2})"
+            f"n_cap={n_cap} leaves no all-words tail window (need >= {n_full + WINDOW + 2})"
         )
     return n_cap
 
 
-def _verdict(
-    full: Sequence[float], beta: float, T: float, n_cap: int, window: int, margin: float
-) -> CharacterizationResult:
+def _verdict(full: Sequence[float], beta: float, T: float, n_cap: int) -> CharacterizationResult:
     """Tail growth verdict from the all-words level sums full[n-1], n = 1..n_cap."""
-    growth = (full[n_cap - 1] - full[n_cap - 1 - window]) / window
+    growth = (full[n_cap - 1] - full[n_cap - 1 - WINDOW]) / WINDOW
     tail_bound = None
-    if growth <= -margin:
+    if growth <= -MARGIN:
         verdict = CONVERGENT
         r = math.exp(growth)
         tail_bound = full[n_cap - 1] + math.log(r / (1.0 - r))
-    elif growth >= margin:
+    elif growth >= MARGIN:
         verdict = DIVERGENT
     else:
         verdict = INCONCLUSIVE
@@ -186,7 +188,6 @@ def _verdict(
         partial_log_sum=None,
         tail_log_bound=tail_bound,
         n_cap=n_cap,
-        window=window,
     )
 
 
@@ -197,27 +198,21 @@ def characterization_sum(
     beta: float,
     T: float,
     n_cap: int | None = None,
-    window: int = 12,
-    margin: float = 1e-3,
-    include_partial: bool = True,
     max_cells: int = 500_000,
 ) -> CharacterizationResult:
     """Partial sum over exceed levels of the tilted weights phi - beta*psi.
 
     Once the budget walk runs out of cells every word exceeds the budget, so
     those levels' sums come from the exact forward recursion; earlier levels
-    are restricted by the budget and read the walk (only when a partial value
-    is requested, since the verdict depends on the tail alone).  The verdict
-    compares the mean log-growth over the last ``window`` levels against
-    ``margin``; the window length is divisible by every relation period up to
-    4, which washes out imprimitive oscillation.
+    are restricted by the budget and read the walk.  The verdict compares the
+    mean log-growth over the last ``WINDOW`` levels against ``MARGIN`` and
+    depends on the tail alone, so a caller that needs only the verdict uses
+    ``characterization_scan``.
     """
-    n_cap = _scan_horizon(w_psi, T, n_cap, window)
+    n_cap = _scan_horizon(w_psi, T, n_cap)
     tilt = combine_weights(w_phi, w_psi, beta)
     full = level_log_sums(lang, [tilt], n_cap)[0].tolist()
-    result = _verdict(full, beta, T, n_cap, window, margin)
-    if not include_partial:
-        return result
+    result = _verdict(full, beta, T, n_cap)
     head = _restricted_head_sums(lang, tilt, w_psi, T, max_cells)
     return replace(result, partial_log_sum=logsumexp(head + full[len(head) : n_cap]))
 
@@ -256,8 +251,6 @@ def characterization_scan(
     betas: Sequence[float],
     T: float,
     n_cap: int | None = None,
-    window: int = 12,
-    margin: float = 1e-3,
 ) -> list[CharacterizationResult]:
     """Boundedness verdict per grid point; the flip brackets the Bowen root.
 
@@ -265,10 +258,10 @@ def characterization_scan(
     each point's verdict reads its own row, so a point's result equals
     ``characterization_sum`` at that point without the partial sum.
     """
-    n_cap = _scan_horizon(w_psi, T, n_cap, window)
+    n_cap = _scan_horizon(w_psi, T, n_cap)
     tilts = [combine_weights(w_phi, w_psi, beta) for beta in betas]
     rows = level_log_sums(lang, tilts, n_cap).tolist()
-    return [_verdict(full, beta, T, n_cap, window, margin) for beta, full in zip(betas, rows)]
+    return [_verdict(full, beta, T, n_cap) for beta, full in zip(betas, rows)]
 
 
 def verdict_flip(results: Sequence[CharacterizationResult]) -> tuple[float, float] | None:

@@ -28,6 +28,8 @@ MAX_TREE_NODES = 10_000_000
 MAX_GRID_POINTS = 10_000
 #: Largest depth-like task integer (n_max, n_cap, D) a CLI run accepts (fixed: no override).
 MAX_DEPTH = 1_000
+#: Largest decimal exponent magnitude of an exact config rational (fixed: no override).
+MAX_EXPONENT = 1_000
 
 
 def logsumexp(values: list[float]) -> float:
@@ -314,33 +316,10 @@ class WordLanguage:
         """
         return self._unit_walk.graph_to(self, depth)
 
-    def iter_words(self, n: int, max_words: int = MAX_WORDS) -> Iterator[tuple[int, ...]]:
-        """Admissible words of length n, in lexicographic order."""
-        if n < 0:
-            raise PreconditionError("word length must be >= 0")
-        if n == 0:
-            yield ()
-            return
-        count = 0
-        # iterative DFS, expanding smaller symbols first
-        frame = [(sym, unit) for unit, sym in self.initial_units()]
-        frame.sort(reverse=True)
-        todo = [((), s, u) for s, u in frame]
-        while todo:
-            prefix, sym, unit = todo.pop()
-            word = prefix + (sym,)
-            if len(word) == n:
-                count += 1
-                if count > max_words:
-                    raise GuardError(f"word enumeration exceeded {max_words} words")
-                yield word
-                continue
-            succ = [(s, u) for u, s in self.unit_successors(unit)]
-            succ.sort(reverse=True)
-            todo.extend((word, s, u) for s, u in succ)
-
-    def words(self, n: int, max_words: int = MAX_WORDS) -> list[tuple[int, ...]]:
-        return list(self.iter_words(n, max_words))
+    @cached_property
+    def _cover_graphs(self) -> dict:
+        """``covers``' compiled cover graphs by (target set, depth); shared, never mutated."""
+        return {}
 
 
 class SftLanguage(WordLanguage):

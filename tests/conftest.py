@@ -131,6 +131,27 @@ def brute_words(lang: ip.SftLanguage, n: int) -> set:
     return out
 
 
+def words(lang, n: int, max_words: int = MAX_WORDS) -> list:
+    """Admissible words of length n in lexicographic order, by a depth-first
+    walk of the raw ``initial_units``/``unit_successors`` presentation."""
+    if n < 0:
+        raise ip.PreconditionError("word length must be >= 0")
+    if n == 0:
+        return [()]
+    out = []
+    todo = sorted((((), s, u) for u, s in lang.initial_units()), reverse=True)
+    while todo:
+        prefix, sym, unit = todo.pop()
+        word = prefix + (sym,)
+        if len(word) < n:
+            todo.extend(sorted(((word, s, u) for u, s in lang.unit_successors(unit)), reverse=True))
+        elif len(out) < max_words:
+            out.append(word)
+        else:
+            raise ip.GuardError(f"word enumeration exceeded {max_words} words")
+    return out
+
+
 def reference_partition_walk(system: ip.FiniteStateSystem, spec: ip.PartitionSpec):
     """(violations, tau-step map): every cell's states walked per symbol in turn,
     the violations in the order of the symbols, then of ``invariant_set``."""
@@ -323,7 +344,7 @@ def separated_sum(lang, weights, n: int, max_words: int = MAX_WORDS) -> float:
     """
     if n < 1:
         raise ip.PreconditionError("n must be >= 1")
-    return logsumexp([ip.word_weight(s, weights) for s in lang.iter_words(n, max_words)])
+    return logsumexp([ip.word_weight(s, weights) for s in words(lang, n, max_words)])
 
 
 def spanning_sum(lang, weights, n: int, max_nodes: int = MAX_TREE_NODES) -> float:
@@ -383,14 +404,14 @@ def compute_level_sets(lang, w_psi, T: float, max_words: int = MAX_WORDS) -> Tim
     for n in range(0, n_hi + 2):
         if n >= 1:
             over = tuple(
-                s for s in lang.iter_words(n, max_words) if sum(psi[k] for k in s) > budget
+                s for s in words(lang, n, max_words) if sum(psi[k] for k in s) > budget
             )
             if over:
                 exceed_levels.append(n)
                 exceed[n] = over
         if n <= n_hi:
             hits = []
-            for s in lang.iter_words(n + 1, max_words):
+            for s in words(lang, n + 1, max_words):
                 head = sum(psi[k] for k in s[:n])
                 if head <= budget < head + psi[s[n]]:
                     hits.append(s)

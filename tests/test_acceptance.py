@@ -25,6 +25,7 @@ from conftest import (
     sparse_sft,
     weights,
     word_cover_value,
+    words,
 )
 
 ALL = ip.SubsetSpec.whole_space()
@@ -113,7 +114,7 @@ def test_criterion_06_cover_dp_exactness():
         lam = rng.uniform(0.0, 1.2)
         N, D = rng.choice((1, 2)), 4
         if rng.random() < 0.4:
-            pool = lang.words(rng.choice((1, 2)))
+            pool = words(lang, rng.choice((1, 2)))
             z_words = sorted(pool)[: rng.randrange(1, len(pool) + 1)]
             Z = ip.SubsetSpec.cylinders(z_words)
         else:
@@ -154,7 +155,7 @@ def test_criterion_08_flow_duality_and_sandwich():
         D = rng.choice((5, 6, 7))
         N = rng.choice((1, 2, 3))
         if rng.random() < 0.3:
-            pool = lang.words(2)
+            pool = words(lang, 2)
             Z = ip.SubsetSpec.cylinders(sorted(pool)[: rng.randrange(1, len(pool) + 1)])
         else:
             Z = ALL

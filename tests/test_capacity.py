@@ -21,6 +21,7 @@ from conftest import (
     single_branch,
     spanning_sum,
     weights,
+    words,
 )
 
 LOG_GOLDEN = math.log((1 + math.sqrt(5)) / 2)
@@ -39,7 +40,7 @@ class TestSeparatedSum:
         oracle = math.log(
             math.fsum(
                 math.exp(sum({1: 0.0, 2: math.log(2)}[s] for s in word))
-                for word in lang.words(3)
+                for word in words(lang, 3)
             )
         )
         got = separated_sum(lang, w, 3)

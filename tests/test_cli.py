@@ -3,11 +3,12 @@
 import hashlib
 import json
 import math
+from fractions import Fraction
 
 import pytest
 
 import invpressure as ip
-from invpressure.cli import bundled_config_path, main, run
+from invpressure.cli import _fraction, bundled_config_path, main, run
 from invpressure.symbolic import MAX_DEPTH, MAX_GRID_POINTS
 
 BUNDLED = ("full-shift-3.json", "golden-mean.json", "affine-doubling.json")
@@ -94,6 +95,7 @@ MALFORMED = {
     "lambda-nan": {"command": "frostman", "phi": "ones", "lambda": "nan", "D": 6},
     "epsilon-nan": {"command": "sandwich", "phi": "ones", "lambda": "0.4", "epsilon": "nan"},
     "tol-nan": {"command": "bs-dim", "phi": "ones", "tol": "nan"},
+    "tol-integer-past-float": {"command": "bs-dim", "phi": "ones", "tol": 10**400},
 }
 
 FINITE_STATE = {
@@ -261,6 +263,44 @@ class TestExitCodes:
         path = write_config(tmp_path, cfg)
         assert main(["--config", path, "--out", str(tmp_path / "o")]) == 3
 
+    def test_integer_past_the_digit_limit_is_2(self, tmp_path, capsys):
+        # Python 3.11+ refuses to parse a JSON integer of over 4300 digits
+        path = tmp_path / "cfg.json"
+        path.write_text('{"tol": ' + "1" * 5000 + "}", encoding="utf-8")
+        assert main(["--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.count("\n") == 1
+
+    @pytest.mark.parametrize("value", ["1e-1001", "1e-1000000000", "1E+1000000000", "-2e1001"])
+    def test_exponent_above_the_cap_is_2(self, tmp_path, capsys, value):
+        # refused before Fraction parses it, in a time that grows faster than the exponent
+        cfg = load("affine-doubling.json")
+        cfg["system"]["contraction"] = value
+        assert main(["--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: contraction: exponent of ")
+        assert err.count("\n") == 1
+
+    def test_exponent_at_the_cap_is_parsed(self):
+        assert _fraction("5e-1000", "x") == Fraction(5, 10**1000)
+        assert _fraction("-1.5E+1000", "x") == -15 * 10**999
+
+    @pytest.mark.parametrize(
+        "prefix", ["../escaped", "a/b", "a\\b", "a\0b", "", ".", "..", ["a"], 5, None]
+    )
+    def test_prefix_that_is_not_a_file_name_is_2(self, tmp_path, capsys, prefix):
+        cfg = load("golden-mean.json")
+        cfg["output"]["prefix"] = prefix
+        out = tmp_path / "runs" / "o"
+        assert main(["--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: output.prefix: ") and err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["cfg.json"]
+
+    def test_prefix_with_dots_inside_is_a_file_name(self, tmp_path):
+        cfg = load("golden-mean.json")
+        cfg["output"]["prefix"] = "..run.1"
+        assert run(cfg, str(tmp_path))["outputs"] == ["..run.1.csv"]
+
     def test_math_precondition_is_4(self, tmp_path):
         cfg = load("golden-mean.json")
         cfg["control_range"]["potentials"]["scale"]["a"] = "-1.0"
@@ -358,6 +398,27 @@ class TestCommands:
         assert lines[0] == "candidate,estimate,gap,slack,within_upper_bound"
         names = {line.split(",")[0] for line in lines[1:]}
         assert {"max-entropy", "frostman"} <= names
+
+    def test_vp_check_honours_N(self, tmp_path):
+        cfg = load("golden-mean.json")
+        cfg["control_range"]["potentials"]["ones"] = {"a": "1.0", "b": "1.0"}
+        cfg["task"] = {
+            "command": "vp-check", "phi": "ones", "N": 2, "D": 8, "tol": "1e-6",
+            "candidates": [{"type": "parry", "name": "max-entropy"}],
+        }
+        manifest = run(cfg, str(tmp_path))
+        lang = ip.compile_sft([1, 2], [(1, 1), (1, 2), (2, 1)])
+        ones = ip.PerSymbolWeights({1: 1.0, 2: 1.0}, 1)
+        rep = ip.vp_check(
+            lang, ones, ip.SubsetSpec.whole_space(), [("max-entropy", ip.parry_measure(lang))],
+            8, 1e-6, N=2,
+        )
+        rows = [
+            f"{r.name},{r.value!r},{r.gap!r},{r.slack!r},{r.within_upper_bound}"
+            for r in rep.candidates
+        ]
+        assert (tmp_path / "golden_mean.csv").read_text().splitlines()[1:] == rows
+        assert manifest["info"]["dimension"] == rep.dimension
 
     def test_validate_on_finite_state_system(self, tmp_path):
         cfg = {

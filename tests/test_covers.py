@@ -24,6 +24,7 @@ from conftest import (
     sparse_sft,
     weights,
     word_cover_value,
+    words,
 )
 
 LOG_GOLDEN = math.log((1 + math.sqrt(5)) / 2)
@@ -74,7 +75,7 @@ class TestCoverValue:
             lam = rng.uniform(-0.5, 1.5)
             N = rng.choice((1, 2))
             Z = ALL if rng.random() < 0.5 else ip.SubsetSpec.cylinders(
-                [wd for wd in lang.words(2)[: rng.randrange(1, 3)]]
+                [wd for wd in words(lang, 2)[: rng.randrange(1, 3)]]
             )
             a = ip.cover_value(lang, w, Z, lam, N, 6)
             b = word_cover_value(lang, w, Z, lam, N, 6)
@@ -103,8 +104,8 @@ class TestBruteForceExactness:
             N = rng.choice((1, 2))
             D = 4
             if rng.random() < 0.4:
-                words = lang.words(rng.choice((1, 2)))
-                z_words = sorted(words)[: rng.randrange(1, len(words) + 1)]
+                pool = words(lang, rng.choice((1, 2)))
+                z_words = sorted(pool)[: rng.randrange(1, len(pool) + 1)]
                 Z = ip.SubsetSpec.cylinders(z_words)
             else:
                 z_words, Z = None, ALL
@@ -247,7 +248,7 @@ class TestCoverSolution:
             for b in sol.words:
                 if a != b:
                     assert a[: len(b)] != b and b[: len(a)] != a
-        for leaf in lang.words(5):
+        for leaf in words(lang, 5):
             assert any(leaf[: len(word)] == word for word in sol.words)
 
 
@@ -269,8 +270,8 @@ class TestWeightedCoverAndFrostman:
             lam = rng.uniform(0.1, 1.0)
             N = rng.choice((1, 2))
             if rng.random() < 0.5:
-                words = lang.words(2)
-                z_words = sorted(words)[: rng.randrange(1, len(words) + 1)]
+                pool = words(lang, 2)
+                z_words = sorted(pool)[: rng.randrange(1, len(pool) + 1)]
                 Z = ip.SubsetSpec.cylinders(z_words)
             else:
                 z_words, Z = None, ALL
@@ -300,7 +301,7 @@ class TestWeightedCoverAndFrostman:
         for word, mass in parry.masses.items():
             assert abs(mu.mass(word) - mass) <= 0.01
         for n in range(1, 6):
-            for word in lang.words(n):
+            for word in words(lang, n):
                 base = mu.mass(word)
                 for nxt in lang.successors(word[-1]):
                     got = mu.mass(word + (nxt,)) / base
@@ -468,7 +469,7 @@ class TestSearchesOnOneGraph:
 
     def test_bs_dimension_expands_each_unit_once(self, rng):
         lang = random_itinerary(rng, 14, 3)
-        Z = ip.SubsetSpec.cylinders(lang.words(2)[:2])
+        Z = ip.SubsetSpec.cylinders(words(lang, 2)[:2])
         calls = []
         expand = lang.unit_successors
         lang.unit_successors = lambda unit: calls.append(unit) or expand(unit)
@@ -477,13 +478,28 @@ class TestSearchesOnOneGraph:
         ip.bs_dimension(lang, w, ALL, 1e-6, 1, 10)
         assert calls and len(calls) == len(set(calls))
 
+    def test_one_cover_graph_per_language_target_and_depth(self, monkeypatch):
+        compiled = []
+        graph_class = covers._CoverGraph
+        monkeypatch.setattr(
+            covers, "_CoverGraph", lambda *args: compiled.append(args) or graph_class(*args)
+        )
+        lang, w = golden_mean(), weights({1: 1.0, 2: 2.0})
+        ip.bs_dimension(lang, w, ALL, 1e-6, 1, 10)  # the root search and its jump
+        ip.sandwich_check(lang, w, ALL, 0.4, 0.1, 1, 10)
+        ip.frostman_measure(lang, w, ALL, 0.4, 1, 10)
+        assert len(compiled) == 1
+        ip.bs_jump(lang, w, ALL, 1, 9)
+        ip.bs_jump(golden_mean(), w, ALL, 1, 10)
+        assert len(compiled) == 3
+
     def test_read_outs_match_word_route(self, rng):
         for trial in range(10):
             lang = sparse_sft(rng, 3) if trial % 2 else random_itinerary(rng, 10, 3)
             w = random_weights(rng, lang, 0.3, 1.5)
             lam, N, D = rng.uniform(0.1, 1.0), rng.choice((1, 2)), 6
             Z = ALL if trial % 3 == 0 else ip.SubsetSpec.cylinders(
-                lang.words(2)[: rng.randrange(1, 3)]
+                words(lang, 2)[: rng.randrange(1, 3)]
             )
             sol = ip.cover_solution(lang, w, Z, lam, N, D)
             assert sol.cost == pytest.approx(word_cover_value(lang, w, Z, lam, N, D), rel=1e-12)
@@ -513,7 +529,7 @@ class TestCoverTablePass:
                 lang = sparse_sft(rng, 4)
             else:
                 lang = random_itinerary(rng, 12, 3)
-            Z = ALL if trial % 2 else ip.SubsetSpec.cylinders(lang.words(2)[: rng.randrange(1, 4)])
+            Z = ALL if trial % 2 else ip.SubsetSpec.cylinders(words(lang, 2)[: rng.randrange(1, 4)])
             D = rng.randrange(3, 9)
             N = rng.randrange(1, D + 1)
             graph = covers._CoverGraph(lang, Z, D)
@@ -525,6 +541,12 @@ class TestCoverTablePass:
             assert _bits(table.rel) == _bits(rel) and _bits(table.alpha) == _bits(alpha)
             arities.update(min(len(kids), 3) for layer in graph.layers for kids in layer)
         assert arities == {1, 2, 3}
+
+    def test_head_adds_a_word_left_to_right(self):
+        # the built-in sum rounds 0.1 + 0.2 + 0.3 to 0.6 on Python 3.12
+        Z = ip.SubsetSpec.cylinders([(1, 2, 3)])
+        table = covers._CoverTable(covers._CoverGraph(full_shift(3), Z, 4), [0.1, 0.2, 0.3], 1)
+        assert table.head.hex() == ((0.1 + 0.2) + 0.3).hex()
 
     def test_hand_built_layers(self, rng):
         # dead ends and infinite steps never come out of a compiled language

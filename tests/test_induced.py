@@ -1,6 +1,7 @@
 """Induced (time-budget) sums, level sets, and the boundedness scan."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from conftest import (
     random_sft,
     random_weights,
     weights,
+    words,
 )
 
 
@@ -31,7 +33,7 @@ def brute_induced_log_sum(lang, w_phi, w_psi, T):
     total = 0.0
     for n in range(0, n_hi + 1):
         prefixes = set()
-        for word in lang.words(n + 1):
+        for word in words(lang, n + 1):
             head = sum(psi[s] for s in word[:n])
             if head <= budget < head + psi[word[n]]:
                 prefixes.add(word[:n])
@@ -192,7 +194,7 @@ class TestBookkeepingIndex:
         for _ in range(50):
             lang = random_sft(rng, 3)
             w_psi = random_weights(rng, lang, 0.5, 2.0)
-            word = rng.choice(lang.words(rng.randrange(1, 7)))
+            word = rng.choice(words(lang, rng.randrange(1, 7)))
             m = ip.bookkeeping_index(word, w_psi)
             unit = w_psi.rate_max() * w_psi.tau
             total = sum(w_psi[s] for s in word)
@@ -204,7 +206,7 @@ class TestBookkeepingIndex:
         for _ in range(50):
             lang = random_sft(rng, 3)
             w_psi = random_weights(rng, lang, 0.5, 2.0)
-            word = rng.choice(lang.words(rng.randrange(1, 7)))
+            word = rng.choice(words(lang, rng.randrange(1, 7)))
             beta = rng.uniform(-2, 2)
             unit = w_psi.rate_max() * w_psi.tau
             m = ip.bookkeeping_index(word, w_psi)
@@ -320,13 +322,11 @@ class TestCharacterization:
         beta, T = 0.7, 3.0
         budget = T * w_psi.tau
         n_cap = math.floor(budget / min(w_psi.weights.values())) + 1 + 14
-        res = ip.characterization_sum(
-            lang, w_phi, w_psi, beta, T, n_cap=n_cap, include_partial=True
-        )
+        res = ip.characterization_sum(lang, w_phi, w_psi, beta, T, n_cap=n_cap)
         terms = [
             math.exp(sum(w_phi[s] - beta * w_psi[s] for s in word))
             for n in range(1, n_cap + 1)
-            for word in lang.words(n)
+            for word in words(lang, n)
             if sum(w_psi[s] for s in word) > budget
         ]
         assert res.partial_log_sum == pytest.approx(math.log(math.fsum(terms)), rel=1e-12)
@@ -341,15 +341,17 @@ class TestCharacterization:
         direct = math.log(math.fsum((2 / math.e) ** n for n in range(4, res.n_cap + 1)))
         assert res.partial_log_sum == pytest.approx(direct, rel=1e-12)
 
-    def test_partial_sum_cell_guard(self):
+    def test_partial_sum_cell_guard(self, monkeypatch):
         lang = full_shift(2)
         w0 = const_weights(lang, 0.0)
         w_psi = weights({1: 1.0, 2: 1.4142})
-        ip.characterization_sum(lang, w0, w_psi, 1.0, 6.0, max_cells=8)  # see test_cell_guard
+        full = ip.characterization_sum(lang, w0, w_psi, 1.0, 6.0, max_cells=8)  # see test_cell_guard
         with pytest.raises(ip.GuardError):
             ip.characterization_sum(lang, w0, w_psi, 1.0, 6.0, max_cells=7)
         # the verdict alone never walks the cells
-        ip.characterization_sum(lang, w0, w_psi, 1.0, 6.0, include_partial=False, max_cells=0)
+        monkeypatch.setattr(induced, "_budget_walk", None)
+        [verdict] = ip.characterization_scan(lang, w0, w_psi, [1.0], 6.0)
+        assert verdict == replace(full, partial_log_sum=None)
 
     def test_scan_flip_brackets_pressure(self):
         lang = full_shift(2)
@@ -376,10 +378,9 @@ class TestCharacterization:
             betas = [rng.uniform(-1.0, 3.0) for _ in range(9)]
             results = ip.characterization_scan(lang, w_phi, w_psi, betas, 4.0)
             for beta, res in zip(betas, results):
-                single = ip.characterization_sum(
-                    lang, w_phi, w_psi, beta, 4.0, include_partial=False
-                )
-                assert res == single
+                assert ip.characterization_scan(lang, w_phi, w_psi, [beta], 4.0) == [res]
+                single = ip.characterization_sum(lang, w_phi, w_psi, beta, 4.0)
+                assert res == replace(single, partial_log_sum=None)
 
     def test_empty_grid(self):
         lang = golden_mean()

@@ -18,6 +18,7 @@ from conftest import (
     reference_lower_bs,
     reference_prefix_masses,
     weights,
+    words,
 )
 
 ALL = ip.SubsetSpec.whole_space()
@@ -79,7 +80,7 @@ class TestCylinderMasses:
         lang = golden_mean()
         mu = ip.cylinder_masses(ip.parry_measure(lang), lang, 6)
         for n in range(1, 6):
-            for word in lang.words(n):
+            for word in words(lang, n):
                 kids = math.fsum(
                     mu.mass(word + (nxt,)) for nxt in lang.successors(word[-1])
                 )
@@ -100,7 +101,7 @@ class TestCylinderMasses:
         lang = ip.itinerary_language(sys, ip.PartitionSpec(1, {1: ("u",), 2: ("u",)}))
         parry = ip.parry_measure(golden_mean())
         mu = ip.cylinder_masses(parry, lang, D)
-        assert set(mu.masses) == set(lang.words(D)) == set(golden_mean().words(D))
+        assert set(mu.masses) == set(words(lang, D)) == set(words(golden_mean(), D))
         for word, m in mu.masses.items():
             chain = parry.stationary[word[0] - 1]
             for a, b in zip(word, word[1:]):
@@ -188,7 +189,7 @@ class TestPrefixTrie:
             # the walks' orders, which the prefix masses are summed in
             assert list(parry.masses) == sorted(parry.masses, reverse=True)
             _check_against_prefix_reference(parry, w, rng.randrange(1, 4))
-            Z = ALL if trial % 2 else ip.SubsetSpec.cylinders(lang.words(2)[:2])
+            Z = ALL if trial % 2 else ip.SubsetSpec.cylinders(words(lang, 2)[:2])
             fw = ip.frostman_measure(lang, w, Z, rng.uniform(0.2, 0.8), 1, D)
             assert list(fw.masses) == sorted(fw.masses)
             _check_against_prefix_reference(ip.frostman_cylinder_measure(lang, fw), w)
@@ -202,7 +203,7 @@ class TestPrefixTrie:
         for trial in range(4):
             lang = random_itinerary(rng, 14, 3)
             w = random_weights(rng, lang, 0.3, 1.5)
-            Z = ALL if trial % 2 else ip.SubsetSpec.cylinders(lang.words(2)[:1])
+            Z = ALL if trial % 2 else ip.SubsetSpec.cylinders(words(lang, 2)[:1])
             fw = ip.frostman_measure(lang, w, Z, rng.uniform(0.2, 0.8), 1, rng.randrange(4, 9))
             _check_against_prefix_reference(ip.frostman_cylinder_measure(lang, fw), w, 2)
 

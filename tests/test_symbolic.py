@@ -8,7 +8,7 @@ import pytest
 
 import invpressure as ip
 from invpressure.symbolic import NEG_INF, logsumexp
-from conftest import brute_words, full_shift, golden_mean, random_sft, single_branch
+from conftest import brute_words, full_shift, golden_mean, random_sft, single_branch, words
 
 
 def make_range(tau_words, potentials):
@@ -52,11 +52,11 @@ class TestDeriveSymbolWeights:
 class TestEnumerateWords:
     def test_full_3_shift_n4(self):
         lang = full_shift(3)
-        assert len(lang.words(4)) == 81
+        assert len(words(lang, 4)) == 81
 
     def test_golden_mean_n3_exact_set(self):
         lang = golden_mean()
-        got = set(lang.words(3))
+        got = set(words(lang, 3))
         assert got == brute_words(lang, 3)
         assert got == {(1, 1, 1), (1, 1, 2), (1, 2, 1), (2, 1, 1), (2, 1, 2)}
 
@@ -64,11 +64,11 @@ class TestEnumerateWords:
         sys = ip.FiniteStateSystem(("x",), {("x", "u"): "x"}, ("x",), {"x": 1})
         spec = ip.PartitionSpec(1, {1: ("u",)})
         lang = ip.itinerary_language(sys, spec)
-        assert lang.words(5) == [(1, 1, 1, 1, 1)]
+        assert words(lang, 5) == [(1, 1, 1, 1, 1)]
 
     def test_enumeration_guard(self):
         with pytest.raises(ip.GuardError):
-            full_shift(3).words(10, max_words=100)
+            words(full_shift(3), 10, max_words=100)
 
 
 class TestWordWeight:
@@ -126,13 +126,13 @@ class TestCylinderTree:
         for lang in (full_shift(3), golden_mean(), single_branch()):
             tree = ip.build_cylinder_tree(lang, [], 1)
             assert sorted(n.word for n in tree.nodes()) == [(s,) for s in sorted(
-                w[0] for w in lang.words(1))]
+                w[0] for w in words(lang, 1))]
 
     def test_level_counts_match_language(self, rng):
         for lang in (golden_mean(), random_sft(rng, 3)):
             tree = ip.build_cylinder_tree(lang, [], 5)
             for n in range(1, 6):
-                assert len(tree.level(n)) == len(lang.words(n))
+                assert len(tree.level(n)) == len(words(lang, n))
 
     def test_cumulative_weights_match_word_weight(self, rng):
         lang = random_sft(rng, 3)
@@ -188,16 +188,16 @@ class TestLanguageInvariants:
     def test_factoriality(self, rng):
         for lang in self.langs(rng):
             for n in range(2, 6):
-                lower = set(lang.words(n - 1))
-                for w in lang.words(n):
+                lower = set(words(lang, n - 1))
+                for w in words(lang, n):
                     assert w[:-1] in lower
                     assert w[1:] in lower
 
     def test_extension(self, rng):
         for lang in self.langs(rng):
             for n in range(1, 5):
-                longer = {w[:-1] for w in lang.words(n + 1)}
-                for w in lang.words(n):
+                longer = {w[:-1] for w in words(lang, n + 1)}
+                for w in words(lang, n):
                     assert w in longer
 
 

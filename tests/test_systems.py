@@ -5,7 +5,13 @@ from fractions import Fraction
 import pytest
 
 import invpressure as ip
-from conftest import brute_words, full_shift, random_finite_state, reference_partition_walk
+from conftest import (
+    brute_words,
+    full_shift,
+    random_finite_state,
+    reference_partition_walk,
+    words,
+)
 
 
 def affine_halving(interval=("0", "1")):
@@ -82,11 +88,11 @@ class TestFiniteState:
         sys = ip.FiniteStateSystem(("x",), {("x", "u"): "x"}, ("x",), {"x": 1})
         lang = ip.itinerary_language(sys, ip.PartitionSpec(1, {1: ("u",)}))
         for n in range(1, 7):
-            assert len(lang.words(n)) == 1
+            assert len(words(lang, n)) == 1
 
     def test_two_cycle_alternating_words(self):
         lang = ip.itinerary_language(two_cycle_system(), ip.PartitionSpec(1, {1: ("u",), 2: ("u",)}))
-        assert set(lang.words(3)) == {(1, 2, 1), (2, 1, 2)}
+        assert set(words(lang, 3)) == {(1, 2, 1), (2, 1, 2)}
 
     def test_fixed_point_plus_two_cycle(self):
         sys = ip.FiniteStateSystem(
@@ -96,7 +102,7 @@ class TestFiniteState:
             {"f": 1, "a": 2, "b": 3},
         )
         lang = ip.itinerary_language(sys, ip.PartitionSpec(1, {1: ("u",), 2: ("u",), 3: ("u",)}))
-        assert len(lang.words(4)) == 3
+        assert len(words(lang, 4)) == 3
 
     def test_word_count_bounded_by_states(self):
         sys = ip.FiniteStateSystem(
@@ -106,7 +112,7 @@ class TestFiniteState:
             {"a": 1, "b": 1, "c": 2, "d": 2},
         )
         lang = ip.itinerary_language(sys, ip.PartitionSpec(1, {1: ("u",), 2: ("u",)}))
-        counts = [len(lang.words(n)) for n in range(1, 9)]
+        counts = [len(words(lang, n)) for n in range(1, 9)]
         assert all(c <= 4 for c in counts)
         assert all(c2 <= c1 * 2 for c1, c2 in zip(counts, counts[1:]))
 
@@ -163,15 +169,15 @@ class TestCompileSft:
     def test_full_relation_counts(self):
         lang = full_shift(3)
         for n in range(1, 6):
-            assert len(lang.words(n)) == 3**n
+            assert len(words(lang, n)) == 3**n
 
     def test_golden_mean_fibonacci_recurrence(self):
         lang = ip.compile_sft([1, 2], [(1, 1), (1, 2), (2, 1)])
-        counts = [len(lang.words(n)) for n in range(1, 13)]
+        counts = [len(words(lang, n)) for n in range(1, 13)]
         assert counts[:3] == [2, 3, 5]
         for a, b, c in zip(counts, counts[1:], counts[2:]):
             assert c == a + b
-        assert set(lang.words(4)) == brute_words(lang, 4)
+        assert set(words(lang, 4)) == brute_words(lang, 4)
 
     def test_missing_out_edge_rejected(self):
         with pytest.raises(ip.PreconditionError):
