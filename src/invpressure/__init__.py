@@ -49,7 +49,6 @@ from .covers import (
     CoverSolution,
     FrostmanWeights,
     JumpEstimate,
-    PpPressure,
     SandwichReport,
     SubsetSpec,
     bs_cover_value,

@@ -6,8 +6,8 @@ against the system/partition/potentials described by the config.  All reals
 in configs are decimal strings; CSV output is UTF-8 with header row and LF
 line endings, and re-running a config byte-reproduces it.
 
-Exit codes: 0 success, 2 config/schema errors, 3 resource-guard trips,
-4 mathematical precondition failures.
+Exit codes: 0 success, 2 config/schema errors or an unusable output path,
+3 resource-guard trips, 4 mathematical precondition failures.
 """
 
 from __future__ import annotations
@@ -262,6 +262,10 @@ class Run:
             return SubsetSpec.cylinders(words)
         raise ConfigError(f"unknown subset variant {block.get('variant')!r}")
 
+    def cover_task(self) -> tuple:
+        """The cover commands' shared keys, read in this order: the weight, the subset, N and D."""
+        return self.weights("phi"), self.subset(), self.task_int("N", 1), self.task_depth("D", 12)
+
     def word_labels(self, words) -> list[str]:
         """Each word's symbols joined by '-', through one str per symbol of the run."""
         label = {s: str(s) for s in self.lang.symbols}.__getitem__
@@ -368,15 +372,12 @@ class Run:
         return {"characterize": (["beta", "verdict", "growth_rate"], rows)}
 
     def _cmd_pp_pressure(self):
-        w = self.weights("phi")
-        Z = self.subset()
-        N = self.task_int("N", 1)
-        D = self.task_depth("D", 12)
+        w, Z, N, D = self.cover_task()
         tol = _real(self.task.get("tol", "1e-9"), "tol")
         res = pp_pressure(self.lang, w, Z, N, D, tol)
-        self.info["critical"] = res.value
-        sol = cover_solution(self.lang, w, Z, res.value, N, D, self.max_nodes)
-        summary = [[_fmt(res.value), _fmt(res.value_below), _fmt(res.value_above), res.iterations]]
+        self.info["critical"] = crit = res.critical
+        sol = cover_solution(self.lang, w, Z, crit, N, D, self.max_nodes)
+        summary = [[_fmt(crit), _fmt(res.value_below), _fmt(res.value_above), res.iterations]]
         cover_rows = [[label, repr(c)] for label, c in zip(self.word_labels(sol.words), sol.costs)]
         return {
             "pp_pressure": (["critical", "value_below", "value_above", "iterations"], summary),
@@ -384,11 +385,9 @@ class Run:
         }
 
     def _cmd_bs_dim(self):
-        w = self.weights("phi")
-        Z = self.subset()
-        D = self.task_depth("D", 12)
+        w, Z, N, D = self.cover_task()
         tol = _real(self.task.get("tol", "1e-6"), "tol")
-        res = bs_dimension(self.lang, w, Z, tol, self.task_int("N", 1), D)
+        res = bs_dimension(self.lang, w, Z, tol, N, D)
         self.info["dimension"] = res.value
         header = ["value", "residual", "error_bound", "jump_critical", "root_jump_gap"]
         row = [
@@ -398,11 +397,8 @@ class Run:
         return {"bs_dim": (header, [row])}
 
     def _cmd_frostman(self):
-        w = self.weights("phi")
-        Z = self.subset()
+        w, Z, N, D = self.cover_task()
         lam = _real(_require(self.task, "lambda", "task"), "lambda")
-        N = self.task_int("N", 1)
-        D = self.task_depth("D", 12)
         fw = frostman_measure(self.lang, w, Z, lam, N, D, self.max_nodes)
         self.info["total"] = fw.total
         leaves = sorted(fw.masses.items())
@@ -411,13 +407,10 @@ class Run:
         return {"frostman": (["word", "mass"], rows)}
 
     def _cmd_sandwich(self):
-        w = self.weights("phi")
-        Z = self.subset()
+        w, Z, N, D = self.cover_task()
         lam = _real(_require(self.task, "lambda", "task"), "lambda")
         eps = _real(_require(self.task, "epsilon", "task"), "epsilon")
-        rep = sandwich_check(
-            self.lang, w, Z, lam, eps, self.task_int("N", 1), self.task_depth("D", 12)
-        )
+        rep = sandwich_check(self.lang, w, Z, lam, eps, N, D)
         self.info["holds"] = rep.holds
         header = ["lambda", "epsilon", "r_at_lam_plus_eps", "w_at_lam", "r_at_lam", "holds"]
         row = [
@@ -427,10 +420,7 @@ class Run:
         return {"sandwich": (header, [row])}
 
     def _cmd_vp_check(self):
-        w = self.weights("phi")
-        K = self.subset()
-        N = self.task_int("N", 1)
-        D = self.task_depth("D", 12)
+        w, K, N, D = self.cover_task()
         tol = _real(self.task.get("tol", "1e-6"), "tol")
         cands = []
         for blk in _optional(self.task, "candidates", "task", list, []):
@@ -440,8 +430,11 @@ class Run:
                 probs = _require(blk, "p", "candidate", list)
                 mu = bernoulli_measure(self.lang, [_real(p, "p") for p in probs])
             elif kind == "markov":
+                q = len(self.lang.symbols)
                 P = _require(blk, "P", "candidate", list)
                 P = [[_real(x, "P") for x in _typed(row, list, "P row")] for row in P]
+                if len(P) != q or any(len(row) != q for row in P):
+                    raise ConfigError(f"candidate.P: expected {q} rows of {q} reals")
                 mu = markov_measure(self.lang, P)
             elif kind == "parry":
                 mu = parry_measure(self.lang)
@@ -467,13 +460,20 @@ def _write_artifact(path: str, text: str) -> None:
     earlier run's directory.
     """
     tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
     try:
-        os.unlink(path)
-    except FileNotFoundError:
-        pass
-    os.rename(tmp, path)
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        try:
+            os.unlink(path)
+        except FileNotFoundError:
+            pass
+        os.rename(tmp, path)
+    except OSError:
+        try:
+            os.unlink(tmp)
+        except OSError:  # never made, or not a file
+            pass
+        raise
 
 
 def run(config: dict, out_dir: str, force_guards: bool = False, threads: int = 1) -> dict:
@@ -543,6 +543,9 @@ def main(argv: list[str] | None = None) -> int:
     except PreconditionError as e:
         print(f"precondition failed: {e}", file=sys.stderr)
         return 4
+    except OSError as e:  # the task does no I/O: this is from writing the output
+        print(f"error: cannot write output: {e}", file=sys.stderr)
+        return 2
     print(json.dumps({k: manifest[k] for k in ("command", "outputs", "info")}, default=str))
     return 0
 

@@ -5,7 +5,10 @@ by cylinders with depths in [N, D].  Finite resolution D replaces countable
 families: reported values are exact for the truncated problem and monotone
 in D.  On the laminar cylinder family the fractional cover optimum equals
 the antichain optimum (min-cut on a tree), and the max-flow that certifies
-it doubles as the Frostman-type measure.
+it doubles as the Frostman-type measure.  The target set decides whether a
+cylinder lies in it by ``SubsetSpec.contains``, one set lookup per distinct
+length of its words; the normalization of its word list and the measures'
+support tests use that one rule.
 
 One unit-factored table computes that min-cut: the optimal cost below a
 cylinder, relative to its own, depends only on the cylinder's continuation
@@ -15,6 +18,8 @@ target words' trie, and lists the nodes live at each depth.  It is compiled
 once per language: ``_cover_graph`` keeps it on the language, next to its
 unit walk, keyed by (target, D), so a search, the read-outs after it and every
 table of a sandwich share one graph, and no reader may mutate its lists.
+Every cost law is exp(length_coeff*depth + weight_coeff*weight(s)), and
+``_steps`` alone turns one into per-symbol log steps.
 ``_CoverTable`` evaluates one cost law on it by an iterative backward pass
 over those depths, one log-sum-exp per node with no function call: a node
 with one child takes the child's value as is, one with two children the
@@ -31,19 +36,23 @@ which the truncated optimum crosses 1, found by the package's one
 bracketing driver (``capacity._find_root``: ITP steps inside a sign-checked
 bracket, guessing by one-sided secants, which close in on the kink the
 log optimum has at its jump), with every evaluation on one compiled graph.
+``_jump_estimate`` is the one read-out of a jump, for ``pp_pressure`` and
+``bs_jump``: the search, then the cover values just below and above its
+final bracket.
 For cylinder-presented targets the crossing is measured relative to the target
 words' own cover cost, which removes the fixed head prefactor and makes the
 detector track the subtree jump (the whole-space case keeps the literal
 threshold 1).  ``bs_dimension`` solves its Bowen equation with the same
 driver, starting each inner jump search from the bracket that the slope
-bounds give around the points it has already evaluated.
+bounds give around the points it has already evaluated, and certifies its
+root by ``capacity._certified_root``, as ``bowen_root`` does.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from operator import add
 from typing import Mapping, Sequence
 
@@ -56,7 +65,7 @@ from .symbolic import (
     logsumexp,
     zero_weights,
 )
-from .capacity import RootCertificate, _find_root
+from .capacity import RootCertificate, _certified_root, _find_root
 
 
 @dataclass(frozen=True)
@@ -75,12 +84,25 @@ class SubsetSpec:
 
     @staticmethod
     def cylinders(words: Sequence[Sequence[int]]) -> "SubsetSpec":
-        uniq = sorted({tuple(w) for w in words}, key=lambda w: (len(w), w))
-        kept: list[tuple[int, ...]] = []
-        for w in uniq:
-            if not any(w[: len(p)] == p for p in kept):
-                kept.append(w)
-        return SubsetSpec(tuple(sorted(kept)))
+        listed = SubsetSpec(tuple({tuple(w) for w in words}))
+        # a word is redundant when a listed word is a proper prefix of it
+        return SubsetSpec(
+            tuple(sorted(w for w in listed.words if not (w and listed.contains(w[:-1]))))
+        )
+
+    @cached_property
+    def _lookup(self) -> tuple[frozenset, list[int]]:
+        return frozenset(self.words), sorted({len(w) for w in self.words})
+
+    def contains(self, word: tuple[int, ...]) -> bool:
+        """Whether the cylinder of ``word`` lies in the set: a listed word is a prefix of it.
+
+        One set lookup per distinct length of the listed words.
+        """
+        if self.words is None:
+            return True
+        listed, lengths = self._lookup
+        return any(word[:n] in listed for n in lengths)
 
     @property
     def is_whole_space(self) -> bool:
@@ -247,6 +269,11 @@ class _CoverTable:
         return logsumexp([reduce(add, map(self.step.__getitem__, w)) for w in self.graph.targets])
 
 
+def _steps(wts: Sequence[float], length_coeff: float, weight_coeff: float) -> list[float]:
+    """Per-symbol log steps of the cost law exp(length_coeff*depth + weight_coeff*weight(s))."""
+    return [length_coeff + weight_coeff * w for w in wts]
+
+
 def _table(
     lang: WordLanguage,
     weights: PerSymbolWeights,
@@ -257,8 +284,8 @@ def _table(
     D: int,
 ) -> _CoverTable:
     """The cover table of cost law exp(length_coeff*depth + weight_coeff*weight(s))."""
-    step = [length_coeff + weight_coeff * weights[s] for s in lang.symbols]
-    return _CoverTable(_cover_graph(lang, Z, D), step, N)
+    wts = [weights[s] for s in lang.symbols]
+    return _CoverTable(_cover_graph(lang, Z, D), _steps(wts, length_coeff, weight_coeff), N)
 
 
 def cover_value(
@@ -364,9 +391,9 @@ def _detect_depth(Z: SubsetSpec, N: int, D: int) -> int:
 def _jump(graph: _CoverGraph, steps, n_detect: int, lo: float, hi: float, tol: float):
     """Sign change of the head-normalized optimum of the cost law lam -> steps(lam).
 
-    Returns (critical, steps taken, final bracket).  The search stops once
-    the bracket is at most ``tol`` wide, and the critical value is its upper
-    end, where the optimum was seen below the threshold.
+    Returns (lo, hi, steps taken): the final bracket, at most ``tol`` wide.
+    The critical value is its upper end, where the optimum was seen below
+    the threshold.
     """
 
     def detect(lam: float) -> float:
@@ -374,19 +401,28 @@ def _jump(graph: _CoverGraph, steps, n_detect: int, lo: float, hi: float, tol: f
         return table.total - table.head
 
     lo, hi, _, _, iters = _find_root(detect, lo, hi, 0.5 * tol)
-    return hi, iters, (lo, hi)
+    return lo, hi, iters
 
 
-@dataclass(frozen=True)
-class PpPressure:
-    """Critical time exponent of the lam-discounted cover sums."""
+def _jump_estimate(
+    lang: WordLanguage, Z: SubsetSpec, N: int, D: int, steps, lo: float, hi: float, tol: float
+) -> JumpEstimate:
+    """The jump of the cost law lam -> steps(lam) on (lang, Z, D), with its flanking values.
 
-    value: float
-    value_below: float
-    value_above: float
-    iterations: int
-    N: int
-    D: int
+    Detection ignores cover elements at or above the target words' own
+    depths, which is where the limit lives; the values just below and above
+    the final bracket are the optima at the least depth N.
+    """
+    n_detect = _detect_depth(Z, N, D)
+    graph = _cover_graph(lang, Z, D)
+    lo, hi, iters = _jump(graph, steps, n_detect, lo, hi, tol)
+    return JumpEstimate(
+        critical=hi,
+        value_below=math.exp(_CoverTable(graph, steps(lo - tol), N).total),
+        value_above=math.exp(_CoverTable(graph, steps(hi + tol), N).total),
+        iterations=iters,
+        bracket=(lo, hi),
+    )
 
 
 def pp_pressure(
@@ -396,32 +432,19 @@ def pp_pressure(
     N: int = 1,
     D: int = 12,
     tol: float = 1e-9,
-) -> PpPressure:
+) -> JumpEstimate:
     """Critical lambda of the cover sums with cost exp(-lam*n*tau + weight).
 
     Searches where the truncated optimum crosses the head-normalized
-    threshold; detection ignores cover elements at or above the target
-    words' own depths, which is where the limit lives.  Every evaluation
-    reads one compiled cover graph.  The value is the upper end of a final
-    bracket at most ``tol`` wide.
+    threshold, every evaluation on one compiled cover graph.  The critical
+    value is the upper end of a final bracket at most ``tol`` wide.
     """
     Z = Z or SubsetSpec.whole_space()
     if tol <= 0:
         raise PreconditionError("tol must be positive")
-    n_detect = _detect_depth(Z, N, D)
-    graph = _cover_graph(lang, Z, D)
     wts, tau = [weights[s] for s in lang.symbols], weights.tau
-    steps = lambda lam: [-lam * tau + w for w in wts]
     span = weights.rate_absmax() + math.log(max(2, len(lang.symbols))) / tau + 1.0
-    crit, iters, (lo, hi) = _jump(graph, steps, n_detect, -span, span, tol)
-    return PpPressure(
-        value=crit,
-        value_below=math.exp(_CoverTable(graph, steps(lo - tol), N).total),
-        value_above=math.exp(_CoverTable(graph, steps(hi + tol), N).total),
-        iterations=iters,
-        N=N,
-        D=D,
-    )
+    return _jump_estimate(lang, Z, N, D, lambda lam: _steps(wts, -lam * tau, 1.0), -span, span, tol)
 
 
 def bs_jump(
@@ -439,19 +462,9 @@ def bs_jump(
     """
     Z = Z or SubsetSpec.whole_space()
     weights.require_positive("dimension weight")
-    n_detect = _detect_depth(Z, N, D)
-    graph = _cover_graph(lang, Z, D)
     wts = [weights[s] for s in lang.symbols]
-    steps = lambda lam: [-lam * w for w in wts]
     hi0 = math.log(max(2, len(lang.symbols))) / (weights.tau * weights.rate_min()) + 1.0
-    crit, iters, (lo, hi) = _jump(graph, steps, n_detect, -1.0, hi0, tol)
-    return JumpEstimate(
-        critical=crit,
-        value_below=math.exp(_CoverTable(graph, steps(lo - tol), N).total),
-        value_above=math.exp(_CoverTable(graph, steps(hi + tol), N).total),
-        iterations=iters,
-        bracket=(lo, hi),
-    )
+    return _jump_estimate(lang, Z, N, D, lambda lam: _steps(wts, 0.0, -lam), -1.0, hi0, tol)
 
 
 @dataclass(frozen=True)
@@ -479,17 +492,16 @@ def bs_dimension(
 
     Phi decreases with slope in [-R, -r], where r and R are the least and
     largest rate of the weights.  So t* lies in [dim/R, dim/r], where dim =
-    Phi(0) is the zero-potential critical exponent, and ``_find_root``
-    checks and shrinks that bracket.  Each Phi(t) is a jump search at
-    tolerance inner = tol*min(1/16, r/2) on one compiled cover graph.  It starts from
-    the bracket that the same slope bounds give around the points already
-    evaluated, and ``_find_root`` checks and widens that bracket, so a
-    wrong hint costs steps, never accuracy.  An evaluated Phi(t) exceeds
-    the true one by at most inner, so (|residual| + inner)/r bounds the
-    root error.  The search stops once that bound is at most ``tol``, which
-    inner <= tol*r/2 keeps within reach.  The
-    direct weight-cost jump is computed alongside, as an independent search
-    on the same graph, and reported for agreement checks.
+    Phi(0) is the zero-potential critical exponent, and
+    ``capacity._certified_root`` checks and shrinks that bracket.  Each
+    Phi(t) is a jump search at tolerance inner = tol*min(1/16, r/2) on one
+    compiled cover graph.  It starts from the bracket that the same slope
+    bounds give around the points already evaluated, and ``_find_root``
+    checks and widens that bracket, so a wrong hint costs steps, never
+    accuracy.  An evaluated Phi(t) exceeds the true one by at most inner,
+    the certificate's err, and inner <= tol*r/2 keeps its stop rule within
+    reach.  The direct weight-cost jump is computed alongside, as an
+    independent search on the same graph, and reported for agreement checks.
     """
     Z = Z or SubsetSpec.whole_space()
     weights.require_positive("dimension weight")
@@ -503,8 +515,7 @@ def bs_dimension(
     seen: list[tuple[float, float]] = []  # (t, Phi(t)) evaluated so far
 
     def crit(t: float, lo: float, hi: float) -> float:
-        steps = lambda lam: [-lam * tau - t * w for w in wts]
-        c = _jump(graph, steps, n_detect, lo, hi, inner)[0]
+        c = _jump(graph, lambda lam: _steps(wts, -lam * tau, -t), n_detect, lo, hi, inner)[1]
         seen.append((t, c))
         return c
 
@@ -518,16 +529,9 @@ def bs_dimension(
 
     span = math.log(max(2, len(lang.symbols))) / tau + 1.0
     dim = crit(0.0, -span, span)
-    lo, hi, f_lo, f_hi, iters = _find_root(
-        phi,
-        (dim - inner) / big - tol,
-        (dim + inner) / r + tol,
-        0.25 * tol * r / big,
-        lambda t, res: (abs(res) + inner) / r <= tol,
-    )
-    t, res = (lo, f_lo) if abs(f_lo) <= abs(f_hi) else (hi, f_hi)
-    cert = RootCertificate(t, res, (abs(res) + inner) / r, (lo, hi), iters)
-    return BsDimension(t, cert, bs_jump(lang, weights, Z, N, D, inner))
+    lo, hi = (dim - inner) / big - tol, (dim + inner) / r + tol
+    cert = _certified_root(phi, lo, hi, tol, r, big, inner)
+    return BsDimension(cert.beta_hat, cert, bs_jump(lang, weights, Z, N, D, inner))
 
 
 # ---------------------------------------------------------------------------

@@ -73,17 +73,7 @@ class MarkovMeasure:
 
 def bernoulli_measure(lang: WordLanguage, probs: Sequence[float]) -> MarkovMeasure:
     """Product measure with the given symbol probabilities."""
-    syms = lang.symbols
-    if len(probs) != len(syms):
-        raise PreconditionError("one probability per symbol required")
-    p = np.asarray([float(x) for x in probs])
-    if not math.isclose(float(p.sum()), 1.0, abs_tol=1e-9):
-        raise PreconditionError("probabilities must sum to 1")
-    P = tuple(tuple(float(x) for x in p) for _ in syms)
-    mu = MarkovMeasure(syms, P, tuple(float(x) for x in p))
-    if isinstance(lang, SftLanguage):
-        mu.check_support(lang)
-    return mu
+    return markov_measure(lang, [probs] * len(lang.symbols), probs)
 
 
 def markov_measure(
@@ -92,6 +82,9 @@ def markov_measure(
     stationary: Sequence[float] | None = None,
 ) -> MarkovMeasure:
     """Markov chain from an explicit stochastic matrix (stationary vector solved if omitted)."""
+    q = len(lang.symbols)
+    if len(matrix) != q or any(len(row) != q for row in matrix):
+        raise PreconditionError(f"need {q} rows of {q} probabilities, one per symbol")
     P = np.asarray([[float(x) for x in row] for row in matrix])
     if stationary is None:
         eigvals, eigvecs = np.linalg.eig(P.T)
@@ -115,20 +108,20 @@ def parry_measure(lang: SftLanguage) -> MarkovMeasure:
     if not isinstance(lang, SftLanguage):
         raise PreconditionError("the max-entropy chain needs a transition relation")
     syms = lang.symbols
-    q = len(syms)
     A = lang.adjacency
     eigvals, eigvecs = np.linalg.eig(A)
     k = int(np.argmax(np.real(eigvals)))
     rho = float(np.real(eigvals[k]))
     v = np.abs(np.real(eigvecs[:, k]))
+    if not v.min() > 0.0:  # row a of P divides by v[a]
+        raise PreconditionError(
+            "the relation's Perron vector has a zero entry (the relation is reducible),"
+            " so its max-entropy chain is undefined"
+        )
     eigvals_l, eigvecs_l = np.linalg.eig(A.T)
     kl = int(np.argmax(np.real(eigvals_l)))
     u = np.abs(np.real(eigvecs_l[:, kl]))
-    P = np.zeros((q, q))
-    for a in range(q):
-        for b in range(q):
-            if A[a, b]:
-                P[a, b] = A[a, b] * v[b] / (rho * v[a])
+    P = A * v / (rho * v[:, None])
     pi = u * v
     pi = pi / pi.sum()
     return MarkovMeasure(syms, tuple(tuple(row) for row in P.tolist()), tuple(pi.tolist()))
@@ -181,22 +174,13 @@ class CylinderMeasure:
     def supported_on(self, Z: SubsetSpec) -> bool:
         if Z.is_whole_space:
             return True
-        words = Z.words or ()
-        for leaf, m in self.masses.items():
-            if m > 0.0 and not any(leaf[: len(z)] == z for z in words):
-                return False
-        return True
+        return all(Z.contains(leaf) for leaf, m in self.masses.items() if m > 0.0)
 
     def restricted_to(self, Z: SubsetSpec) -> "CylinderMeasure":
         """Conditional measure on Z (renormalized over the leaves under Z)."""
         if Z.is_whole_space:
             return self
-        words = Z.words or ()
-        kept = {
-            leaf: m
-            for leaf, m in self.masses.items()
-            if any(leaf[: len(z)] == z for z in words)
-        }
+        kept = {leaf: m for leaf, m in self.masses.items() if Z.contains(leaf)}
         total = math.fsum(kept.values())
         if total <= 0.0:
             raise PreconditionError("measure gives the target set zero mass")

@@ -306,6 +306,46 @@ class TestExitCodes:
         cfg["control_range"]["potentials"]["scale"]["a"] = "-1.0"
         assert main(["--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 4
 
+    @pytest.mark.parametrize(
+        "P", [[["0.5", "0.5", "0"]], [["0.5", "0.5"], ["1"]], [["0.5", "0.5"]] * 3]
+    )
+    def test_markov_candidate_not_q_by_q_is_2(self, tmp_path, capsys, P):
+        cfg = load("golden-mean.json")
+        cfg["task"] = {"command": "vp-check", "phi": "scale", "D": 6,
+                       "candidates": [{"type": "markov", "P": P}]}
+        assert main(["--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: candidate.P: expected 2 rows of 2 reals\n"
+
+    def test_parry_on_a_zero_perron_entry_is_4_in_one_line(self, tmp_path, capsys):
+        # 1->1, 1->2, 2->2: each Parry row would divide by the zero entry, and the
+        # suite turns that RuntimeWarning into an error
+        cfg = load("golden-mean.json")
+        cfg["system"]["transitions"] = [[1, 1], [1, 2], [2, 2]]
+        cfg["task"] = {"command": "vp-check", "phi": "scale", "D": 6,
+                       "candidates": [{"type": "parry"}]}
+        assert main(["--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("precondition failed: ") and "Perron vector" in err
+        assert err.count("\n") == 1
+
+    def test_out_naming_a_file_is_2(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("kept", encoding="utf-8")
+        path = bundled_config_path("golden-mean.json")
+        assert main(["--config", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write output: ") and err.count("\n") == 1
+        assert out.read_text(encoding="utf-8") == "kept"
+
+    def test_artifact_path_that_is_a_directory_is_2(self, tmp_path, capsys):
+        (tmp_path / "golden_mean.csv").mkdir()
+        path = bundled_config_path("golden-mean.json")
+        assert main(["--config", path, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write output: ") and err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["golden_mean.csv"]
+
 
 class TestCommands:
     def test_scan_rows_and_lipschitz(self, tmp_path):

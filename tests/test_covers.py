@@ -1,6 +1,8 @@
 """Cover optimization: outer sums, critical exponents, duality, Frostman flows."""
 
 import math
+import random
+import time
 from types import SimpleNamespace
 
 import pytest
@@ -29,6 +31,47 @@ from conftest import (
 
 LOG_GOLDEN = math.log((1 + math.sqrt(5)) / 2)
 ALL = ip.SubsetSpec.whole_space()
+
+
+def prefix_loop_cylinders(words):
+    """The antichain of the listed words by pairwise prefix tests (quadratic)."""
+    uniq = sorted({tuple(w) for w in words}, key=lambda w: (len(w), w))
+    kept = []
+    for w in uniq:
+        if not any(w[: len(p)] == p for p in kept):
+            kept.append(w)
+    return tuple(sorted(kept))
+
+
+class TestSubsetSpec:
+    def test_cylinders_against_the_prefix_loop(self, rng):
+        for _ in range(200):
+            pool = [
+                tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 5)))
+                for _ in range(rng.randint(0, 12))
+            ]
+            # duplicates, and extensions of words already listed
+            pool += [rng.choice(pool) + tuple(rng.randint(1, 3) for _ in range(rng.randint(0, 3)))
+                     for _ in range(rng.randint(0, 6)) if pool]
+            rng.shuffle(pool)
+            assert ip.SubsetSpec.cylinders(pool).words == prefix_loop_cylinders(pool)
+        assert ip.SubsetSpec.cylinders([(), (1,)]).words == ((),)
+
+    def test_cylinders_normalize_many_words_in_linear_time(self):
+        # the pairwise loop it replaced is quadratic: tens of seconds on these words
+        gen = random.Random(16)
+        pool = [tuple(gen.randint(1, 4) for _ in range(16)) for _ in range(20_000)]
+        start = time.perf_counter()
+        Z = ip.SubsetSpec.cylinders(pool)
+        assert time.perf_counter() - start < 2.0
+        assert Z.words == tuple(sorted(set(pool)))
+
+    def test_contains(self):
+        Z = ip.SubsetSpec.cylinders([(1, 2), (2,)])
+        assert [Z.contains(w) for w in [(1, 2), (1, 2, 1), (2, 1, 1), (1,), (1, 1, 2), ()]] == [
+            True, True, True, False, False, False,
+        ]
+        assert ALL.contains(()) and not ip.SubsetSpec.cylinders([]).contains((1,))
 
 
 class TestCoverValue:
@@ -122,13 +165,13 @@ class TestPpPressure:
     def test_full_2_shift(self):
         lang = full_shift(2)
         res = ip.pp_pressure(lang, const_weights(lang, 0.0), ALL, 1, 12, 1e-9)
-        assert res.value == pytest.approx(math.log(2), abs=5e-9)
+        assert res.critical == pytest.approx(math.log(2), abs=5e-9)
         assert res.value_below >= 1.0 >= res.value_above
 
     def test_constant_weight_shift(self):
         lang = full_shift(2)
         res = ip.pp_pressure(lang, const_weights(lang, 0.45), ALL, 1, 12, 1e-9)
-        assert res.value == pytest.approx(math.log(2) + 0.45, abs=5e-9)
+        assert res.critical == pytest.approx(math.log(2) + 0.45, abs=5e-9)
 
     def test_single_cylinder_subtree(self):
         lang = full_shift(2)
@@ -136,7 +179,7 @@ class TestPpPressure:
             res = ip.pp_pressure(
                 lang, const_weights(lang, 0.0), ip.SubsetSpec.cylinders([word]), 1, 12, 1e-9
             )
-            assert res.value == pytest.approx(math.log(2), abs=5e-9)
+            assert res.critical == pytest.approx(math.log(2), abs=5e-9)
 
     def test_golden_mean_kinked_jump_in_few_steps(self):
         # the detector has a kink at its root, where bisection takes 33 steps

@@ -114,6 +114,66 @@ class TestCylinderMasses:
             ip.CylinderMeasure(lang, 2, {(1, 1): 0.7})
 
 
+class TestMarkovConstruction:
+    @pytest.mark.parametrize(
+        "matrix", [[[0.5, 0.5, 0.0]], [[0.5, 0.5], [1.0]], [[1.0], [1.0]], [[0.5, 0.5]] * 3]
+    )
+    def test_matrix_must_be_q_by_q(self, matrix):
+        with pytest.raises(ip.PreconditionError, match="2 rows of 2 probabilities"):
+            ip.markov_measure(golden_mean(), matrix)
+
+    def test_bernoulli_is_the_chain_with_equal_rows(self):
+        lang = full_shift(3)
+        p = [0.2, 0.3, 0.5]
+        rows = (tuple(p),) * 3
+        assert ip.bernoulli_measure(lang, p) == ip.MarkovMeasure(lang.symbols, rows, tuple(p))
+        assert ip.bernoulli_measure(lang, p) == ip.markov_measure(lang, [p] * 3, p)
+        for bad in ([0.5, 0.5], [0.2, 0.3, 0.6], [-0.5, 1.0, 0.5]):
+            with pytest.raises(ip.PreconditionError):
+                ip.bernoulli_measure(lang, bad)
+
+    def test_parry_refuses_a_zero_in_the_perron_vector(self):
+        # 1->1, 1->2, 2->2: the Perron vector vanishes on symbol 1
+        lang = ip.compile_sft([1, 2], [(1, 1), (1, 2), (2, 2)])
+        # the suite turns RuntimeWarnings into errors, so a division by zero fails here
+        with pytest.raises(ip.PreconditionError, match="Perron vector has a zero entry"):
+            ip.parry_measure(lang)
+
+
+def reference_covers(Z, word):
+    return any(word[: len(z)] == z for z in Z.words)
+
+
+class TestTargetSupport:
+    def test_supported_on_and_restricted_to_against_tuple_slices(self, rng):
+        for trial in range(60):
+            lang = full_shift(3) if trial % 2 else random_sft(rng, 3)
+            D = rng.randint(1, 5)
+            pool = words(lang, D)
+            masses = {w: rng.choice([0.0, rng.random()]) for w in pool}
+            total = math.fsum(masses.values()) or 1.0
+            masses = {w: m / total for w, m in masses.items()}
+            if not math.isclose(math.fsum(masses.values()), 1.0):
+                continue
+            mu = ip.CylinderMeasure(lang, D, masses)
+            support = [w for w, m in masses.items() if m > 0.0]
+            picks = rng.sample(support, min(len(support), rng.randint(0, 3)))
+            Z = ip.SubsetSpec.cylinders(
+                [w[: rng.randint(1, D)] for w in picks]
+                + [tuple(rng.choice(lang.symbols) for _ in range(rng.randint(1, D))) for _ in range(2)]
+            )
+            supported = all(reference_covers(Z, w) for w in support)
+            assert mu.supported_on(Z) is supported
+            kept = {w: m for w, m in masses.items() if reference_covers(Z, w)}
+            mass = math.fsum(kept.values())
+            if mass <= 0.0:
+                with pytest.raises(ip.PreconditionError):
+                    mu.restricted_to(Z)
+            else:
+                assert mu.restricted_to(Z).masses == {w: m / mass for w, m in kept.items()}
+        assert mu.supported_on(ALL) and mu.restricted_to(ALL) is mu
+
+
 class TestLowerBsPressure:
     def test_fair_coin_attains_log2_exactly(self):
         lang = full_shift(2)
