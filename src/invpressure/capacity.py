@@ -235,8 +235,10 @@ def cycle_mean_pressure(lang: ItineraryLanguage, weights: PerSymbolWeights) -> f
     finitely many exponentials and the limit is the largest cycle mean of the
     symbol weights, divided by tau.
     """
+    if not isinstance(lang, ItineraryLanguage):
+        raise PreconditionError("cycle-mean pressure needs an itinerary language")
     best = NEG_INF
-    for cycle in lang.cycles():
+    for cycle in lang.cycles:
         mean = math.fsum(weights[lang.label[x]] for x in cycle) / len(cycle)
         best = max(best, mean / weights.tau)
     return best

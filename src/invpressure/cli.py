@@ -99,7 +99,7 @@ def _fraction(value, where: str) -> Fraction:
     try:
         if not e or abs(int(exponent)) <= MAX_EXPONENT:
             return Fraction(text)
-    except ValueError:
+    except (ValueError, ZeroDivisionError):  # ZeroDivisionError: "1/0"
         raise ConfigError(f"{where}: cannot parse rational {value!r}") from None
     raise ConfigError(f"{where}: exponent of {value!r} exceeds {MAX_EXPONENT} in magnitude")
 
@@ -244,6 +244,8 @@ class Run:
             if default_zero:
                 return zero_weights(self.partition.symbols, self.partition.tau)
             raise ConfigError(f"task: missing potential reference {key!r}")
+        if not isinstance(name, str):
+            raise ConfigError(f"task.{key}: expected a potential name, got {name!r}")
         if self.crange is None:
             raise ConfigError("task references a potential but no control_range block exists")
         if name not in self.crange.potentials:
@@ -272,8 +274,8 @@ class Run:
         return ["-".join(map(label, w)) for w in words]
 
     def task_int(self, key: str, default: int | None) -> int | None:
-        value = self.task.get(key, default)
-        return None if value is None else _int(value, key)
+        """A task integer, ``default`` when the key is absent (a JSON null is refused)."""
+        return _int(self.task[key], key) if key in self.task else default
 
     def task_depth(self, key: str, default: int | None) -> int | None:
         """A depth-like task integer; one above MAX_DEPTH is refused before anything is built."""

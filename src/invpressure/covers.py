@@ -65,7 +65,7 @@ from .symbolic import (
     logsumexp,
     zero_weights,
 )
-from .capacity import RootCertificate, _certified_root, _find_root
+from .capacity import RootCertificate, _certified_root, _find_root, bowen_root
 
 
 @dataclass(frozen=True)
@@ -692,8 +692,6 @@ def corollary_check(
     tol: float = 1e-7,
 ) -> CorollaryReport:
     """dim(psi, whole space) against the zero-potential Bowen root."""
-    from .capacity import bowen_root
-
     w_psi.require_positive("scaling weight")
     left = bs_dimension(lang, w_psi, SubsetSpec.whole_space(), tol, 1, D).value
     right = bowen_root(lang, zero_weights(w_psi.symbols, w_psi.tau), w_psi, tol).beta_hat

@@ -21,6 +21,7 @@ from typing import Sequence
 from .errors import GuardError, PreconditionError
 from .symbolic import (
     MAX_DEPTH,
+    MAX_WORDS,
     NEG_INF,
     PerSymbolWeights,
     WordLanguage,
@@ -132,7 +133,7 @@ def induced_sum(
     w_phi: PerSymbolWeights,
     w_psi: PerSymbolWeights,
     T: float,
-    max_cells: int = 500_000,
+    max_cells: int = MAX_WORDS,
 ) -> float:
     """log of the budget-T separated sum, de-duplicated by crossing prefix:
     the phi-masses of the budget walk's crossing cells.  Exact (no enumeration)."""
@@ -152,7 +153,6 @@ class CharacterizationResult:
     verdict: str
     growth_rate: float
     partial_log_sum: float | None
-    tail_log_bound: float | None
     n_cap: int
 
 
@@ -171,11 +171,8 @@ def _scan_horizon(w_psi: PerSymbolWeights, T: float, n_cap: int | None) -> int:
 def _verdict(full: Sequence[float], beta: float, T: float, n_cap: int) -> CharacterizationResult:
     """Tail growth verdict from the all-words level sums full[n-1], n = 1..n_cap."""
     growth = (full[n_cap - 1] - full[n_cap - 1 - WINDOW]) / WINDOW
-    tail_bound = None
     if growth <= -MARGIN:
         verdict = CONVERGENT
-        r = math.exp(growth)
-        tail_bound = full[n_cap - 1] + math.log(r / (1.0 - r))
     elif growth >= MARGIN:
         verdict = DIVERGENT
     else:
@@ -186,7 +183,6 @@ def _verdict(full: Sequence[float], beta: float, T: float, n_cap: int) -> Charac
         verdict=verdict,
         growth_rate=growth,
         partial_log_sum=None,
-        tail_log_bound=tail_bound,
         n_cap=n_cap,
     )
 
@@ -198,7 +194,7 @@ def characterization_sum(
     beta: float,
     T: float,
     n_cap: int | None = None,
-    max_cells: int = 500_000,
+    max_cells: int = MAX_WORDS,
 ) -> CharacterizationResult:
     """Partial sum over exceed levels of the tilted weights phi - beta*psi.
 

@@ -52,9 +52,9 @@ class MarkovMeasure:
             raise PreconditionError("matrix/stationary shapes do not match the symbols")
         if np.any(P < -1e-15) or np.any(pi < -1e-15):
             raise PreconditionError("negative probabilities")
-        if not np.allclose(P.sum(axis=1), 1.0, atol=1e-9):
+        if not np.allclose(P.sum(axis=1), 1.0, rtol=0.0, atol=1e-9):
             raise PreconditionError("rows must sum to 1")
-        if not np.allclose(pi @ P, pi, atol=1e-9):
+        if not np.allclose(pi @ P, pi, rtol=0.0, atol=1e-9):
             raise PreconditionError("stationary vector is not invariant")
         if not math.isclose(float(pi.sum()), 1.0, abs_tol=1e-9):
             raise PreconditionError("stationary vector must sum to 1")
@@ -62,13 +62,18 @@ class MarkovMeasure:
     def index(self, symbol: int) -> int:
         return self.symbols.index(symbol)
 
-    def check_support(self, lang: SftLanguage) -> None:
-        for a, i in enumerate(self.symbols):
-            for b, j in enumerate(self.symbols):
-                if self.matrix[a][b] > 0.0 and not lang.allows(i, j):
-                    raise PreconditionError(
-                        f"measure puts mass on forbidden transition {i}->{j}"
-                    )
+    def check_support(self, lang: WordLanguage) -> None:
+        """Refuse a measure on other symbols than the language's, and one that puts
+        mass on a transition the relation forbids (the first in row-major order)."""
+        if self.symbols != lang.symbols:
+            raise PreconditionError(
+                f"measure on symbols {self.symbols} does not match the language's {lang.symbols}"
+            )
+        if isinstance(lang, SftLanguage):
+            forbidden = np.argwhere((np.asarray(self.matrix) > 0.0) & (lang.adjacency == 0.0))
+            if len(forbidden):
+                i, j = (self.symbols[k] for k in forbidden[0])
+                raise PreconditionError(f"measure puts mass on forbidden transition {i}->{j}")
 
 
 def bernoulli_measure(lang: WordLanguage, probs: Sequence[float]) -> MarkovMeasure:
@@ -98,16 +103,15 @@ def markov_measure(
         tuple(tuple(row) for row in P.tolist()),
         tuple(float(x) for x in pi),
     )
-    if isinstance(lang, SftLanguage):
-        mu.check_support(lang)
+    mu.check_support(lang)
     return mu
 
 
 def parry_measure(lang: SftLanguage) -> MarkovMeasure:
-    """Max-entropy Markov chain of the relation, from its Perron eigendata."""
+    """Max-entropy Markov chain of the relation: P = A v / (rho v_a) from the right
+    Perron vector v, with its stationary vector solved by ``markov_measure``."""
     if not isinstance(lang, SftLanguage):
         raise PreconditionError("the max-entropy chain needs a transition relation")
-    syms = lang.symbols
     A = lang.adjacency
     eigvals, eigvecs = np.linalg.eig(A)
     k = int(np.argmax(np.real(eigvals)))
@@ -118,13 +122,7 @@ def parry_measure(lang: SftLanguage) -> MarkovMeasure:
             "the relation's Perron vector has a zero entry (the relation is reducible),"
             " so its max-entropy chain is undefined"
         )
-    eigvals_l, eigvecs_l = np.linalg.eig(A.T)
-    kl = int(np.argmax(np.real(eigvals_l)))
-    u = np.abs(np.real(eigvecs_l[:, kl]))
-    P = A * v / (rho * v[:, None])
-    pi = u * v
-    pi = pi / pi.sum()
-    return MarkovMeasure(syms, tuple(tuple(row) for row in P.tolist()), tuple(pi.tolist()))
+    return markov_measure(lang, A * v / (rho * v[:, None]))
 
 
 class CylinderMeasure:
@@ -243,14 +241,13 @@ def cylinder_masses(
     """
     if depth < 1:
         raise PreconditionError("depth must be >= 1")
-    if isinstance(lang, SftLanguage):
-        mu.check_support(lang)
+    mu.check_support(lang)
     kids = lang.unit_graph(depth).children
     symbols, matrix = lang.symbols, mu.matrix
-    pos = [mu.index(s) for s in symbols]
     suffixes = [(s,) for s in symbols]
-    # each unit's children: (child unit, word suffix, chain state)
-    out = [[(c, suffixes[k], pos[k]) for k, c in row] for row in kids]
+    # each unit's children: (child unit, word suffix, chain state); the chain
+    # shares the language's symbols, so a symbol's index is its state
+    out = [[(c, suffixes[k], k) for k, c in row] for row in kids]
     masses: dict[tuple[int, ...], float] = {}
     visited, last = 0, depth - 1
     stack = [((), 0, mu.stationary, 1.0)]  # (word, unit, transition row of its last symbol, mass)
@@ -367,7 +364,6 @@ def vp_check(
     candidates: Sequence[tuple[str, MarkovMeasure | CylinderMeasure]],
     D: int = 12,
     tol: float = 1e-6,
-    tail_window: int = 3,
     N: int = 1,
     max_nodes: int = MAX_TREE_NODES,
 ) -> VpReport:
@@ -397,7 +393,7 @@ def vp_check(
     pool.append(("frostman", frostman_cylinder_measure(lang, fw)))
     dim_err = detail.certificate.error_bound
     for name, cand in pool:
-        est = lower_bs_pressure(cand, weights, tail_window)
+        est = lower_bs_pressure(cand, weights)
         rows.append(
             VpCandidate(
                 name=name,

@@ -293,7 +293,6 @@ class WordLanguage:
     """
 
     symbols: tuple[int, ...]
-    is_sft = False
 
     def initial_units(self) -> list[tuple[object, int]]:
         raise NotImplementedError
@@ -325,8 +324,6 @@ class WordLanguage:
 class SftLanguage(WordLanguage):
     """Language of all paths in a transition relation over the symbols."""
 
-    is_sft = True
-
     def __init__(self, symbols: Sequence[int], transitions: Iterable[tuple[int, int]]):
         self.symbols = tuple(sorted(symbols))
         succ: dict[int, set[int]] = {i: set() for i in self.symbols}
@@ -343,9 +340,6 @@ class SftLanguage(WordLanguage):
 
     def successors(self, symbol: int) -> tuple[int, ...]:
         return self._succ[symbol]
-
-    def allows(self, i: int, j: int) -> bool:
-        return j in self._succ[i]
 
     def initial_units(self):
         return [(i, i) for i in self.symbols]
@@ -464,8 +458,9 @@ class ItineraryLanguage(WordLanguage):
     def unit_successors(self, unit):
         return self._split(unit)
 
-    def cycles(self) -> list[list[object]]:
-        """Cycles of the step map (every state falls into exactly one)."""
+    @cached_property
+    def cycles(self) -> tuple[tuple[object, ...], ...]:
+        """Cycles of the step map (every state falls into exactly one), found once."""
         color: dict[object, int] = {}
         cycles = []
         for x0 in self.states:
@@ -478,10 +473,10 @@ class ItineraryLanguage(WordLanguage):
                 path.append(x)
                 x = self.step[x]
             if x in seen_at:
-                cycles.append(path[seen_at[x]:])
+                cycles.append(tuple(path[seen_at[x]:]))
             for y in path:
                 color[y] = 1
-        return cycles
+        return tuple(cycles)
 
 
 @dataclass

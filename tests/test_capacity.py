@@ -121,6 +121,11 @@ class TestCapacityPressure:
         # single cycle a<->b with symbol weights 1 and 3
         assert est.oracle == pytest.approx(2.0, rel=1e-12)
         assert est.limsup_estimate == pytest.approx(2.0, abs=0.1)
+        assert lang.cycles is lang.cycles  # found once per language
+
+    def test_cycle_mean_oracle_refuses_a_relation(self):
+        with pytest.raises(ip.PreconditionError, match="itinerary language"):
+            ip.cycle_mean_pressure(golden_mean(), weights({1: 1.0, 2: 3.0}))
 
 
 def spread_weights(rng, symbols):

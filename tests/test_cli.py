@@ -122,6 +122,10 @@ WRONG_TYPE = {
     "transition-row-list": (None, ("system", "transition", "p"), ["q"]),
     "interval-triple": ("affine-doubling.json", ("system", "interval"), ["0", "1/2", "1"]),
     "guards-list": ("golden-mean.json", ("guards",), [1]),
+    "potential-reference-list": ("golden-mean.json", ("task", "psi"), ["scale"]),
+    "potential-reference-object": ("golden-mean.json", ("task", "phi"), {"a": "1"}),
+    "tail-window-null": ("full-shift-3.json", ("task", "tail_window"), None),
+    "n-max-null": ("full-shift-3.json", ("task", "n_max"), None),
 }
 
 
@@ -280,6 +284,16 @@ class TestExitCodes:
         assert err.startswith("config error: contraction: exponent of ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "key,value", [("contraction", "1/0"), ("interval", ["0", "1/0"]), ("cut_points", ["0/0"])]
+    )
+    def test_zero_denominator_is_2(self, tmp_path, capsys, key, value):
+        cfg = load("affine-doubling.json")
+        cfg["system"][key] = value
+        assert main(["--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "cannot parse rational" in err and err.count("\n") == 1
+
     def test_exponent_at_the_cap_is_parsed(self):
         assert _fraction("5e-1000", "x") == Fraction(5, 10**1000)
         assert _fraction("-1.5E+1000", "x") == -15 * 10**999
@@ -316,6 +330,15 @@ class TestExitCodes:
         assert main(["--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err == "config error: candidate.P: expected 2 rows of 2 reals\n"
+
+    def test_markov_row_off_by_more_than_1e9_is_4_in_one_line(self, tmp_path, capsys):
+        cfg = load("golden-mean.json")
+        cfg["system"]["transitions"] = [[1, 1], [1, 2], [2, 1], [2, 2]]
+        P = [["0.5", "0.500009"], ["0.5", "0.5"]]
+        cfg["task"] = {"command": "vp-check", "phi": "scale", "D": 6,
+                       "candidates": [{"type": "markov", "P": P}]}
+        assert main(["--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 4
+        assert capsys.readouterr().err == "precondition failed: rows must sum to 1\n"
 
     def test_parry_on_a_zero_perron_entry_is_4_in_one_line(self, tmp_path, capsys):
         # 1->1, 1->2, 2->2: each Parry row would divide by the zero entry, and the

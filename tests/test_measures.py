@@ -3,6 +3,7 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 import invpressure as ip
@@ -113,6 +114,14 @@ class TestCylinderMasses:
         with pytest.raises(ip.PreconditionError):
             ip.CylinderMeasure(lang, 2, {(1, 1): 0.7})
 
+    @pytest.mark.parametrize("kind", ["sft", "itinerary"])
+    def test_measure_missing_a_symbol_is_refused(self, rng, kind):
+        lang = full_shift(3) if kind == "sft" else random_itinerary(rng, 12, 3)
+        assert lang.symbols == (1, 2, 3)
+        mu = ip.bernoulli_measure(full_shift(2), [0.5, 0.5])
+        with pytest.raises(ip.PreconditionError, match="does not match"):
+            ip.cylinder_masses(mu, lang, 3)
+
 
 class TestMarkovConstruction:
     @pytest.mark.parametrize(
@@ -131,6 +140,36 @@ class TestMarkovConstruction:
         for bad in ([0.5, 0.5], [0.2, 0.3, 0.6], [-0.5, 1.0, 0.5]):
             with pytest.raises(ip.PreconditionError):
                 ip.bernoulli_measure(lang, bad)
+
+    def test_rows_sum_to_one_within_an_absolute_tolerance(self):
+        lang = full_shift(2)
+        ip.markov_measure(lang, [[0.5, 0.5 + 5e-10], [0.5, 0.5]])
+        with pytest.raises(ip.PreconditionError, match="rows must sum to 1"):
+            ip.markov_measure(lang, [[0.5, 0.500009], [0.5, 0.5]])
+
+    def test_support_check_reports_the_first_forbidden_transition(self, rng):
+        mu = ip.bernoulli_measure(full_shift(5), [0.2] * 5)
+        for _ in range(20):
+            lang = random_sft(rng, 5, 0.3)
+            syms = lang.symbols
+            first = next(((i, j) for i in syms for j in syms if j not in lang.successors(i)), None)
+            if first is None:
+                mu.check_support(lang)
+                continue
+            with pytest.raises(ip.PreconditionError, match=f"transition {first[0]}->{first[1]}$"):
+                mu.check_support(lang)
+
+    def test_parry_stationary_vector_is_the_perron_product(self, rng):
+        # pi(a) is proportional to u(a) v(a), u and v the left and right Perron vectors
+        for _ in range(10):
+            lang = random_sft(rng, 6)
+            eigvals, eigvecs = np.linalg.eig(lang.adjacency)
+            v = np.abs(np.real(eigvecs[:, np.argmax(np.real(eigvals))]))
+            eigvals, eigvecs = np.linalg.eig(lang.adjacency.T)
+            u = np.abs(np.real(eigvecs[:, np.argmax(np.real(eigvals))]))
+            expected = u * v / (u @ v)
+            parry = ip.parry_measure(lang)
+            assert np.allclose(parry.stationary, expected, rtol=0.0, atol=1e-12)
 
     def test_parry_refuses_a_zero_in_the_perron_vector(self):
         # 1->1, 1->2, 2->2: the Perron vector vanishes on symbol 1
