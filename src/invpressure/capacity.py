@@ -8,11 +8,14 @@ by the maximum entering each unit, for a whole batch of weight tables at once.
 For transition-relation languages the limit equals (1/tau) log of the spectral
 radius of the weighted transition matrix, which serves as the oracle; the
 radius is the largest over the relation's cyclic strongly connected blocks,
-each balanced by a diagonal similarity and then found by power iteration with
-Collatz-Wielandt brackets.  The root solver
-inverts beta -> pressure(phi - beta*psi) with ``_find_root``, the package's
-one bracketing driver (ITP steps inside a sign-checked bracket).  Its
-certificate comes from the slope bound min_i w_psi(i)/tau and includes the
+each balanced by a diagonal similarity and then found by a shifted power
+iteration with Collatz-Wielandt brackets.  Small blocks square the shifted
+matrix up to four times before iterating, so one iterate takes up to 16
+power steps between two bracket checks: there numpy's per-call cost, not the
+flops, sets the price of a step.  The root solver inverts
+beta -> pressure(phi - beta*psi) with ``_find_root``, the package's one
+bracketing driver (ITP steps inside a sign-checked bracket).  Its certificate
+comes from the slope bound min_i w_psi(i)/tau and includes the
 oracle's own error.
 """
 
@@ -179,8 +182,14 @@ def _max_plus_balance(A: np.ndarray, w: np.ndarray) -> tuple[float, np.ndarray]:
 
 #: Relative agreement of the Collatz-Wielandt brackets at which iteration stops.
 _RTOL = 1e-12
-#: Power-iteration steps after which an irreducible block is refused.
+#: Power steps after which an irreducible block is refused.
 _MAX_ITER = 200_000
+#: Largest block whose iterates are squared: up to q = 64 a squaring costs at most
+#: about two power steps, numpy's per-call overhead outweighing its q^3 flops; at
+#: q = 128 it costs about nine.
+_SQUARE_MAX_Q = 64
+#: Squarings at most, so one iterate covers up to 16 power steps.
+_MAX_SQUARINGS = 4
 
 
 def _perron_radius(M: np.ndarray) -> float:
@@ -188,44 +197,85 @@ def _perron_radius(M: np.ndarray) -> float:
 
     The Collatz-Wielandt quotients lo = min (Mx)_i/x_i and hi = max (Mx)_i/x_i
     bracket the radius; the iteration stops when they agree to relative
-    tolerance _RTOL.  It runs on M + s*I with s = lo/4, from the all-ones
-    vector.  The positive shift makes imprimitive blocks converge; tying it
-    to lo, which never exceeds the radius, keeps it from swamping a small
-    radius the way a fixed identity shift does when a block's weights spread
-    widely, and a quarter of lo keeps primitive blocks near the unshifted
-    rate.  Each iterate is a polynomial in M with nonnegative coefficients
-    applied to the last, so the brackets only tighten.  Dividing by hi + s
-    keeps x <= 1; once x may span 150 decades it is folded into M by the
-    similarity diag(x)^-1 M diag(x), which leaves the quotients unchanged,
-    so x never underflows.
+    tolerance _RTOL.  The first check, from the all-ones vector, reads M's
+    least and largest row sums lo0 and hi0 and fixes the shift s = lo0/4 and
+    B = (M + s*I)/(hi0 + s), nonnegative with row sums at most 1, so its
+    powers cannot overflow.  The positive shift makes imprimitive blocks
+    converge; tying it to lo, which never exceeds the radius, keeps it from
+    swamping a small radius the way a fixed identity shift does when a
+    block's weights spread widely, and a quarter of lo keeps primitive blocks
+    near the unshifted rate.
 
-    An irreducible block always converges; reaching _MAX_ITER raises
-    GuardError, and so does a block whose quotients leave the float range.
+    B is squared k times into P = B^(2^k), each product divided by its
+    maximum, and each iterate x <- P x covers 2^k power steps; the brackets
+    are still checked on M itself between iterates, so the stop rule and its
+    error are those of the plain iteration.  Each iterate is a polynomial in
+    M with nonnegative coefficients applied to the last, so the brackets only
+    tighten; and Bx <= r x with r = (hi + s)/(hi0 + s) gives P x <= r^(2^k) x,
+    so dividing by r^(2^k) keeps x <= 1.  Each iterate counts as 2^k steps
+    towards _MAX_ITER.
+
+    k is the largest integer up to _MAX_SQUARINGS with t^(2^k) > 1e-150,
+    where t = s/(hi0 + s) is B's least diagonal entry: no row of P vanishes,
+    and one iterate shrinks min(x) by a factor above 1e-150.  A block above
+    _SQUARE_MAX_Q symbols takes k = 0, the plain shifted iteration, since a
+    q^3-flop squaring there costs more than the q^2-flop steps it saves.
+    Once x may span 150 decades it is folded into M by the similarity
+    diag(x)^-1 M diag(x), which leaves the quotients unchanged, so x never
+    underflows; the next check then reads lo0, hi0 afresh from the folded M
+    and rebuilds s and P.  A tiny first row sum makes a tiny shift, and only
+    this rebuild lets it grow: folding x into the old P instead leaves the
+    2-cycle [[0, 1], [1e-100, 0]] at _MAX_ITER.
+
+    An irreducible block always converges; _MAX_ITER power steps without
+    agreement raise GuardError, and so does a block whose quotients leave
+    the float range.
     """
-    x = np.ones(len(M))
+    n = len(M)
+    x = np.ones(n)
     floor = 1.0  # lower bound on min(x)
-    for _ in range(_MAX_ITER):
+    P = None
+    steps = 0
+    while True:
         y = M @ x
         quot = y / x
         lo, hi = float(quot.min()), float(quot.max())
         if not 0.0 < lo <= hi < math.inf:
-            raise GuardError(f"power iteration on a {len(M)}-symbol block left the float range")
+            raise GuardError(f"power iteration on a {n}-symbol block left the float range")
         if hi - lo <= _RTOL * hi:
             return 0.5 * (lo + hi)
-        s = 0.25 * lo
-        x *= s
-        x += y
-        x /= hi + s
-        floor *= s / (hi + s)
+        if steps >= _MAX_ITER:
+            raise GuardError(
+                f"power iteration on a {n}-symbol block did not converge in {_MAX_ITER} steps"
+            )
+        if P is None:  # x is all ones: lo and hi are M's least and largest row sums
+            s = 0.25 * lo
+            top = hi + s
+            t = s / top
+            k = 0
+            if n <= _SQUARE_MAX_Q:
+                while k < _MAX_SQUARINGS and t ** (2 << k) > 1e-150:
+                    k += 1
+            span = 1 << k
+            P = M / top
+            P.flat[:: n + 1] += t
+            scale = 1.0  # P = B^span / scale
+            for _ in range(k):
+                P = P @ P
+                peak = float(P.max())
+                P /= peak
+                scale *= scale * peak
+        x = P @ x
+        x *= scale * (top / (hi + s)) ** span
+        steps += span
+        floor *= ((lo + s) / (hi + s)) ** span
         if floor < 1e-150:
             floor = float(x.min())
             if floor < 1e-150:
                 M = M * (x / x[:, None])
-                x = np.ones(len(M))
+                x = np.ones(n)
                 floor = 1.0
-    raise GuardError(
-        f"power iteration on a {len(M)}-symbol block did not converge in {_MAX_ITER} steps"
-    )
+                P = None
 
 
 def cycle_mean_pressure(lang: ItineraryLanguage, weights: PerSymbolWeights) -> float:

@@ -59,6 +59,10 @@ COMMANDS = (
     "validate", "pressure", "bowen-root", "induced", "characterize",
     "pp-pressure", "bs-dim", "frostman", "sandwich", "vp-check", "scan",
 )
+#: The longest file name a run writes, after its prefix: pp-pressure's cover CSV while in flight.
+_LONGEST_SUFFIX = "_cover_solution.csv.tmp"
+#: Bytes in one file name on common file systems (ext4, XFS, btrfs).
+_NAME_MAX = 255
 
 
 def bundled_config_path(name: str) -> str:
@@ -160,8 +164,15 @@ class Run:
             not isinstance(self.prefix, str)
             or self.prefix in ("", ".", "..")
             or any(c in self.prefix for c in "/\\\0")
+            or any("\ud800" <= c <= "\udfff" for c in self.prefix)  # no UTF-8 encoding
         ):
             raise ConfigError(f"output.prefix: expected a file name, got {self.prefix!r}")
+        size = len(self.prefix.encode("utf-8")) + len(_LONGEST_SUFFIX)
+        if size > _NAME_MAX:
+            raise ConfigError(
+                f"output.prefix: {self.prefix[:20]!r}... makes {size}-byte file names "
+                f"(at most {_NAME_MAX})"
+            )
         self.system = self._parse_system(self.system_block)
         self.lang = None
         if self.command != "validate":

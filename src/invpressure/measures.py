@@ -59,9 +59,6 @@ class MarkovMeasure:
         if not math.isclose(float(pi.sum()), 1.0, abs_tol=1e-9):
             raise PreconditionError("stationary vector must sum to 1")
 
-    def index(self, symbol: int) -> int:
-        return self.symbols.index(symbol)
-
     def check_support(self, lang: WordLanguage) -> None:
         """Refuse a measure on other symbols than the language's, and one that puts
         mass on a transition the relation forbids (the first in row-major order)."""

@@ -338,9 +338,6 @@ class SftLanguage(WordLanguage):
                 f"symbols {dead} have no outgoing transition; admissible words could not extend"
             )
 
-    def successors(self, symbol: int) -> tuple[int, ...]:
-        return self._succ[symbol]
-
     def initial_units(self):
         return [(i, i) for i in self.symbols]
 

@@ -118,11 +118,21 @@ def random_finite_state(rng, states: int, cells: int, tau: int, leak: float):
 # oracles
 
 
+def successors(lang: ip.SftLanguage, symbol: int) -> tuple:
+    """The symbols that may follow ``symbol``, from the raw ``unit_successors``."""
+    return tuple(j for j, _ in lang.unit_successors(symbol))
+
+
+def chain_index(measure: ip.MarkovMeasure, symbol: int) -> int:
+    """The row and column of ``symbol`` in a Markov measure's matrix."""
+    return measure.symbols.index(symbol)
+
+
 def brute_words(lang: ip.SftLanguage, n: int) -> set:
     """All length-n paths of the relation, by filtering the full product."""
     allowed = set()
     for i in lang.symbols:
-        for j in lang.successors(i):
+        for j in successors(lang, i):
             allowed.add((i, j))
     out = set()
     for cand in itertools.product(lang.symbols, repeat=n):

@@ -273,6 +273,50 @@ class TestSpectralPressure:
             slack = q * math.log(600 / 540) / 60
             assert ip.spectral_pressure(lang, w) == pytest.approx(growth, abs=slack)
 
+    @pytest.mark.parametrize("q", [2, 8, 32, 64, 128])
+    def test_random_blocks_against_dense_eigenvalues(self, rng, q):
+        # spreads 50 and 220 take the plain balance, 400 and 1000 the max-plus one
+        for spread in (50.0, 220.0, 400.0, 1000.0):
+            for _ in range(3 if q < 64 else 1):
+                lang = random_sft(rng, q)
+                table = {s: rng.uniform(-0.5 * spread, 0.5 * spread) for s in lang.symbols}
+                A = lang.adjacency
+                edges = [(i, j) for i in lang.symbols for j in lang.symbols if A[i - 1, j - 1]]
+                want = dense_log_radius(lang.symbols, edges, table)
+                assert ip.spectral_pressure(lang, weights(table)) == pytest.approx(want, abs=1e-11)
+
+    @pytest.mark.parametrize("p", range(1, 8))
+    def test_pure_cycles_take_the_geometric_mean(self, rng, p):
+        for scale in (1.0, 10.0, 100.0):
+            logs = [rng.uniform(-scale, scale) for _ in range(p)]
+            cycle = np.roll(np.diag(np.exp(logs)), 1, axis=1)
+            want = math.exp(math.fsum(logs) / p)
+            assert _perron_radius(cycle) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "M, squarings",
+        [
+            (np.roll(np.diag(np.arange(1.0, 9.0)), 1, axis=1), capacity._MAX_SQUARINGS),
+            (np.add.outer(*[np.arange(capacity._SQUARE_MAX_Q + 1.0)] * 2) % 7 + 1, 0),
+            # t = s/(hi + s) is about 2.5e-101, so t^2 underflows 1e-150: a 2-cycle ...
+            (np.array([[0.0, 1.0], [1e-100, 0.0]]), 0),
+            # ... and a primitive block; each needs its shift rebuilt as lo grows
+            (np.array([[0.0, 1.0], [1e-100, 1e-100]]), 0),
+        ],
+    )
+    def test_squarings_follow_the_block_size_and_least_diagonal(self, M, squarings):
+        class Recorded(np.ndarray):
+            ndims = []  # of the right operand of every product
+
+            def __matmul__(self, other):
+                Recorded.ndims.append(np.ndim(other))
+                return super().__matmul__(other)
+
+        want = float(np.max(np.abs(np.linalg.eigvals(M))))
+        assert _perron_radius(M.view(Recorded)) == pytest.approx(want, rel=1e-12)
+        # after the first check's M @ x, B is squared k times before the first P @ x
+        assert Recorded.ndims[1 : squarings + 2] == [2] * squarings + [1]
+
     def test_iteration_cap_raises_guard(self, monkeypatch):
         seven_cycle = np.roll(np.diag(np.arange(1.0, 8.0)), 1, axis=1)
         assert _perron_radius(seven_cycle) == pytest.approx(5040 ** (1 / 7), rel=1e-12)

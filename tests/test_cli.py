@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 import invpressure as ip
-from invpressure.cli import _fraction, bundled_config_path, main, run
+from invpressure.cli import Run, _fraction, bundled_config_path, main, run
 from invpressure.symbolic import MAX_DEPTH, MAX_GRID_POINTS
 
 BUNDLED = ("full-shift-3.json", "golden-mean.json", "affine-doubling.json")
@@ -299,7 +299,9 @@ class TestExitCodes:
         assert _fraction("-1.5E+1000", "x") == -15 * 10**999
 
     @pytest.mark.parametrize(
-        "prefix", ["../escaped", "a/b", "a\\b", "a\0b", "", ".", "..", ["a"], 5, None]
+        "prefix",
+        ["../escaped", "a/b", "a\\b", "a\0b", "", ".", "..", ["a"], 5, None, "\ud800",
+         "x" * 233, "\u00e9" * 117],
     )
     def test_prefix_that_is_not_a_file_name_is_2(self, tmp_path, capsys, prefix):
         cfg = load("golden-mean.json")
@@ -309,6 +311,20 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error: output.prefix: ") and err.count("\n") == 1
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["cfg.json"]
+
+    def test_prefix_at_the_name_limit_writes_every_file(self, tmp_path):
+        # 232 bytes plus "_cover_solution.csv.tmp" make the 255-byte limit
+        cfg = load("golden-mean.json")
+        cfg["output"]["prefix"] = "x" * 232
+        cfg["task"] = {"command": "pp-pressure", "phi": "scale", "D": 8}
+        outputs = run(cfg, str(tmp_path))["outputs"]
+        assert outputs == ["x" * 232 + ".csv", "x" * 232 + "_cover_solution.csv"]
+
+    def test_too_long_prefix_is_refused_while_parsing(self):
+        cfg = load("golden-mean.json")
+        cfg["output"]["prefix"] = "x" * 233
+        with pytest.raises(ip.ConfigError, match="256-byte file names"):
+            Run(cfg)
 
     def test_prefix_with_dots_inside_is_a_file_name(self, tmp_path):
         cfg = load("golden-mean.json")

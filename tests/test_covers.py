@@ -12,6 +12,7 @@ from invpressure import covers
 from invpressure.symbolic import MAX_DEPTH
 from conftest import (
     brute_cover_min,
+    chain_index,
     const_weights,
     cubic_time_scale_root,
     full_shift,
@@ -24,6 +25,7 @@ from conftest import (
     reference_cover_table,
     single_branch,
     sparse_sft,
+    successors,
     weights,
     word_cover_value,
     words,
@@ -346,9 +348,10 @@ class TestWeightedCoverAndFrostman:
         for n in range(1, 6):
             for word in words(lang, n):
                 base = mu.mass(word)
-                for nxt in lang.successors(word[-1]):
+                for nxt in successors(lang, word[-1]):
                     got = mu.mass(word + (nxt,)) / base
-                    expect = parry_chain.matrix[parry_chain.index(word[-1])][parry_chain.index(nxt)]
+                    i, j = chain_index(parry_chain, word[-1]), chain_index(parry_chain, nxt)
+                    expect = parry_chain.matrix[i][j]
                     assert got == pytest.approx(expect, abs=1e-12)
 
     def test_single_branch_all_mass_on_one_leaf(self):
