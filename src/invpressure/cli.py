@@ -284,14 +284,14 @@ class Run:
         label = {s: str(s) for s in self.lang.symbols}.__getitem__
         return ["-".join(map(label, w)) for w in words]
 
-    def task_int(self, key: str, default: int | None) -> int | None:
+    def task_int(self, key: str, default: int) -> int:
         """A task integer, ``default`` when the key is absent (a JSON null is refused)."""
         return _int(self.task[key], key) if key in self.task else default
 
-    def task_depth(self, key: str, default: int | None) -> int | None:
+    def task_depth(self, key: str, default: int) -> int:
         """A depth-like task integer; one above MAX_DEPTH is refused before anything is built."""
         value = self.task_int(key, default)
-        if value is not None and value > MAX_DEPTH:
+        if value > MAX_DEPTH:
             raise GuardError(f"{key}: {value} exceeds the depth limit {MAX_DEPTH}")
         return value
 
@@ -375,14 +375,13 @@ class Run:
         return {"induced": (["T", "log_sum", "normalized"], rows)}
 
     def _cmd_characterize(self):
-        n_cap = self.task_depth("n_cap", None)
         w_phi = self.weights("phi", default_zero=True)
         w_psi = self.weights("psi")
         T = _real(_require(self.task, "T", "task"), "T")
         betas = self.grid("beta_grid")
-        results = characterization_scan(self.lang, w_phi, w_psi, betas, T, n_cap=n_cap)
-        rows = [[_fmt(r.beta), r.verdict, _fmt(r.growth_rate)] for r in results]
-        return {"characterize": (["beta", "verdict", "growth_rate"], rows)}
+        results = characterization_scan(self.lang, w_phi, w_psi, betas, T)
+        rows = [[_fmt(r.beta), r.verdict] for r in results]
+        return {"characterize": (["beta", "verdict"], rows)}
 
     def _cmd_pp_pressure(self):
         w, Z, N, D = self.cover_task()

@@ -6,9 +6,10 @@ T*tau.  Each psi weight and T*tau are rounded once to 12 decimals, onto one
 integer lattice, so every budget decision is exact integer arithmetic and a
 psi-sum landing on T*tau is inside the budget.  Both finite-budget sums read
 one cell walk, polynomial in T for a fixed alphabet, which decides each edge
-once.  The production route to the induced pressure is the Bowen root in
-``capacity``.  The boundedness scan provides the independent cross-check: the
-growth sign of the exceed-level sums flips exactly at the root.
+once.  The induced pressure is the Bowen root in ``capacity``.  The
+boundedness characterization reads its verdicts off that root's certificate,
+since the exceed-level series converges exactly when the tilted pressure is
+negative; the exact partial exceed-level sum is the independent data.
 """
 
 from __future__ import annotations
@@ -29,18 +30,13 @@ from .symbolic import (
     logaddexp,
     logsumexp,
 )
-from .capacity import level_log_sums
+from .capacity import bowen_root, level_log_sums
 
 CONVERGENT = "convergent-with-bound"
 DIVERGENT = "divergent-evidence"
 INCONCLUSIVE = "inconclusive"
 
 _SCALE = 10**12  # psi weights and T*tau are counted in whole steps of 1e-12
-#: levels the tail growth verdict averages over: divisible by every relation
-#: period up to 4, which washes out imprimitive oscillation
-WINDOW = 12
-#: least mean log-growth per level, either way, that makes a verdict
-MARGIN = 1e-3
 
 
 def _lattice(x: float) -> int:
@@ -146,45 +142,37 @@ def induced_sum(
 
 @dataclass(frozen=True)
 class CharacterizationResult:
-    """Partial exceed-level sum at one (beta, T) with a tail growth verdict."""
+    """Boundedness verdict at one (beta, T); the partial sum up to n_cap, if computed."""
 
     beta: float
     T: float
     verdict: str
-    growth_rate: float
     partial_log_sum: float | None
-    n_cap: int
+    n_cap: int | None
 
 
-def _scan_horizon(w_psi: PerSymbolWeights, T: float, n_cap: int | None) -> int:
-    """The checked level cap, which leaves a tail window past the budget."""
-    n_full = _budget_levels(w_psi, T)[0] + 1
-    if n_cap is None:
-        n_cap = n_full + WINDOW + 8
-    if n_cap < n_full + WINDOW + 2:
-        raise PreconditionError(
-            f"n_cap={n_cap} leaves no all-words tail window (need >= {n_full + WINDOW + 2})"
-        )
-    return n_cap
+def characterization_scan(
+    lang: WordLanguage,
+    w_phi: PerSymbolWeights,
+    w_psi: PerSymbolWeights,
+    betas: Sequence[float],
+    T: float,
+) -> list[CharacterizationResult]:
+    """Boundedness verdict per grid point; the flip brackets the Bowen root.
 
-
-def _verdict(full: Sequence[float], beta: float, T: float, n_cap: int) -> CharacterizationResult:
-    """Tail growth verdict from the all-words level sums full[n-1], n = 1..n_cap."""
-    growth = (full[n_cap - 1] - full[n_cap - 1 - WINDOW]) / WINDOW
-    if growth <= -MARGIN:
-        verdict = CONVERGENT
-    elif growth >= MARGIN:
-        verdict = DIVERGENT
-    else:
-        verdict = INCONCLUSIVE
-    return CharacterizationResult(
-        beta=beta,
-        T=T,
-        verdict=verdict,
-        growth_rate=growth,
-        partial_log_sum=None,
-        n_cap=n_cap,
-    )
+    The exceed-level series of phi - beta*psi converges exactly when
+    pressure(phi - beta*psi) < 0, i.e. above the Bowen root, so each verdict
+    reads one ``bowen_root`` certificate beta_hat +- e: divergent below
+    beta_hat - e, convergent above beta_hat + e, else inconclusive.  It does
+    not depend on T, only checked against the depth limit; no grid, no root.
+    """
+    _budget_levels(w_psi, T)
+    if not betas:
+        return []
+    cert = bowen_root(lang, w_phi, w_psi)
+    lo, hi = cert.beta_hat - cert.error_bound, cert.beta_hat + cert.error_bound
+    verdicts = [DIVERGENT if b < lo else CONVERGENT if b > hi else INCONCLUSIVE for b in betas]
+    return [CharacterizationResult(b, T, v, None, None) for b, v in zip(betas, verdicts)]
 
 
 def characterization_sum(
@@ -196,21 +184,24 @@ def characterization_sum(
     n_cap: int | None = None,
     max_cells: int = MAX_WORDS,
 ) -> CharacterizationResult:
-    """Partial sum over exceed levels of the tilted weights phi - beta*psi.
+    """Partial sum over exceed levels 1..n_cap of the tilted weights phi - beta*psi.
 
     Once the budget walk runs out of cells every word exceeds the budget, so
     those levels' sums come from the exact forward recursion; earlier levels
-    are restricted by the budget and read the walk.  The verdict compares the
-    mean log-growth over the last ``WINDOW`` levels against ``MARGIN`` and
-    depends on the tail alone, so a caller that needs only the verdict uses
-    ``characterization_scan``.
+    are restricted by the budget and read the walk.  n_cap, at least the first
+    such level n_full, defaults to n_full + 20.  The verdict is
+    ``characterization_scan``'s; the exact partial sum is independent of it.
     """
-    n_cap = _scan_horizon(w_psi, T, n_cap)
+    n_full = _budget_levels(w_psi, T)[0] + 1
+    if n_cap is None:
+        n_cap = n_full + 20
+    if n_cap < n_full:
+        raise PreconditionError(f"n_cap={n_cap} ends before every word exceeds (need >= {n_full})")
     tilt = combine_weights(w_phi, w_psi, beta)
     full = level_log_sums(lang, [tilt], n_cap)[0].tolist()
-    result = _verdict(full, beta, T, n_cap)
     head = _restricted_head_sums(lang, tilt, w_psi, T, max_cells)
-    return replace(result, partial_log_sum=logsumexp(head + full[len(head) : n_cap]))
+    [result] = characterization_scan(lang, w_phi, w_psi, [beta], T)
+    return replace(result, partial_log_sum=logsumexp(head + full[len(head) : n_cap]), n_cap=n_cap)
 
 
 def _restricted_head_sums(
@@ -238,26 +229,6 @@ def _restricted_head_sums(
         above, prev = nxt, crossing
         out.append(logsumexp(list(above.values())))
     return out
-
-
-def characterization_scan(
-    lang: WordLanguage,
-    w_phi: PerSymbolWeights,
-    w_psi: PerSymbolWeights,
-    betas: Sequence[float],
-    T: float,
-    n_cap: int | None = None,
-) -> list[CharacterizationResult]:
-    """Boundedness verdict per grid point; the flip brackets the Bowen root.
-
-    The level sums of the whole grid come from one batched recursion, and
-    each point's verdict reads its own row, so a point's result equals
-    ``characterization_sum`` at that point without the partial sum.
-    """
-    n_cap = _scan_horizon(w_psi, T, n_cap)
-    tilts = [combine_weights(w_phi, w_psi, beta) for beta in betas]
-    rows = level_log_sums(lang, tilts, n_cap).tolist()
-    return [_verdict(full, beta, T, n_cap) for beta, full in zip(betas, rows)]
 
 
 def verdict_flip(results: Sequence[CharacterizationResult]) -> tuple[float, float] | None:

@@ -26,7 +26,7 @@ MAX_WORDS = 5_000_000
 MAX_TREE_NODES = 10_000_000
 #: Points of a beta or T grid a CLI run accepts (fixed: no override).
 MAX_GRID_POINTS = 10_000
-#: Largest depth-like task integer (n_max, n_cap, D) a CLI run accepts (fixed: no override).
+#: Largest depth-like task integer (n_max, D) a CLI run accepts (fixed: no override).
 MAX_DEPTH = 1_000
 #: Largest decimal exponent magnitude of an exact config rational (fixed: no override).
 MAX_EXPONENT = 1_000

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
+import numpy as np
 import pytest
 
 import invpressure as ip
@@ -178,6 +179,15 @@ def reference_partition_walk(system: ip.FiniteStateSystem, spec: ip.PartitionSpe
             else:
                 step[x0] = x
     return tuple(violations), step
+
+
+def dense_log_radius(symbols, edges, table) -> float:
+    """log of the spectral radius of M[i, j] = [i -> j] * exp(table[i]), by a dense eigensolve."""
+    idx = {s: k for k, s in enumerate(symbols)}
+    M = np.zeros((len(symbols), len(symbols)))
+    for i, j in edges:
+        M[idx[i], idx[j]] = math.exp(table[i])
+    return math.log(float(np.max(np.abs(np.linalg.eigvals(M)))))
 
 
 def bisect_root(f, lo: float, hi: float, iters: int = 200) -> float:

@@ -12,6 +12,7 @@ from conftest import (
     bisect_root,
     const_weights,
     cubic_time_scale_root,
+    dense_log_radius,
     full_shift,
     golden_mean,
     random_itinerary,
@@ -209,14 +210,6 @@ REDUCIBLE = {
 }
 
 
-def dense_log_radius(symbols, edges, table) -> float:
-    idx = {s: k for k, s in enumerate(symbols)}
-    M = np.zeros((len(symbols), len(symbols)))
-    for i, j in edges:
-        M[idx[i], idx[j]] = math.exp(table[i])
-    return math.log(float(np.max(np.abs(np.linalg.eigvals(M)))))
-
-
 class TestSpectralPressure:
     @pytest.mark.parametrize("case", REDUCIBLE.values(), ids=REDUCIBLE.keys())
     def test_reducible_relation_takes_block_radius(self, case):
@@ -323,6 +316,18 @@ class TestSpectralPressure:
         monkeypatch.setattr(capacity, "_MAX_ITER", 3)
         with pytest.raises(ip.GuardError):
             _perron_radius(seven_cycle)
+
+    def test_shift_grows_with_the_lower_bracket(self, monkeypatch):
+        # a tiny first row sum makes a tiny shift; rebuilt each time lo passes four
+        # times the lo it came from, these take about 980 and 1,840 power steps,
+        # and kept from the first check, about 3,540 and 2,690
+        two_cycle = np.array([[0.0, 1.0], [1e-100, 0.0]])
+        lang = ip.compile_sft(list(range(1, 8)), [(k, k % 7 + 1) for k in range(1, 8)])
+        table = {k: -230.0 * (k - 1) / 6 for k in lang.symbols}  # the plain balance's widest spread
+        monkeypatch.setattr(capacity, "_MAX_ITER", 1_100)
+        assert _perron_radius(two_cycle) == pytest.approx(1e-50, rel=1e-12)
+        monkeypatch.setattr(capacity, "_MAX_ITER", 2_000)
+        assert ip.spectral_pressure(lang, weights(table)) == pytest.approx(-115.0, abs=1e-11)
 
     def test_full_2_shift(self):
         lang = full_shift(2)

@@ -185,7 +185,7 @@ class TestExitCodes:
         assert err.startswith("config error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
-        "command,key", [("pressure", "n_max"), ("characterize", "n_cap"), ("bs-dim", "D")]
+        "command,key", [("pressure", "n_max"), ("bs-dim", "D")]
     )
     def test_oversized_depth_is_3(self, tmp_path, capsys, command, key):
         # 10^9 levels: the guard must refuse before anything is allocated

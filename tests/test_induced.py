@@ -2,17 +2,21 @@
 
 import inspect
 import math
+import random
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import invpressure as ip
-from invpressure import induced
+from invpressure import capacity, induced
 from invpressure.symbolic import MAX_DEPTH, MAX_WORDS
 from conftest import (
+    bisect_root,
     compute_level_sets,
     const_weights,
+    dense_log_radius,
     full_shift,
     golden_mean,
     induced_sum_spanning,
@@ -263,18 +267,18 @@ class TestHorizonGuard:
 
     def test_default_cap_counts_the_budget_exactly(self):
         # floor(0.3 / 0.1) = 3 at 12 decimals (2.9999999999999996 in binary floats):
-        # n_cap = 3 + 1 + window 12 + 8
+        # n_cap = 3 + 1 + 20
         lang = full_shift(2)
-        res = ip.characterization_scan(
-            lang, const_weights(lang, 0.0), const_weights(lang, 0.1), [0.0], 0.3
+        res = ip.characterization_sum(
+            lang, const_weights(lang, 0.0), const_weights(lang, 0.1), 0.0, 0.3
         )
-        assert res[0].n_cap == 24
+        assert res.n_cap == 24
 
     def test_horizon_at_the_limit_runs(self):
         lang = golden_mean()
         w0, ones = const_weights(lang, 0.0), const_weights(lang, 1.0)
-        res = ip.characterization_scan(lang, w0, ones, [0.0], float(MAX_DEPTH))
-        assert res[0].n_cap == MAX_DEPTH + 1 + 12 + 8
+        res = ip.characterization_sum(lang, w0, ones, 0.0, float(MAX_DEPTH))
+        assert res.n_cap == MAX_DEPTH + 1 + 20
         # psi = 1: every word crosses the budget at its length-MAX_DEPTH prefix, and
         # the golden mean has F(n + 2) = round(g^(n + 2) / sqrt(5)) words of length n
         g = (1 + math.sqrt(5)) / 2
@@ -289,14 +293,12 @@ class TestCharacterization:
         w0, ones = const_weights(lang, 0.0), const_weights(lang, 1.0)
         res = ip.characterization_sum(lang, w0, ones, math.log(2) + 0.1, 10.5)
         assert res.verdict == ip.CONVERGENT
-        assert res.growth_rate == pytest.approx(-0.1, abs=1e-9)
 
     def test_divergent_below_pressure(self):
         lang = full_shift(2)
         w0, ones = const_weights(lang, 0.0), const_weights(lang, 1.0)
         res = ip.characterization_sum(lang, w0, ones, math.log(2) - 0.1, 10.5)
         assert res.verdict == ip.DIVERGENT
-        assert res.growth_rate == pytest.approx(0.1, abs=1e-9)
 
     def test_critical_is_inconclusive(self):
         lang = full_shift(2)
@@ -355,7 +357,7 @@ class TestCharacterization:
         # the verdict alone never walks the cells
         monkeypatch.setattr(induced, "_budget_walk", None)
         [verdict] = ip.characterization_scan(lang, w0, w_psi, [1.0], 6.0)
-        assert verdict == replace(full, partial_log_sum=None)
+        assert verdict == replace(full, partial_log_sum=None, n_cap=None)
 
     def test_scan_flip_brackets_pressure(self):
         lang = full_shift(2)
@@ -375,7 +377,7 @@ class TestCharacterization:
         assert flip[0] <= 0.9 / 1.5 <= flip[1]
 
     def test_scan_point_equals_single_sum(self, rng):
-        # one batched recursion for the grid; no point may depend on its neighbours
+        # one root for the grid; no point may depend on its neighbours
         for lang in (golden_mean(), random_sft(rng, 4), random_sft(rng, 5)):
             w_phi = random_weights(rng, lang, -1.0, 1.0)
             w_psi = random_weights(rng, lang, 0.5, 1.5)
@@ -384,9 +386,126 @@ class TestCharacterization:
             for beta, res in zip(betas, results):
                 assert ip.characterization_scan(lang, w_phi, w_psi, [beta], 4.0) == [res]
                 single = ip.characterization_sum(lang, w_phi, w_psi, beta, 4.0)
-                assert res == replace(single, partial_log_sum=None)
+                assert res == replace(single, partial_log_sum=None, n_cap=None)
 
     def test_empty_grid(self):
         lang = golden_mean()
         w0, ones = const_weights(lang, 0.0), const_weights(lang, 1.0)
         assert ip.characterization_scan(lang, w0, ones, [], 10.5) == []
+
+
+def _flip_brackets(lang, w_phi, w_psi, betas, T, root) -> bool:
+    flip = ip.verdict_flip(ip.characterization_scan(lang, w_phi, w_psi, betas, T))
+    return flip is not None and flip[0] < root < flip[1]
+
+
+@st.composite
+def relations(draw):
+    """(symbols, edges, phi, psi) on 1-8 symbols, each with 1-3 successors."""
+    q = draw(st.integers(1, 8))
+    symbols = list(range(1, q + 1))
+    succ = [draw(st.sets(st.sampled_from(symbols), min_size=1, max_size=3)) for _ in symbols]
+    edges = sorted((i, j) for i, js in zip(symbols, succ) for j in js)
+    phi = draw(st.lists(st.floats(-3.0, 3.0), min_size=q, max_size=q))
+    psi = draw(st.lists(st.floats(0.5, 2.0), min_size=q, max_size=q))
+    return symbols, edges, dict(zip(symbols, phi)), dict(zip(symbols, psi))
+
+
+@st.composite
+def finite_state_systems(draw):
+    """(step, cell, phi, psi): a self-map of 1-8 states in 1-3 cells, weights per cell."""
+    n = draw(st.integers(1, 8))
+    cells = draw(st.integers(1, min(n, 3)))
+    step = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    phi = draw(st.lists(st.floats(-3.0, 3.0), min_size=cells, max_size=cells))
+    psi = draw(st.lists(st.floats(0.5, 2.0), min_size=cells, max_size=cells))
+    cell = [1 + k % cells for k in range(n)]
+    return step, cell, dict(enumerate(phi, 1)), dict(enumerate(psi, 1))
+
+
+class TestVerdictAgainstIndependentRoots:
+    """The flip brackets a root found without the library: the series of
+    phi - beta*psi converges exactly above the root of pressure(phi - beta*psi)."""
+
+    def test_five_cycle_flip_brackets_the_cycle_ratio(self):
+        # period 5: the root is sum(phi)/sum(psi) = -1/5
+        lang = ip.compile_sft([1, 2, 3, 4, 5], [(k, k % 5 + 1) for k in range(1, 6)])
+        w_phi = weights({1: 3.0, 2: -2.0, 3: -2.0, 4: -2.0, 5: 2.0})
+        betas = [-0.4, -0.3, -0.25, -0.2, -0.15, -0.1]
+        results = ip.characterization_scan(lang, w_phi, const_weights(lang, 1.0), betas, 3.0)
+        assert ip.verdict_flip(results) == (-0.25, -0.15)
+        assert results[3].verdict == ip.INCONCLUSIVE
+
+    def test_pure_cycles_flip_brackets_the_cycle_ratio(self):
+        rng = random.Random(5)
+        misses = []
+        for p in range(1, 14):
+            lang = ip.compile_sft(list(range(1, p + 1)), [(k, k % p + 1) for k in range(1, p + 1)])
+            for _ in range(5):
+                w_phi = random_weights(rng, lang, -3.0, 3.0)
+                w_psi = random_weights(rng, lang, 0.5, 2.0)
+                root = math.fsum(w_phi.weights.values()) / math.fsum(w_psi.weights.values())
+                betas = [root + 0.05 + 0.1 * k for k in range(-11, 11)]
+                if not _flip_brackets(lang, w_phi, w_psi, betas, 3.0, root):
+                    misses.append(p)
+        assert misses == []
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(relations(), st.floats(0.01, 0.09))
+    def test_relation_flip_brackets_the_dense_root(self, relation, shift):
+        symbols, edges, phi, psi = relation
+        reach = (max(map(abs, phi.values())) + math.log(len(symbols))) / min(psi.values()) + 1.0
+
+        def pressure(beta):
+            return dense_log_radius(symbols, edges, {s: phi[s] - beta * psi[s] for s in symbols})
+
+        root = bisect_root(pressure, -reach, reach, 80)
+        betas = [root + shift + 0.1 * k for k in range(-10, 10)]
+        lang = ip.compile_sft(symbols, edges)
+        assert _flip_brackets(lang, weights(phi), weights(psi), betas, 3.0, root)
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(finite_state_systems(), st.floats(0.01, 0.09))
+    def test_system_flip_brackets_the_best_cycle_ratio(self, system, shift):
+        step, cell, phi, psi = system
+        root = -math.inf
+        for x in range(len(step)):
+            for _ in range(len(step)):  # onto the cycle x falls into
+                x = step[x]
+            cycle, y = [x], step[x]
+            while y != x:
+                cycle.append(y)
+                y = step[y]
+            ratio = math.fsum(phi[cell[y]] for y in cycle) / math.fsum(psi[cell[y]] for y in cycle)
+            root = max(root, ratio)
+        names = tuple(f"x{k}" for k in range(len(step)))
+        sys = ip.FiniteStateSystem(
+            names, {(names[k], "u"): names[j] for k, j in enumerate(step)}, names,
+            dict(zip(names, cell)),
+        )
+        lang = ip.itinerary_language(sys, ip.PartitionSpec(1, {i: ("u",) for i in phi}))
+        betas = [root + shift + 0.1 * k for k in range(-10, 10)]
+        assert _flip_brackets(lang, weights(phi), weights(psi), betas, 3.0, root)
+
+    def test_one_root_per_grid(self, monkeypatch):
+        # the grid's verdicts read one certificate: no level sums, and as many
+        # oracle calls for 21 points as for one
+        lang = golden_mean()
+        w_phi, w_psi = weights({1: 0.3, 2: -0.4}), weights({1: 1.0, 2: 1.5})
+
+        def no_level_sums(*_args):
+            raise AssertionError("the scan computed level sums")
+
+        monkeypatch.setattr(induced, "level_log_sums", no_level_sums)
+        calls = []
+        oracle = capacity.pressure_difference
+        monkeypatch.setattr(capacity, "pressure_difference", lambda *a: calls.append(a) or oracle(*a))
+        ip.characterization_scan(lang, w_phi, w_psi, [0.1], 3.0)
+        one = len(calls)
+        ip.characterization_scan(lang, w_phi, w_psi, [0.1 * k for k in range(21)], 3.0)
+        assert len(calls) == 2 * one
+
+    def test_empty_grid_computes_no_root(self, monkeypatch):
+        monkeypatch.setattr(induced, "bowen_root", None)
+        lang = golden_mean()
+        assert ip.characterization_scan(lang, *[const_weights(lang, 1.0)] * 2, [], 3.0) == []
