@@ -2,9 +2,11 @@
 
 The separated-set sum over length-n words, log sum_{s in L^n} exp(sum_k w(s_k)),
 is finite-horizon data; its (1/(n*tau))-normalized limsup is the pressure.
-``level_log_sums`` runs the forward recursion on the language's compiled
-``unit_graph``: each level is one segment log-sum-exp over the edges, shifted
-by the maximum entering each unit, for a whole batch of weight tables at once.
+``_forward_sums``, the package's one forward recursion, runs on the
+language's compiled ``unit_graph``: each level is one segment log-sum-exp over
+the edges, shifted by the maximum entering each unit, for one weight table.
+``level_log_sums`` starts it from the empty word; the induced partial sum
+feeds it the words that cross a budget, level by level.
 For transition-relation languages the limit equals (1/tau) log of the spectral
 radius of the weighted transition matrix, which serves as the oracle; the
 radius is the largest over the relation's cyclic strongly connected blocks,
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -40,56 +42,57 @@ from .symbolic import (
 )
 
 
-#: Floats in one edge-by-table block of the level-sum recursion (8 MB).
-_BATCH_FLOATS = 1 << 20
 #: Shift of a unit with no mass, in place of its maximum -inf.
 _FLOOR = -np.finfo(float).max
 
 
-def level_log_sums(
-    lang: WordLanguage, weights_seq: Sequence[PerSymbolWeights], n_max: int
-) -> np.ndarray:
-    """log sum_{s in L^n} exp(weight_k(s)) for every table k and n = 1..n_max.
+def level_log_sums(lang: WordLanguage, weights: PerSymbolWeights, n_max: int) -> np.ndarray:
+    """log sum_{s in L^n} exp(weight(s)) for n = 1..n_max, as a length-n_max array.
 
-    Returns a (len(weights_seq), n_max) array.  Masses are aggregated per
-    unit of the compiled ``lang.unit_graph(n_max)``, which is exact for
-    additive weights, so no word is ever enumerated.  A level is one
-    log-sum-exp per unit over its entering edges, shifted by that unit's own
-    maximum: no unit underflows against another, however far apart their
-    masses drift.  The level's total is a logaddexp reduction of the live
-    masses; only the current level's masses are kept.  Tables run in blocks
-    of at most _BATCH_FLOATS edge values; each row of the result depends on
-    its own table alone, so the blocking does not change it.
+    The empty word's mass runs through ``_forward_sums`` on the compiled
+    ``lang.unit_graph(n_max)``; aggregating per unit is exact for additive
+    weights, so no word is ever enumerated.
     """
     if n_max < 1:
         raise PreconditionError("n_max must be >= 1")
     g = lang.unit_graph(n_max)
-    table = np.array([[w[s] for s in lang.symbols] for w in weights_seq], dtype=float)
-    table = table.reshape(len(weights_seq), len(lang.symbols))
-    out = np.empty((len(table), n_max))
-    rows = max(1, _BATCH_FLOATS // len(g.src))
-    for k in range(0, len(table), rows):
-        out[k : k + rows] = _forward_sums(g, table[k : k + rows, g.sym], n_max)
-    return out
+    table = np.array([weights[s] for s in lang.symbols], dtype=float)
+    start = np.full(g.n_units, NEG_INF)
+    start[0] = 0.0  # the empty word
+    return _forward_sums(g, table[g.sym], [start], n_max)
 
 
-def _forward_sums(g: UnitGraph, step: np.ndarray, n_max: int) -> np.ndarray:
-    """Level log-sums for the edge weights step[k, e] of each table k."""
-    live = np.full((len(step), g.n_units), NEG_INF)
-    live[:, 0] = 0.0
-    out = np.empty((len(step), n_max))
+def _forward_sums(
+    g: UnitGraph, step: np.ndarray, inflow: Iterable[np.ndarray], n_max: int
+) -> np.ndarray:
+    """Level log-sums for n = 1..n_max of per-unit log masses pushed along g's edges.
+
+    ``inflow`` yields per-unit vectors for levels 0, 1, ...: level 0's masses,
+    then the masses added to each later level after the push.  It is read
+    lazily, one vector per level, and may end early.  Edge e adds step[e].
+    A level is one log-sum-exp per unit over its entering edges, shifted by
+    that unit's own maximum: no unit underflows against another, however far
+    apart their masses drift.  Only the current level's masses are kept.
+    """
+    inflow = iter(inflow)
+    live = np.array(next(inflow))  # a copy: each level overwrites it
+    entered = live[1:]  # the units with an entering edge
+    out = np.empty(n_max)
     with np.errstate(divide="ignore"):  # log(0) = -inf marks units with no mass
         for n in range(n_max):
-            vals = np.take(live, g.src, axis=1)
+            vals = live[g.src]
             vals += step
-            top = np.maximum.reduceat(vals, g.starts, axis=1)
+            top = np.maximum.reduceat(vals, g.starts)
             np.maximum(top, _FLOOR, out=top)  # a massless unit: -inf - _FLOOR stays -inf
-            vals -= np.take(top, g.seg, axis=1)
+            vals -= top[g.seg]
             np.exp(vals, out=vals)
-            if n == 0:
-                live[:, 0] = NEG_INF  # the empty word only starts words
-            live[:, 1:] = np.log(np.add.reduceat(vals, g.starts, axis=1)) + top
-            out[:, n] = np.logaddexp.reduce(live, axis=1)
+            live[0] = NEG_INF  # unit 0, the empty word, has no entering edge
+            np.log(np.add.reduceat(vals, g.starts), out=entered)
+            entered += top
+            add = next(inflow, None)
+            if add is not None:
+                np.logaddexp(live, add, out=live)
+            out[n] = np.logaddexp.reduce(live)
     return out
 
 
@@ -320,7 +323,7 @@ def capacity_pressure(
     if not 1 <= tail_window <= n_max:
         raise PreconditionError("need n_max >= tail_window >= 1")
     tau = weights.tau
-    sums = level_log_sums(lang, [weights], n_max)[0].tolist()
+    sums = level_log_sums(lang, weights, n_max).tolist()
     values = tuple((n, sums[n - 1] / (n * tau)) for n in range(1, n_max + 1))
     tail = [v for _, v in values[-tail_window:]]
     return PressureEstimate(

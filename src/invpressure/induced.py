@@ -9,7 +9,8 @@ one cell walk, polynomial in T for a fixed alphabet, which decides each edge
 once.  The induced pressure is the Bowen root in ``capacity``.  The
 boundedness characterization reads its verdicts off that root's certificate,
 since the exceed-level series converges exactly when the tilted pressure is
-negative; the exact partial exceed-level sum is the independent data.
+negative; the exact partial exceed-level sum is the independent data, run on
+``capacity``'s forward recursion with the walk's crossing words flowing in.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
+
+import numpy as np
 
 from .errors import GuardError, PreconditionError
 from .symbolic import (
@@ -30,7 +33,7 @@ from .symbolic import (
     logaddexp,
     logsumexp,
 )
-from .capacity import bowen_root, level_log_sums
+from .capacity import _forward_sums, bowen_root
 
 CONVERGENT = "convergent-with-bound"
 DIVERGENT = "divergent-evidence"
@@ -186,49 +189,34 @@ def characterization_sum(
 ) -> CharacterizationResult:
     """Partial sum over exceed levels 1..n_cap of the tilted weights phi - beta*psi.
 
-    Once the budget walk runs out of cells every word exceeds the budget, so
-    those levels' sums come from the exact forward recursion; earlier levels
-    are restricted by the budget and read the walk.  n_cap, at least the first
-    such level n_full, defaults to n_full + 20.  The verdict is
-    ``characterization_scan``'s; the exact partial sum is independent of it.
+    A word exceeds the budget from the level its budget-walk cell crosses on,
+    and from there extends freely, so ``_forward_sums`` gives the exceed-level
+    sums exactly when the walk's crossing edges flow in as each level's new
+    masses; once the walk runs out of cells every word exceeds.  n_cap, at
+    least the first such level n_full, defaults to n_full + 20.  The verdict
+    is ``characterization_scan``'s; the exact partial sum is independent of it.
     """
     n_full = _budget_levels(w_psi, T)[0] + 1
     if n_cap is None:
         n_cap = n_full + 20
     if n_cap < n_full:
         raise PreconditionError(f"n_cap={n_cap} ends before every word exceeds (need >= {n_full})")
+    g = lang.unit_graph(n_cap)  # before the walk, so the walk's child units index g's vectors
     tilt = combine_weights(w_phi, w_psi, beta)
-    full = level_log_sums(lang, [tilt], n_cap)[0].tolist()
-    head = _restricted_head_sums(lang, tilt, w_psi, T, max_cells)
-    [result] = characterization_scan(lang, w_phi, w_psi, [beta], T)
-    return replace(result, partial_log_sum=logsumexp(head + full[len(head) : n_cap]), n_cap=n_cap)
-
-
-def _restricted_head_sums(
-    lang: WordLanguage,
-    tilt: PerSymbolWeights,
-    w_psi: PerSymbolWeights,
-    T: float,
-    max_cells: int,
-) -> list[float]:
-    """Exceed-level sums for n = 1, 2, ... up to the budget walk's last level:
-    crossing edges are folded into per-unit exceeded cells and extended freely
-    from there.  Every longer word exceeds the budget."""
     step = [tilt[s] for s in lang.symbols]
-    above: dict[int, float] = {}
-    walk = _budget_walk(lang, tilt, w_psi, T, max_cells)
-    prev = next(walk)  # the crossing cells one level up
-    out = []
-    for n, crossing in enumerate(walk, 1):
-        kids = lang.unit_graph(n).children  # above holds length-(n-1) words
-        nxt: dict[int, float] = {}
-        for mass, edges in [(mass, kids[unit]) for unit, mass in above.items()] + prev:
-            for k, c in edges:
-                v = mass + step[k]
-                nxt[c] = v if c not in nxt else logaddexp(nxt[c], v)
-        above, prev = nxt, crossing
-        out.append(logsumexp(list(above.values())))
-    return out
+
+    def inflow():
+        yield np.full(g.n_units, NEG_INF)  # level 0: the empty word exceeds no budget
+        for crossing in _budget_walk(lang, tilt, w_psi, T, max_cells):
+            add = np.full(g.n_units, NEG_INF)
+            units = [c for _, edges in crossing for _, c in edges]
+            masses = [mass + step[k] for mass, edges in crossing for k, _ in edges]
+            np.logaddexp.at(add, units, masses)
+            yield add
+
+    sums = _forward_sums(g, np.array(step)[g.sym], inflow(), n_cap)
+    [result] = characterization_scan(lang, w_phi, w_psi, [beta], T)
+    return replace(result, partial_log_sum=logsumexp(sums.tolist()), n_cap=n_cap)
 
 
 def verdict_flip(results: Sequence[CharacterizationResult]) -> tuple[float, float] | None:

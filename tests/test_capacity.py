@@ -152,14 +152,6 @@ class TestLevelSumKernel:
             for n, value in est.values:
                 assert value == pytest.approx(separated_sum(lang, w, n) / n, rel=1e-12)
 
-    def test_table_blocks_do_not_change_rows(self, rng, monkeypatch):
-        lang = random_sft(rng, 4)
-        tables = [random_weights(rng, lang, -2.0, 2.0) for _ in range(7)]
-        whole = level_log_sums(lang, tables, 40)
-        monkeypatch.setattr(capacity, "_BATCH_FLOATS", 1)  # one table per block
-        assert np.array_equal(level_log_sums(lang, tables, 40), whole)
-        assert np.array_equal(level_log_sums(lang, tables[3:4], 40), whole[3:4])
-
     def test_units_expand_once_per_language(self, rng):
         lang = random_itinerary(rng, 12, 3)
         calls = []
@@ -261,7 +253,7 @@ class TestSpectralPressure:
             lang = random_sft(rng, q)
             spread = rng.choice((500.0, 3000.0))
             w = weights({s: rng.uniform(-spread, spread) for s in lang.symbols})
-            sums = level_log_sums(lang, [w], 600)[0]
+            sums = level_log_sums(lang, w, 600)
             growth = (sums[-1] - sums[-61]) / 60
             slack = q * math.log(600 / 540) / 60
             assert ip.spectral_pressure(lang, w) == pytest.approx(growth, abs=slack)

@@ -55,7 +55,7 @@ GRIDS = st.one_of(
         "step": st.sampled_from(["0.5", "1e-9", "1e-300", "0", "-1"]),
     }),
 )
-SIZE_KEYS = ["n_max", "tail_window", "n_cap", "D", "N"]
+SIZE_KEYS = ["n_max", "tail_window", "D", "N"]
 GRID_KEYS = ["T_grid", "beta_grid"]
 #: ("x",) is dumped as a JSON list; a tuple, so no later mutation edits the shared value
 PREFIXES = st.sampled_from(["", ".", "..", "../up", "a/b", "a\\b", "a\0b", 7, None, ("x",), "ok.1"])

@@ -18,6 +18,7 @@ from conftest import (
     const_weights,
     dense_log_radius,
     full_shift,
+    golden_itinerary,
     golden_mean,
     induced_sum_spanning,
     random_itinerary,
@@ -256,7 +257,7 @@ class TestHorizonGuard:
             raise AssertionError("built a graph or a level sum past the horizon guard")
 
         monkeypatch.setattr(lang, "unit_graph", no_build)
-        monkeypatch.setattr(induced, "level_log_sums", no_build)
+        monkeypatch.setattr(induced, "_forward_sums", no_build)
         w0, w_psi = const_weights(lang, 0.0), const_weights(lang, psi)
         with pytest.raises(ip.GuardError):
             ip.induced_sum(lang, w0, w_psi, T)
@@ -317,18 +318,29 @@ class TestCharacterization:
         )
         assert res.partial_log_sum == pytest.approx(direct, rel=1e-12)
 
-    @pytest.mark.parametrize("kind", ["golden-mean", "itinerary"])
+    @pytest.mark.parametrize("kind", ["golden-mean", "itinerary", "growing"])
     def test_partial_sum_against_word_enumeration(self, rng, kind):
         # every word of length <= n_cap whose psi-weight exceeds the budget,
         # enumerated through the raw presentation; psi spreads widely, so
-        # some words exceed the budget levels before every word does
-        lang = golden_mean() if kind == "golden-mean" else random_itinerary(rng, 12, 3)
+        # some words exceed the budget levels before every word does.  The
+        # growing language meets new units up to depth 10, past the budget
+        # walk's last level, so the level sums run on a larger unit graph
+        # than the walk needs.
+        lang = {
+            "golden-mean": golden_mean,
+            "itinerary": lambda: random_itinerary(rng, 12, 3),
+            "growing": lambda: golden_itinerary(10),
+        }[kind]()
         w_phi = random_weights(rng, lang, -1.0, 1.0)
         w_psi = random_weights(rng, lang, 0.6, 2.5)
         beta, T = 0.7, 3.0
         budget = T * w_psi.tau
-        n_cap = math.floor(budget / min(w_psi.weights.values())) + 1 + 14
+        n_full = math.floor(budget / min(w_psi.weights.values())) + 1
+        n_cap = n_full + 14
+        walk_units = lang.unit_graph(n_full).n_units
         res = ip.characterization_sum(lang, w_phi, w_psi, beta, T, n_cap=n_cap)
+        if kind == "growing":
+            assert walk_units < lang.unit_graph(n_cap).n_units
         terms = [
             math.exp(sum(w_phi[s] - beta * w_psi[s] for s in word))
             for n in range(1, n_cap + 1)
@@ -496,7 +508,7 @@ class TestVerdictAgainstIndependentRoots:
         def no_level_sums(*_args):
             raise AssertionError("the scan computed level sums")
 
-        monkeypatch.setattr(induced, "level_log_sums", no_level_sums)
+        monkeypatch.setattr(induced, "_forward_sums", no_level_sums)
         calls = []
         oracle = capacity.pressure_difference
         monkeypatch.setattr(capacity, "pressure_difference", lambda *a: calls.append(a) or oracle(*a))
