@@ -38,6 +38,7 @@ from .symbolic import (
     UnitGraph,
     WordLanguage,
     combine_weights,
+    _successor_lists,
     cyclic_components,
 )
 
@@ -150,7 +151,7 @@ def _log_radius(A: np.ndarray, w: np.ndarray) -> float:
         return top + math.log(_perron_radius(A * half[:, None] * half))
     lam, v = _max_plus_balance(A, w)
     B = np.exp(np.where(A > 0.0, w[:, None] - lam + v - v[:, None], NEG_INF))
-    parts = cyclic_components([np.flatnonzero(row) for row in B])
+    parts = cyclic_components(_successor_lists(B))
     if len(parts[0]) == len(A):
         return lam + math.log(_perron_radius(B))
     return max(_log_radius(A[np.ix_(p, p)], w[p]) for p in parts)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -22,6 +23,8 @@ import sys
 import time
 from fractions import Fraction
 from importlib import resources
+
+import numpy as np
 
 from . import __version__
 from .errors import ConfigError, GuardError, PreconditionError
@@ -205,20 +208,38 @@ class Run:
     def _parse_system(self, block):
         kind = _require(block, "type", "system")
         if kind == "sft":
+            raw = _require(block, "transitions", "system", list)
+            # the common form, [int, int] pairs, in one pass; anything else entry by entry
+            if all(type(e) is list and len(e) == 2 and type(e[0]) is int and type(e[1]) is int
+                   for e in raw):
+                try:
+                    ends = np.fromiter(itertools.chain.from_iterable(raw), np.int64, 2 * len(raw))
+                except OverflowError:  # an end past int64, which the language refuses
+                    return ("sft", raw)
+                return ("sft", ends.reshape(-1, 2))
             edges = []
-            for edge in _require(block, "transitions", "system", list):
+            for edge in raw:
                 a, b = _pair(edge, "transitions")
                 edges.append((_int(a, "transitions"), _int(b, "transitions")))
             return ("sft", edges)
         if kind == "finite-state":
-            states = tuple(str(s) for s in _require(block, "states", "system", list))
+            # one conversion per entry: JSON keys, and most names, are str already
+            states = tuple(
+                s if type(s) is str else str(s) for s in _require(block, "states", "system", list)
+            )
             trans = {}
             for x, row in _require(block, "transition", "system", dict).items():
+                x = x if type(x) is str else str(x)
                 for u, y in _typed(row, dict, f"transition row {x}").items():
-                    trans[(str(x), str(u))] = str(y)
-            inv = tuple(str(s) for s in _optional(block, "invariant_set", "system", list, states))
-            cell_of = _require(block, "cell_of", "system", dict)
-            cells = {str(x): _int(i, "cell_of") for x, i in cell_of.items()}
+                    trans[(x, u if type(u) is str else str(u))] = y if type(y) is str else str(y)
+            inv = tuple(
+                s if type(s) is str else str(s)
+                for s in _optional(block, "invariant_set", "system", list, states)
+            )
+            cells = {
+                x if type(x) is str else str(x): i if type(i) is int else _int(i, "cell_of")
+                for x, i in _require(block, "cell_of", "system", dict).items()
+            }
             return FiniteStateSystem(states, trans, inv, cells)
         if kind == "affine-interval":
             cvals = {

@@ -322,21 +322,71 @@ class WordLanguage:
 
 
 class SftLanguage(WordLanguage):
-    """Language of all paths in a transition relation over the symbols."""
+    """Language of all paths in a transition relation over the symbols.
+
+    The relation is compiled once, to its 0/1 ``adjacency`` A[i, j] =
+    [symbols[i] -> symbols[j]]; the unit graph, the cyclic blocks and the
+    successor lists are all read off that matrix.
+    """
 
     def __init__(self, symbols: Sequence[int], transitions: Iterable[tuple[int, int]]):
         self.symbols = tuple(sorted(symbols))
-        succ: dict[int, set[int]] = {i: set() for i in self.symbols}
-        for i, j in transitions:
-            if i not in succ or j not in succ:
-                raise PreconditionError(f"transition ({i},{j}) uses unknown symbol")
-            succ[i].add(j)
-        self._succ = {i: tuple(sorted(js)) for i, js in succ.items()}
-        dead = [i for i, js in self._succ.items() if not js]
+        if not isinstance(transitions, (list, tuple, np.ndarray)):
+            transitions = list(transitions)
+        ends = self._symbol_indices(transitions)
+        q = len(self.symbols)
+        self.adjacency = np.zeros((q, q))
+        self.adjacency[ends[:, 0], ends[:, 1]] = 1.0
+        dead = [self.symbols[k] for k in np.flatnonzero(~self.adjacency.any(axis=1)).tolist()]
         if dead:
             raise PreconditionError(
                 f"symbols {dead} have no outgoing transition; admissible words could not extend"
             )
+
+    def _symbol_indices(self, pairs: Sequence[tuple[int, int]]) -> np.ndarray:
+        """(edges, 2) symbol indices of the edge ends; the first edge with an end
+        that is no symbol is refused.
+
+        When the symbols are consecutive integers, as a relation's 1..q are,
+        integer ends that fit an int64 are looked up all at once, by offset,
+        and confirmed by comparing the symbol found with the end.  Anything
+        else (other symbols, a float, an integer past int64) goes through the
+        symbol dict one edge at a time, so it is compared as the Python value
+        it is.
+        """
+        labels = np.array(self.symbols)
+        try:
+            ends = np.asarray(pairs)
+            at_once = (
+                labels.dtype.kind == ends.dtype.kind == "i"
+                and ends.shape == (len(pairs), 2)
+                and self.symbols[-1] - self.symbols[0] == len(labels) - 1
+            )
+        except ValueError:  # ragged pairs
+            at_once = False
+        if at_once:
+            idx = np.minimum(np.maximum(ends - labels[0], 0), len(labels) - 1)
+            known = labels[idx] == ends
+            if known.all():
+                return idx
+            i, j = pairs[int(np.argmin(known.all(axis=1)))]
+        else:
+            index = {s: k for k, s in enumerate(self.symbols)}
+            rows = []
+            for i, j in pairs:
+                if i not in index or j not in index:
+                    break
+                rows.append((index[i], index[j]))
+            else:
+                return np.array(rows, dtype=np.intp).reshape(-1, 2)
+        raise PreconditionError(f"transition ({i},{j}) uses unknown symbol")
+
+    @cached_property
+    def _succ(self) -> dict[int, tuple[int, ...]]:
+        return {
+            i: tuple(self.symbols[k] for k in row)
+            for i, row in zip(self.symbols, _successor_lists(self.adjacency))
+        }
 
     def initial_units(self):
         return [(i, i) for i in self.symbols]
@@ -344,14 +394,27 @@ class SftLanguage(WordLanguage):
     def unit_successors(self, unit):
         return [(j, j) for j in self._succ[unit]]
 
+    def unit_graph(self, depth: int) -> UnitGraph:
+        """The walk's graph in closed form: every unit turns up at depth 1, so from
+        depth 2 on the graph is complete.  Below that, the walk's partial graph,
+        unless the complete one has been built."""
+        if depth < 2 and "_complete_unit_graph" not in self.__dict__:
+            return super().unit_graph(depth)
+        return self._complete_unit_graph
+
     @cached_property
-    def adjacency(self) -> np.ndarray:
-        """0/1 matrix A[i, j] = [symbols[i] -> symbols[j]]."""
-        idx = {s: k for k, s in enumerate(self.symbols)}
-        A = np.zeros((len(self.symbols), len(self.symbols)))
-        for i, js in self._succ.items():
-            A[idx[i], [idx[j] for j in js]] = 1.0
-        return A
+    def _complete_unit_graph(self) -> UnitGraph:
+        # Unit 0 has an edge to every symbol, and symbol k is unit k + 1, with an
+        # edge to each successor of k.  Row k of C marks the sources of the edges
+        # that spell symbol k, unit 0 first: C's nonzero entries in row-major
+        # order are the edges sorted by destination, then by source, which is
+        # the order the walk's stable sort leaves them in.  Each segment opens
+        # with its edge from unit 0.
+        q = len(self.symbols)
+        C = np.ones((q, q + 1))
+        C[:, 1:] = self.adjacency.T
+        sym, src = np.divmod(np.flatnonzero(C), q + 1)
+        return UnitGraph(n_units=q + 1, src=src, sym=sym, starts=np.flatnonzero(src == 0), seg=sym)
 
     @cached_property
     def cyclic_blocks(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
@@ -360,62 +423,69 @@ class SftLanguage(WordLanguage):
         Every infinite path ends in one of these blocks, so the spectral radius
         of any weighting of the relation is the largest radius among them.
         """
-        idx = {s: k for k, s in enumerate(self.symbols)}
-        succ = [[idx[j] for j in self._succ[i]] for i in self.symbols]
         blocks = []
-        for comp in cyclic_components(succ):
+        for comp in cyclic_components(_successor_lists(self.adjacency)):
             block = np.array(comp, dtype=np.intp)
             blocks.append((block, self.adjacency[np.ix_(block, block)]))
         return tuple(blocks)
 
 
+def _successor_lists(M: np.ndarray) -> list[list[int]]:
+    """The column indices of each row's nonzero entries, for a square matrix M,
+    from one ``np.nonzero``."""
+    rows, cols = np.nonzero(M)
+    bounds = np.searchsorted(rows, np.arange(len(M) + 1)).tolist()
+    cols = cols.tolist()
+    return [cols[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
 def cyclic_components(succ: Sequence[Sequence[int]]) -> list[list[int]]:
     """Strongly connected components of the graph v -> succ[v] that carry a cycle.
 
-    Tarjan's algorithm (SIAM J. Comput. 1(2), 1972) with an explicit stack;
-    each component is returned as a sorted list of vertices.
+    Tarjan's algorithm (SIAM J. Comput. 1(2), 1972), iterative: each frame of
+    the depth-first stack holds a vertex and the iterator over its successors,
+    so every edge is looked at once, in O(V + E) in all.  A component carries a
+    cycle when it has two or more vertices or a self-loop.  Components come in
+    the order Tarjan's algorithm completes them, each as a sorted list; no
+    component reaches one that comes after it.
     """
     order = [-1] * len(succ)  # discovery number
     low = [0] * len(succ)
-    on_stack = [False] * len(succ)
+    slot = [-1] * len(succ)  # position on the component stack, -1 when off it
     stack: list[int] = []
     comps = []
     seen = 0
-
-    def discover(v: int) -> None:
-        nonlocal seen
-        order[v] = low[v] = seen
-        seen += 1
-        stack.append(v)
-        on_stack[v] = True
-
     for root in range(len(succ)):
         if order[root] >= 0:
             continue
-        discover(root)
-        work = [(root, 0)]
+        order[root] = low[root] = seen
+        seen += 1
+        slot[root] = len(stack)
+        stack.append(root)
+        work = [(root, iter(succ[root]))]
         while work:
-            v, k = work[-1]
-            if k < len(succ[v]):
-                work[-1] = (v, k + 1)
-                w = succ[v][k]
+            v, edges = work[-1]
+            for w in edges:
                 if order[w] < 0:
-                    discover(w)
-                    work.append((w, 0))
-                elif on_stack[w]:
-                    low[v] = min(low[v], order[w])
-                continue
-            work.pop()
-            if work:
-                u = work[-1][0]
-                low[u] = min(low[u], low[v])
-            if low[v] == order[v]:
-                comp = []
-                while not comp or comp[-1] != v:
-                    comp.append(stack.pop())
-                    on_stack[comp[-1]] = False
-                if len(comp) > 1 or v in succ[v]:
-                    comps.append(sorted(comp))
+                    order[w] = low[w] = seen
+                    seen += 1
+                    slot[w] = len(stack)
+                    stack.append(w)
+                    work.append((w, iter(succ[w])))
+                    break
+                if slot[w] >= 0 and order[w] < low[v]:
+                    low[v] = order[w]
+            else:
+                work.pop()
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+                if low[v] == order[v]:
+                    comp = stack[slot[v]:]
+                    del stack[slot[v]:]
+                    for x in comp:
+                        slot[x] = -1
+                    if len(comp) > 1 or v in succ[v]:
+                        comps.append(sorted(comp))
     return comps
 
 

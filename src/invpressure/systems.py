@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .errors import PreconditionError
 from .symbolic import ItineraryLanguage, PartitionSpec, SftLanguage, WordLanguage
 
@@ -172,9 +174,11 @@ def compile_sft(
     transitions: Iterable[tuple[int, int]],
     spec: PartitionSpec | None = None,
 ) -> SftLanguage:
-    """Language of all paths of an explicit transition relation."""
-    transitions = list(transitions)
-    if not transitions:
+    """Language of all paths of an explicit transition relation, given as pairs
+    of symbols or as an (edges, 2) integer array."""
+    if not isinstance(transitions, np.ndarray):
+        transitions = list(transitions)
+    if len(transitions) == 0:
         raise PreconditionError("transition relation is empty")
     if spec is not None and tuple(sorted(symbols)) != spec.symbols:
         raise PreconditionError("relation symbols do not match the partition")

@@ -109,23 +109,78 @@ FINITE_STATE = {
     "task": {"command": "validate"},
 }
 
-#: (base config, key path, value of the wrong JSON type at that path)
+#: (base config, key path, value of the wrong JSON type at that path, the line it is refused with)
 WRONG_TYPE = {
     "subset-string": (
         "golden-mean.json", ("task",),
         {"command": "pp-pressure", "phi": "scale", "D": 6, "subset": "all"},
+        "task.subset: expected an object, got 'all'",
     ),
-    "task-list": ("golden-mean.json", ("task",), ["command"]),
-    "transitions-number": ("golden-mean.json", ("system", "transitions"), 5),
-    "potentials-list": ("golden-mean.json", ("control_range", "potentials"), ["x"]),
-    "control-words-list": ("golden-mean.json", ("partition", "control_words"), [["a"], ["b"]]),
-    "transition-row-list": (None, ("system", "transition", "p"), ["q"]),
-    "interval-triple": ("affine-doubling.json", ("system", "interval"), ["0", "1/2", "1"]),
-    "guards-list": ("golden-mean.json", ("guards",), [1]),
-    "potential-reference-list": ("golden-mean.json", ("task", "psi"), ["scale"]),
-    "potential-reference-object": ("golden-mean.json", ("task", "phi"), {"a": "1"}),
-    "tail-window-null": ("full-shift-3.json", ("task", "tail_window"), None),
-    "n-max-null": ("full-shift-3.json", ("task", "n_max"), None),
+    "task-list": (
+        "golden-mean.json", ("task",), ["command"],
+        "config.task: expected an object, got ['command']",
+    ),
+    "transitions-number": (
+        "golden-mean.json", ("system", "transitions"), 5,
+        "system.transitions: expected a list, got 5",
+    ),
+    "potentials-list": (
+        "golden-mean.json", ("control_range", "potentials"), ["x"],
+        "control_range.potentials: expected an object, got ['x']",
+    ),
+    "control-words-list": (
+        "golden-mean.json", ("partition", "control_words"), [["a"], ["b"]],
+        "partition.control_words: expected an object, got [['a'], ['b']]",
+    ),
+    "transition-row-list": (
+        None, ("system", "transition", "p"), ["q"],
+        "transition row p: expected an object, got ['q']",
+    ),
+    "interval-triple": (
+        "affine-doubling.json", ("system", "interval"), ["0", "1/2", "1"],
+        "interval: expected a pair [a, b], got ['0', '1/2', '1']",
+    ),
+    "guards-list": (
+        "golden-mean.json", ("guards",), [1],
+        "config.guards: expected an object, got [1]",
+    ),
+    "potential-reference-list": (
+        "golden-mean.json", ("task", "psi"), ["scale"],
+        "task.psi: expected a potential name, got ['scale']",
+    ),
+    "potential-reference-object": (
+        "golden-mean.json", ("task", "phi"), {"a": "1"},
+        "task.phi: expected a potential name, got {'a': '1'}",
+    ),
+    "tail-window-null": (
+        "full-shift-3.json", ("task", "tail_window"), None,
+        "tail_window: expected an integer, got None",
+    ),
+    "n-max-null": (
+        "full-shift-3.json", ("task", "n_max"), None,
+        "n_max: expected an integer, got None",
+    ),
+    # relations off the [int, int] form are parsed entry by entry, and name the bad entry
+    "transition-float-end": (
+        "golden-mean.json", ("system", "transitions"), [[1, 1], [1.0, 2]],
+        "transitions: expected an integer, got 1.0",
+    ),
+    "transition-bool-end": (
+        "golden-mean.json", ("system", "transitions"), [[True, 2]],
+        "transitions: expected an integer, got True",
+    ),
+    "transition-triple": (
+        "golden-mean.json", ("system", "transitions"), [[1, 2, 3]],
+        "transitions: expected a pair [a, b], got [1, 2, 3]",
+    ),
+    "transition-object": (
+        "golden-mean.json", ("system", "transitions"), [{"a": 1}],
+        "transitions: expected a pair [a, b], got {'a': 1}",
+    ),
+    "transition-word-end": (
+        "golden-mean.json", ("system", "transitions"), [["x", 1]],
+        "transitions: cannot parse integer 'x'",
+    ),
 }
 
 
@@ -171,8 +226,8 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("base,path,value", WRONG_TYPE.values(), ids=WRONG_TYPE.keys())
-    def test_wrong_json_type_is_2(self, tmp_path, capsys, base, path, value):
+    @pytest.mark.parametrize("base,path,value,line", WRONG_TYPE.values(), ids=WRONG_TYPE.keys())
+    def test_wrong_json_type_is_2(self, tmp_path, capsys, base, path, value, line):
         cfg = json.loads(json.dumps(FINITE_STATE)) if base is None else load(base)
         block = cfg
         for key in path[:-1]:
@@ -181,8 +236,16 @@ class TestExitCodes:
         path = write_config(tmp_path, cfg)
         # guard overrides are read only behind the flag; no other block depends on it
         assert main(["--config", path, "--out", str(tmp_path / "o"), "--force-guards"]) == 2
+        assert capsys.readouterr().err == f"config error: {line}\n"
+
+    @pytest.mark.parametrize("end", [10**30, -(2**70), 2**63, 0])
+    def test_relation_end_that_is_no_symbol_is_4(self, tmp_path, capsys, end):
+        # an end past int64 is compared as the integer it is, never cast
+        cfg = load("golden-mean.json")
+        cfg["system"]["transitions"] = [[1, 1], [1, 2], [2, 1], [end, 1]]
+        assert main(["--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 4
         err = capsys.readouterr().err
-        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert err == f"precondition failed: transition ({end},1) uses unknown symbol\n"
 
     @pytest.mark.parametrize(
         "command,key", [("pressure", "n_max"), ("bs-dim", "D")]
@@ -621,13 +684,24 @@ def _read_out_config(relation, command):
     return cfg
 
 
+#: the golden mean's relation spelled otherwise, which must give the same bytes
+GOLDEN_SPELLINGS = {
+    "golden-integer-strings": [["1", "1"], ["1", "2"], ["2", "1"]],
+    "golden-duplicate-edges": [[2, 1], [1, 1], [1, 2], [2, 1], [1, 1]],
+}
+
+
 class TestGoldenBytes:
-    @pytest.mark.parametrize("relation", ["golden", "sparse4"])
+    @pytest.mark.parametrize("relation", ["golden", "sparse4", *GOLDEN_SPELLINGS])
     @pytest.mark.parametrize("command", sorted(READ_OUTS))
     def test_read_out_csvs(self, tmp_path, relation, command):
-        manifest = run(_read_out_config(relation, command), str(tmp_path))
+        base = "golden" if relation in GOLDEN_SPELLINGS else relation
+        cfg = _read_out_config(base, command)
+        if relation in GOLDEN_SPELLINGS:
+            cfg["system"]["transitions"] = GOLDEN_SPELLINGS[relation]
+        manifest = run(cfg, str(tmp_path))
         digests = {
             name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
             for name in manifest["outputs"]
         }
-        assert digests == GOLDEN_BYTES[relation, command]
+        assert digests == GOLDEN_BYTES[base, command]

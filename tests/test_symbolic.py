@@ -4,10 +4,11 @@ import functools
 import math
 import random
 
+import numpy as np
 import pytest
 
 import invpressure as ip
-from invpressure.symbolic import NEG_INF, logsumexp
+from invpressure.symbolic import NEG_INF, _UnitWalk, cyclic_components, logsumexp
 from conftest import brute_words, full_shift, golden_mean, random_sft, single_branch, words
 
 
@@ -218,3 +219,102 @@ class TestValidation:
         w = ip.PerSymbolWeights({1: 1.0, 2: 0.0}, 1)
         with pytest.raises(ip.PreconditionError):
             w.require_positive()
+
+
+def random_relation(rng, q: int, irreducible: bool) -> list:
+    """Edges on 1..q, every symbol with an out-edge: a full cycle plus random
+    edges, or a forward chain plus random edges that never lead back; both
+    with self-loops and every edge listed twice in shuffled order."""
+    if irreducible:
+        edges = [(i, i % q + 1) for i in range(1, q + 1)]
+        edges += [(i, j) for i in range(1, q + 1) for j in range(1, q + 1) if rng.random() < 0.2]
+    else:
+        edges = [(i, min(i + 1, q)) for i in range(1, q + 1)]
+        edges += [(i, j) for i in range(1, q + 1) for j in range(i, q + 1) if rng.random() < 0.2]
+    edges += [(i, i) for i in range(1, q + 1) if rng.random() < 0.3]
+    edges += edges
+    rng.shuffle(edges)
+    return edges
+
+
+def strong_components(n: int, edges: list) -> list[set]:
+    """Strongly connected components from scipy's independent implementation."""
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    src, dst = (list(x) for x in zip(*edges)) if edges else ([], [])
+    graph = coo_matrix((np.ones(len(edges)), (src, dst)), shape=(n, n))
+    count, labels = connected_components(graph, directed=True, connection="strong")
+    return [set(np.flatnonzero(labels == c).tolist()) for c in range(count)]
+
+
+class TestCompiledRelation:
+    """A relation compiled to its adjacency: the unit graph and the cyclic blocks read off it."""
+
+    @pytest.mark.parametrize("relabel", [False, True])
+    def test_unit_graph_matches_the_walk(self, rng, relabel):
+        for q in (1, 2, 3, 5, 8, 17, 33, 64):
+            for irreducible in (True, False):
+                edges = random_relation(rng, q, irreducible)
+                # relabelled symbols are not consecutive, so their ends go through the dict
+                label = (lambda s: 3 * s - 40) if relabel else (lambda s: s)
+                symbols = [label(s) for s in range(1, q + 1)]
+                pairs = [(label(i), label(j)) for i, j in edges]
+                A = np.zeros((q, q))
+                for i, j in edges:
+                    A[i - 1, j - 1] = 1.0
+                for depth in (1, 2, 7):
+                    lang = ip.compile_sft(symbols, pairs)
+                    assert np.array_equal(lang.adjacency, A)
+                    ours = lang.unit_graph(depth)
+                    walk = _UnitWalk(lang.symbols).graph_to(lang, depth)
+                    assert ours.n_units == walk.n_units == q + 1
+                    for name in ("src", "sym", "starts", "seg"):
+                        a, b = getattr(ours, name), getattr(walk, name)
+                        assert a.dtype == b.dtype and np.array_equal(a, b), (q, depth, name)
+                # once complete, the graph serves every depth, as the walk's does
+                assert lang.unit_graph(1) is lang.unit_graph(7)
+
+    def test_unknown_ends_are_refused_by_value(self):
+        for ends in ([10**30, 1], [1, -(2**70)], [1.5, 1], [0, 1], [2**63, 1]):
+            for symbols in ([1, 2], [1, 5]):
+                pairs = [[1, 1], [1, 2 if symbols == [1, 2] else 5], ends, [3, 3]]
+                with pytest.raises(ip.PreconditionError) as err:
+                    ip.compile_sft(symbols, pairs)
+                assert str(err.value) == f"transition ({ends[0]},{ends[1]}) uses unknown symbol"
+        edges = np.array([[1, 2], [2, 7], [9, 1]])
+        with pytest.raises(ip.PreconditionError, match=r"^transition \(2,7\) uses unknown symbol$"):
+            ip.compile_sft([1, 2], edges)
+        with pytest.raises(ip.PreconditionError, match=r"^symbols \[2, 4\] have no outgoing"):
+            ip.compile_sft([1, 2, 3, 4], np.array([[1, 2], [3, 3], [3, 3]]))
+
+    def test_cyclic_components_match_scipy(self, rng):
+        graphs = [
+            (1, []), (1, [(0, 0)]), (3, [(1, 1)]),  # isolated vertices, with and without loops
+            (400, [(v, v + 1) for v in range(399)]),  # a chain
+            (2000, [(v, (v + 1) % 2000) for v in range(2000)]),  # one long cycle
+        ]
+        for _ in range(60):
+            n = rng.randint(1, 40)
+            p = rng.choice((0.02, 0.05, 0.1, 0.3))
+            graphs.append((n, [(u, v) for u in range(n) for v in range(n) if rng.random() < p]))
+        for n, edges in graphs:
+            succ = [[] for _ in range(n)]
+            for u, v in edges:
+                succ[u].append(v)
+            comps = cyclic_components(succ)
+            want = [c for c in strong_components(n, edges) if len(c) > 1 or (min(c), min(c)) in edges]
+            assert sorted(map(sorted, want)) == sorted(comps)
+            assert all(c == sorted(c) for c in comps)
+            if n > 40:
+                continue
+            # Tarjan's completion order: no component reaches one completed after it
+            reach = np.eye(n)
+            for u, v in edges:
+                reach[u, v] = 1.0
+            for _ in range(n.bit_length()):
+                reach = np.minimum(reach @ reach, 1.0)
+            reach = reach > 0
+            for k, early in enumerate(comps):
+                for late in comps[k + 1:]:
+                    assert not reach[np.ix_(early, late)].any()
