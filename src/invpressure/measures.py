@@ -33,6 +33,7 @@ import numpy as np
 
 from .errors import GuardError, PreconditionError
 from .symbolic import MAX_TREE_NODES, PerSymbolWeights, SftLanguage, WordLanguage
+from .capacity import _RTOL, _log_radius
 from .covers import BsDimension, SubsetSpec, bs_dimension, frostman_measure, FrostmanWeights
 
 
@@ -106,19 +107,30 @@ def markov_measure(
 
 def parry_measure(lang: SftLanguage) -> MarkovMeasure:
     """Max-entropy Markov chain of the relation: P = A v / (rho v_a) from the right
-    Perron vector v, with its stationary vector solved by ``markov_measure``."""
+    Perron vector v, with its stationary vector solved by ``markov_measure``.
+
+    v is unique and strictly positive exactly when one cyclic block attains the
+    top radius and it is the only block that no edge leaves (Berman and
+    Plemmons, Nonnegative Matrices in the Mathematical Sciences, ch. 2).  That
+    is read off the block structure, radii within the spectral oracle's
+    relative 2*_RTOL counting as tied, so rounding noise in v never decides.
+    """
     if not isinstance(lang, SftLanguage):
         raise PreconditionError("the max-entropy chain needs a transition relation")
     A = lang.adjacency
-    eigvals, eigvecs = np.linalg.eig(A)
-    k = int(np.argmax(np.real(eigvals)))
-    rho = float(np.real(eigvals[k]))
-    v = np.abs(np.real(eigvecs[:, k]))
-    if not v.min() > 0.0:  # row a of P divides by v[a]
+    radii = [_log_radius(B, np.zeros(len(B))) for _, B in lang.cyclic_blocks]
+    top = max(radii) + math.log1p(-2 * _RTOL)
+    basic = [r >= top for r in radii]
+    final = [A[block].sum() == B.sum() for block, B in lang.cyclic_blocks]
+    if sum(basic) != 1 or basic != final:  # row a of P divides by v[a]
         raise PreconditionError(
             "the relation's Perron vector has a zero entry (the relation is reducible),"
             " so its max-entropy chain is undefined"
         )
+    eigvals, eigvecs = np.linalg.eig(A)
+    k = int(np.argmax(np.real(eigvals)))
+    rho = float(np.real(eigvals[k]))
+    v = np.abs(np.real(eigvecs[:, k]))
     return markov_measure(lang, A * v / (rho * v[:, None]))
 
 

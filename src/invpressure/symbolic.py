@@ -333,6 +333,8 @@ class SftLanguage(WordLanguage):
         self.symbols = tuple(sorted(symbols))
         if not isinstance(transitions, (list, tuple, np.ndarray)):
             transitions = list(transitions)
+        if len(transitions) == 0:
+            raise PreconditionError("transition relation is empty")
         ends = self._symbol_indices(transitions)
         q = len(self.symbols)
         self.adjacency = np.zeros((q, q))
@@ -344,42 +346,34 @@ class SftLanguage(WordLanguage):
             )
 
     def _symbol_indices(self, pairs: Sequence[tuple[int, int]]) -> np.ndarray:
-        """(edges, 2) symbol indices of the edge ends; the first edge with an end
-        that is no symbol is refused.
+        """(edges, 2) symbol indices of the edge ends, looked up all at once; the
+        first edge with an end that is no symbol is refused.
 
-        When the symbols are consecutive integers, as a relation's 1..q are,
-        integer ends that fit an int64 are looked up all at once, by offset,
-        and confirmed by comparing the symbol found with the end.  Anything
-        else (other symbols, a float, an integer past int64) goes through the
-        symbol dict one edge at a time, so it is compared as the Python value
-        it is.
+        The ends are one array, of Python values unless all are int64s.  The
+        index is the offset from the first symbol when the symbols are
+        consecutive integers, as a relation's 1..q are, and a bisection
+        otherwise.  The symbol found is compared with the end, so a float, an
+        integer past int64, an end that orders against no symbol (None, a
+        string) or a pair of another length is judged by value, never by a cast.
         """
         labels = np.array(self.symbols)
         try:
             ends = np.asarray(pairs)
-            at_once = (
-                labels.dtype.kind == ends.dtype.kind == "i"
-                and ends.shape == (len(pairs), 2)
-                and self.symbols[-1] - self.symbols[0] == len(labels) - 1
-            )
-        except ValueError:  # ragged pairs
-            at_once = False
-        if at_once:
-            idx = np.minimum(np.maximum(ends - labels[0], 0), len(labels) - 1)
-            known = labels[idx] == ends
-            if known.all():
-                return idx
-            i, j = pairs[int(np.argmin(known.all(axis=1)))]
-        else:
-            index = {s: k for k, s in enumerate(self.symbols)}
-            rows = []
-            for i, j in pairs:
-                if i not in index or j not in index:
-                    break
-                rows.append((index[i], index[j]))
+            if ends.dtype.kind != "i":
+                ends = np.array(pairs, dtype=object)
+            if ends.dtype.kind == labels.dtype.kind == "i" and (
+                self.symbols[-1] - self.symbols[0] == len(labels) - 1
+            ):
+                idx = ends - labels[0]
             else:
-                return np.array(rows, dtype=np.intp).reshape(-1, 2)
-        raise PreconditionError(f"transition ({i},{j}) uses unknown symbol")
+                idx = np.searchsorted(labels, ends)
+            idx = np.minimum(np.maximum(idx, 0), len(labels) - 1)
+            if ends.shape == (len(pairs), 2) and (labels[idx] == ends).all():
+                return idx
+        except (TypeError, ValueError):  # an end that orders against no symbol; a ragged pair
+            pass
+        bad = next(p for p in pairs if len(p) != 2 or any(e not in self.symbols for e in p))
+        raise PreconditionError(f"transition ({','.join(map(str, bad))}) uses unknown symbol")
 
     @cached_property
     def _succ(self) -> dict[int, tuple[int, ...]]:
@@ -395,11 +389,9 @@ class SftLanguage(WordLanguage):
         return [(j, j) for j in self._succ[unit]]
 
     def unit_graph(self, depth: int) -> UnitGraph:
-        """The walk's graph in closed form: every unit turns up at depth 1, so from
-        depth 2 on the graph is complete.  Below that, the walk's partial graph,
-        unless the complete one has been built."""
-        if depth < 2 and "_complete_unit_graph" not in self.__dict__:
-            return super().unit_graph(depth)
+        """The walk's graph in closed form, complete at every depth: every unit
+        turns up at depth 1.  Below depth 2 the edges out of units 1..q carry no
+        mass, so every reader of the graph gets the walk's numbers."""
         return self._complete_unit_graph
 
     @cached_property

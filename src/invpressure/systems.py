@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-import numpy as np
-
 from .errors import PreconditionError
 from .symbolic import ItineraryLanguage, PartitionSpec, SftLanguage, WordLanguage
 
@@ -176,10 +174,6 @@ def compile_sft(
 ) -> SftLanguage:
     """Language of all paths of an explicit transition relation, given as pairs
     of symbols or as an (edges, 2) integer array."""
-    if not isinstance(transitions, np.ndarray):
-        transitions = list(transitions)
-    if len(transitions) == 0:
-        raise PreconditionError("transition relation is empty")
     if spec is not None and tuple(sorted(symbols)) != spec.symbols:
         raise PreconditionError("relation symbols do not match the partition")
     return SftLanguage(symbols, transitions)

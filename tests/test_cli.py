@@ -426,10 +426,20 @@ class TestExitCodes:
         cfg["system"]["transitions"] = [[1, 1], [1, 2], [2, 2]]
         cfg["task"] = {"command": "vp-check", "phi": "scale", "D": 6,
                        "candidates": [{"type": "parry"}]}
-        assert main(["--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 4
-        err = capsys.readouterr().err
-        assert err.startswith("precondition failed: ") and "Perron vector" in err
-        assert err.count("\n") == 1
+        # a 4-cycle feeding a loop, both of radius 1: the cycle's zero entries
+        # come out of LAPACK as rounding noise, so only the block structure tells
+        tied = json.loads(json.dumps(cfg))
+        controls = "abcde"
+        tied["control_range"] = {"values": list(controls),
+                                 "potentials": {"scale": dict.fromkeys(controls, "1.0")}}
+        tied["partition"]["control_words"] = {str(k + 1): [u] for k, u in enumerate(controls)}
+        tied["system"]["transitions"] = [[1, 2], [2, 3], [3, 4], [4, 1], [1, 5], [5, 5]]
+        for k, config in enumerate((cfg, tied)):
+            path = write_config(tmp_path, config, f"cfg{k}.json")
+            assert main(["--config", path, "--out", str(tmp_path / f"o{k}")]) == 4
+            err = capsys.readouterr().err
+            assert err.startswith("precondition failed: ") and "Perron vector" in err
+            assert err.count("\n") == 1
 
     def test_out_naming_a_file_is_2(self, tmp_path, capsys):
         out = tmp_path / "taken"

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -173,11 +174,85 @@ class TestMarkovConstruction:
             assert np.allclose(parry.stationary, expected, rtol=0.0, atol=1e-12)
 
     def test_parry_refuses_a_zero_in_the_perron_vector(self):
-        # 1->1, 1->2, 2->2: the Perron vector vanishes on symbol 1
-        lang = ip.compile_sft([1, 2], [(1, 1), (1, 2), (2, 2)])
-        # the suite turns RuntimeWarnings into errors, so a division by zero fails here
-        with pytest.raises(ip.PreconditionError, match="Perron vector has a zero entry"):
-            ip.parry_measure(lang)
+        relations = [
+            # 1->1, 1->2, 2->2: the Perron vector vanishes on symbol 1
+            ([1, 2], [(1, 1), (1, 2), (2, 2)]),
+            # a 4-cycle feeding a loop, both of radius 1: the Perron vector vanishes on
+            # the cycle, where LAPACK returns rounding noise such as 4.4e-16
+            (range(1, 6), [(1, 2), (2, 3), (3, 4), (4, 1), (1, 5), (5, 5)]),
+            # a 4-symbol block feeding the full 2-shift, both of radius 2, whose
+            # computed log radii differ by 1.4e-13: a tie within the oracle's tolerance
+            (range(1, 7), [(1, 2), (2, 3), (3, 1), (3, 4), (4, 1), (4, 2), (4, 3), (4, 4),
+                           (1, 5), (5, 5), (5, 6), (6, 5), (6, 6)]),
+        ]
+        for symbols, edges in relations:
+            lang = ip.compile_sft(symbols, edges)
+            # the suite turns RuntimeWarnings into errors, so a division by zero fails here
+            with pytest.raises(ip.PreconditionError, match="Perron vector has a zero entry"):
+                ip.parry_measure(lang)
+
+    def test_parry_accepts_by_reachability(self):
+        # accepted exactly when one block attains the top radius, every symbol
+        # reaches it and it reaches no symbol outside it; on an untied top
+        # radius that is also where numpy's Perron vector has no zero entry
+        rng = random.Random(5)
+        seen = {"accepted": 0, "refused": 0, "tied": 0}
+        for _ in range(600):
+            q = rng.randint(2, 8)
+            lang = ip.compile_sft(range(1, q + 1), _sweep_relation(rng, q))
+            A = lang.adjacency
+            reach = A.copy()  # paths of length >= 1
+            for _ in range(q.bit_length()):
+                reach = np.minimum(reach + reach @ reach, 1.0)
+            reach = reach > 0
+            blocks = {frozenset(np.flatnonzero(reach[i] & reach[:, i]).tolist()) for i in range(q) if reach[i, i]}
+            radius = {b: max(abs(np.linalg.eigvals(A[np.ix_(sorted(b), sorted(b))]))) for b in blocks}
+            top = max(radius.values())
+            basic = [b for b in blocks if radius[b] > top * (1 - 1e-9)]
+            inside = np.isin(np.arange(q), sorted(basic[0]))
+            want = (
+                len(basic) == 1
+                and all(inside[i] or reach[i, inside].any() for i in range(q))
+                and not reach[np.ix_(inside, ~inside)].any()
+            )
+            try:
+                ip.parry_measure(lang)
+                got = True
+            except ip.PreconditionError:
+                got = False
+            assert got == want, A
+            if len(basic) > 1:
+                seen["tied"] += 1
+            else:
+                eigvals, eigvecs = np.linalg.eig(A)
+                v = np.abs(np.real(eigvecs[:, np.argmax(np.real(eigvals))]))
+                assert got == (v.min() > 0.0), A
+            seen["accepted" if got else "refused"] += 1
+        assert min(seen.values()) >= 50, seen
+
+
+def _sweep_relation(rng: random.Random, q: int) -> list[tuple[int, int]]:
+    """Edges on 1..q, every symbol with an out-edge, plus random extra edges:
+    one full cycle; a forward chain whose edges never lead back; or two cycles,
+    on 1..k and k+1..q, kept apart or with edges from the first into the second."""
+    kind = rng.choice(("cycle", "chain", "apart", "feeding"))
+    k = rng.randint(1, q - 1)
+    if kind == "cycle":
+        edges = [(i, i % q + 1) for i in range(1, q + 1)]
+    elif kind == "chain":
+        edges = [(i, min(i + 1, q)) for i in range(1, q + 1)]
+    else:
+        edges = [(i, i % k + 1) for i in range(1, k + 1)]
+        edges += [(i, i + 1 if i < q else k + 1) for i in range(k + 1, q + 1)]
+    allowed = {
+        "cycle": lambda i, j: True,
+        "chain": lambda i, j: j >= i,
+        "apart": lambda i, j: (i <= k) == (j <= k),
+        "feeding": lambda i, j: i <= k or j > k,
+    }[kind]
+    p = rng.choice((0.1, 0.25, 0.5))
+    edges += [(i, j) for i in range(1, q + 1) for j in range(1, q + 1) if allowed(i, j) and rng.random() < p]
+    return edges
 
 
 def reference_covers(Z, word):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import invpressure as ip
+from invpressure.capacity import level_log_sums
 from invpressure.symbolic import NEG_INF, _UnitWalk, cyclic_components, logsumexp
 from conftest import brute_words, full_shift, golden_mean, random_sft, single_branch, words
 
@@ -256,14 +257,16 @@ class TestCompiledRelation:
         for q in (1, 2, 3, 5, 8, 17, 33, 64):
             for irreducible in (True, False):
                 edges = random_relation(rng, q, irreducible)
-                # relabelled symbols are not consecutive, so their ends go through the dict
+                # relabelled symbols are not consecutive, so their ends are bisected
                 label = (lambda s: 3 * s - 40) if relabel else (lambda s: s)
                 symbols = [label(s) for s in range(1, q + 1)]
                 pairs = [(label(i), label(j)) for i, j in edges]
                 A = np.zeros((q, q))
                 for i, j in edges:
                     A[i - 1, j - 1] = 1.0
-                for depth in (1, 2, 7):
+                # at depth 1 the walk stops before expanding units 1..q; the closed
+                # form carries their edges from the start (see the depth-1 pins below)
+                for depth in (2, 7):
                     lang = ip.compile_sft(symbols, pairs)
                     assert np.array_equal(lang.adjacency, A)
                     ours = lang.unit_graph(depth)
@@ -272,16 +275,59 @@ class TestCompiledRelation:
                     for name in ("src", "sym", "starts", "seg"):
                         a, b = getattr(ours, name), getattr(walk, name)
                         assert a.dtype == b.dtype and np.array_equal(a, b), (q, depth, name)
-                # once complete, the graph serves every depth, as the walk's does
-                assert lang.unit_graph(1) is lang.unit_graph(7)
+                # the complete graph serves every depth, depth 1 included
+                fresh = ip.compile_sft(symbols, pairs)
+                assert fresh.unit_graph(1) is fresh.unit_graph(7) is fresh.unit_graph(2)
+
+    @pytest.mark.parametrize("edges, table, want", [
+        ([(1, 1), (1, 2), (2, 1)], {1: 0.3, 2: -1.1},
+         ("0x1.0a742697bccfcp-1", "0x1.abd63eb51b37ap-1", "0x1.cb83a8df526cep-1")),
+        ([(1, 2), (1, 6), (2, 1), (3, 4), (3, 5), (4, 1), (4, 5), (5, 5), (5, 6), (6, 1), (6, 2)],
+         {1: -0.69, 2: -0.93, 3: -1.57, 4: -0.7, 5: -0.76, 6: 0.28},
+         ("0x1.38a664b6d2241p+0", "0x1.af278ad2f110fp+0", "0x1.3b2261be9d8efp+1")),
+    ])
+    def test_depth_one_reads_the_walks_numbers(self, edges, table, want):
+        # the values the walk's depth-1 partial graph gave: the edges out of units
+        # 1..q that the complete graph adds carry no mass at depth 1
+        w = ip.PerSymbolWeights(table, 1)
+        w_pos = ip.PerSymbolWeights({s: abs(v) + 0.5 for s, v in table.items()}, 1)
+        whole = ip.SubsetSpec.whole_space()
+        got = []
+        for value in (
+            lambda lang: level_log_sums(lang, w, 1)[0],
+            lambda lang: ip.cover_value(lang, w, whole, 0.7, 1, 1),
+            lambda lang: ip.bs_cover_value(lang, w_pos, whole, 0.7, 1, 1),
+        ):
+            got.append(value(ip.compile_sft(sorted(table), edges)).hex())
+        assert tuple(got) == want
 
     def test_unknown_ends_are_refused_by_value(self):
-        for ends in ([10**30, 1], [1, -(2**70)], [1.5, 1], [0, 1], [2**63, 1]):
+        # -2**63 fits an int64, but its offset from symbol 1 wraps around
+        bad_ends = ([10**30, 1], [1, -(2**70)], [1.5, 1], [0, 1], [2**63, 1], [-(2**63), 1], [None, 1], [1, "x"])
+        for ends in bad_ends:
             for symbols in ([1, 2], [1, 5]):
-                pairs = [[1, 1], [1, 2 if symbols == [1, 2] else 5], ends, [3, 3]]
+                pairs = [[1, 1], [1, symbols[1]], ends, [3, 3]]
                 with pytest.raises(ip.PreconditionError) as err:
                     ip.compile_sft(symbols, pairs)
                 assert str(err.value) == f"transition ({ends[0]},{ends[1]}) uses unknown symbol"
+        for symbols in ([1, 2], [1, 5]):
+            # a float end equal to a symbol is that symbol, on either lookup
+            lang = ip.compile_sft(symbols, [[1.0, symbols[1]], [symbols[1], 1]])
+            assert np.array_equal(lang.adjacency, [[0.0, 1.0], [1.0, 0.0]])
+            # a pair of length 3 is no edge, among pairs or among triples
+            with pytest.raises(ip.PreconditionError, match=r"^transition \(1,1,1\) uses unknown symbol$"):
+                ip.compile_sft(symbols, [[1, symbols[1]], [1, 1, 1], [symbols[1], 1]])
+            with pytest.raises(ip.PreconditionError, match=r"^transition \(1,1,1\) uses unknown symbol$"):
+                ip.compile_sft(symbols, [[1, 1, 1], [1, symbols[1], 1]])
+        # 2**63 turns the ends into floats, in which it equals the symbol 2**63 - 1
+        big = 2**63 - 1
+        with pytest.raises(ip.PreconditionError, match=rf"^transition \({big + 1},1\) uses unknown symbol$"):
+            ip.compile_sft([1, big], [[1, big], [big, 1], [big + 1, 1]])
+        # relabelled symbols from an integer array are bisected, and refused by value too
+        lang = ip.compile_sft([-37, -34, -31], np.array([[-37, -34], [-34, -31], [-31, -37], [-31, -31]]))
+        assert np.array_equal(lang.adjacency, [[0, 1, 0], [0, 0, 1], [1, 0, 1]])
+        with pytest.raises(ip.PreconditionError, match=r"^transition \(-34,-33\) uses unknown symbol$"):
+            ip.compile_sft([-37, -34, -31], np.array([[-37, -34], [-34, -33], [-31, -37]]))
         edges = np.array([[1, 2], [2, 7], [9, 1]])
         with pytest.raises(ip.PreconditionError, match=r"^transition \(2,7\) uses unknown symbol$"):
             ip.compile_sft([1, 2], edges)
