@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,9 @@ import invpressure as ip
 from invpressure.cli import Run, _fraction, bundled_config_path, main, run
 from invpressure.symbolic import MAX_DEPTH, MAX_GRID_POINTS
 
-BUNDLED = ("full-shift-3.json", "golden-mean.json", "affine-doubling.json")
+BUNDLED = (
+    "full-shift-3.json", "golden-mean.json", "affine-doubling.json", "finite-state-ring.json",
+)
 
 
 def load(name):
@@ -180,6 +183,31 @@ WRONG_TYPE = {
     "transition-word-end": (
         "golden-mean.json", ("system", "transitions"), [["x", 1]],
         "transitions: cannot parse integer 'x'",
+    ),
+}
+
+
+#: finite-state blocks the library refuses: (system keys replaced, task, the line it exits 4 with)
+FINITE_STATE_REFUSALS = {
+    "unknown-invariant-state": (
+        {"invariant_set": ["p", "z"]}, "validate",
+        "invariant-set state 'z' unknown",
+    ),
+    "state-without-cell": (
+        {"cell_of": {"p": 1}}, "validate",
+        "state 'q' has no cell assignment",
+    ),
+    "cell-outside-partition": (
+        {"cell_of": {"p": 1, "q": 3}}, "validate",
+        "system cells [1, 3] not all in partition symbols",
+    ),
+    "escaping-partition": (
+        {"transition": {"p": {"u": "q"}, "q": {"v": "p"}}}, "pressure",
+        "partition not invariant; first violation: (2, 1, \"state 'q' escapes at step 1\")",
+    ),
+    "empty-invariant-set": (
+        {"invariant_set": []}, "pressure",
+        "itinerary language needs at least one state",
     ),
 }
 
@@ -393,6 +421,17 @@ class TestExitCodes:
         cfg = load("golden-mean.json")
         cfg["output"]["prefix"] = "..run.1"
         assert run(cfg, str(tmp_path))["outputs"] == ["..run.1.csv"]
+
+    @pytest.mark.parametrize(
+        "keys,command,line", FINITE_STATE_REFUSALS.values(), ids=FINITE_STATE_REFUSALS.keys()
+    )
+    def test_finite_state_refusal_is_4(self, tmp_path, capsys, keys, command, line):
+        cfg = json.loads(json.dumps(FINITE_STATE))
+        cfg["system"].update(keys)
+        cfg["control_range"] = {"values": ["u", "v"], "potentials": {"phi": {"u": "1", "v": "2"}}}
+        cfg["task"] = {"command": command, "phi": "phi"}
+        assert main(["--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 4
+        assert capsys.readouterr().err == f"precondition failed: {line}\n"
 
     def test_math_precondition_is_4(self, tmp_path):
         cfg = load("golden-mean.json")
@@ -715,3 +754,135 @@ class TestGoldenBytes:
             for name in manifest["outputs"]
         }
         assert digests == GOLDEN_BYTES[base, command]
+
+
+def random_state_config(rng: random.Random, n: int) -> dict:
+    """A valid finite-state config on n states named by JSON integers, over 5 cells
+    at tau 2, with three states outside Q that no move of Q reaches."""
+    controls = ["u1", "u2", "u3", "u4", "u5"]
+    phi = {u: f"{rng.randint(-150, 150) / 100:.2f}" for u in controls}
+    psi = {u: f"{rng.randint(40, 200) / 100:.2f}" for u in controls}
+    order = list(range(n))
+    rng.shuffle(order)
+    transition = {str(x): {u: rng.randrange(n) for u in controls} for x in order}
+    for x in range(n, n + 3):
+        transition[str(x)] = {"u1": rng.randrange(n + 3)}
+    return {
+        "control_range": {"values": controls, "potentials": {"phi": phi, "psi": psi}},
+        "partition": {
+            "tau": 2,
+            "control_words": {str(i): [controls[i - 1], controls[i % 5]] for i in range(1, 6)},
+        },
+        "system": {
+            "type": "finite-state",
+            "states": list(range(n + 3)),
+            "transition": transition,
+            "invariant_set": order,
+            "cell_of": {str(x): rng.randint(1, 5) for x in range(n)},
+        },
+        "output": {"prefix": "states"},
+    }
+
+
+def escaping_config(rng: random.Random, n: int) -> dict:
+    """A finite-state config at tau 3 whose moves are undefined, or leave Q, with
+    probability 0.05 each: most cells have escaping states."""
+    controls = ["a", "b", "c"]
+    names = [f"s{k}" for k in range(n)]
+    outside = ["out0", "out1"]
+    transition = {}
+    for x in names + outside:
+        row = {}
+        for u in controls:
+            r = rng.random()
+            if r >= 0.05:
+                row[u] = rng.choice(outside if r < 0.1 else names)
+        transition[x] = row
+    return {
+        "partition": {
+            "tau": 3,
+            "control_words": {str(i): [rng.choice(controls) for _ in range(3)] for i in (1, 2, 3)},
+        },
+        "system": {
+            "type": "finite-state",
+            "states": names + outside,
+            "transition": transition,
+            "invariant_set": names,
+            "cell_of": {x: rng.randint(1, 3) for x in names},
+        },
+        "output": {"prefix": "escaping"},
+    }
+
+
+#: the tasks pinned on each finite-state system: the escaping one only validates
+FINITE_STATE_TASKS = {
+    "validate": {"command": "validate"},
+    "pressure": {"command": "pressure", "phi": "phi", "n_max": 60},
+    "bowen-root": {"command": "bowen-root", "phi": "phi", "psi": "scale", "tol": "1e-9"},
+    "induced": {"command": "induced", "phi": "phi", "psi": "scale", "T_grid": ["3", "6"]},
+}
+
+#: sha256 of each finite-state CSV, with glibc's exp and log
+FINITE_STATE_BYTES = {
+    ("ring", "validate"): {
+        "finite_state_ring.csv":
+            "7a8988ee5646fcecb50510bc0d750018e2eb5fb0758b60b0d8cf7c856f8bc01b",
+    },
+    ("ring", "pressure"): {
+        "finite_state_ring.csv":
+            "727ebc08c696adf1d5da9f1e37c34c01e8fe55e2476a5060f0f3201e40754d74",
+    },
+    ("ring", "bowen-root"): {
+        "finite_state_ring.csv":
+            "3bfb19b7662cfb3617e036cd35767b263d1bcee27838b05739a6d669ea776fc0",
+    },
+    ("ring", "induced"): {
+        "finite_state_ring.csv":
+            "89841edc824ac507e33be28b5662d225b34ad65b4ac3d5fdf6ab026bbfcd1a24",
+    },
+    ("random300", "validate"): {
+        "states.csv":
+            "7a8988ee5646fcecb50510bc0d750018e2eb5fb0758b60b0d8cf7c856f8bc01b",
+    },
+    ("random300", "pressure"): {
+        "states.csv":
+            "d6bf18361a1cec213a18c93529def08fd515281fc2d5f6d3a0bd796937249518",
+    },
+    ("random300", "bowen-root"): {
+        "states.csv":
+            "ae7c4d10b073c97ef1d51223d86155e81417a81712b3ede211b01ffb9f51853b",
+    },
+    ("random300", "induced"): {
+        "states.csv":
+            "a58787e5708d1041c85ace8319358f5583a4e5a084d54eca1a3d6b52a78278a0",
+    },
+    ("escaping", "validate"): {
+        "escaping.csv":
+            "e5e57d1b1a44b73c903f26f0e8f73e9821194f974f30710fb595565e31b5fa43",
+    },
+}
+
+
+def _finite_state_config(system: str, command: str) -> dict:
+    if system == "ring":
+        cfg = load("finite-state-ring.json")
+    elif system == "random300":
+        cfg = random_state_config(random.Random("golden/random300"), 300)
+    else:
+        cfg = escaping_config(random.Random("golden/escaping"), 60)
+    task = dict(FINITE_STATE_TASKS[command])
+    if system == "random300" and "psi" in task:
+        task["psi"] = "psi"
+    cfg["task"] = task
+    return cfg
+
+
+class TestFiniteStateGoldenBytes:
+    @pytest.mark.parametrize("system,command", sorted(FINITE_STATE_BYTES))
+    def test_finite_state_csvs(self, tmp_path, system, command):
+        manifest = run(_finite_state_config(system, command), str(tmp_path))
+        digests = {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in manifest["outputs"]
+        }
+        assert digests == FINITE_STATE_BYTES[system, command]

@@ -22,7 +22,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from invpressure.cli import COMMANDS, bundled_config_path, main
 from invpressure.symbolic import MAX_DEPTH, MAX_GRID_POINTS
 
-BASES = ("golden-mean.json", "full-shift-3.json", "affine-doubling.json")
+BASES = ("golden-mean.json", "full-shift-3.json", "affine-doubling.json", "finite-state-ring.json")
 RUN_LIMIT_S = 2.0
 
 #: junk strings: non-finite, past a float, past the exponent cap, over long
