@@ -288,13 +288,15 @@ def cycle_mean_pressure(lang: ItineraryLanguage, weights: PerSymbolWeights) -> f
 
     Deterministic itineraries are eventually periodic, so the level sums are
     finitely many exponentials and the limit is the largest cycle mean of the
-    symbol weights, divided by tau.
+    symbol weights, divided by tau.  Each cycle's sum is an exact ``math.fsum``,
+    so neither the order of the cycles nor of their states changes a bit.
     """
     if not isinstance(lang, ItineraryLanguage):
         raise PreconditionError("cycle-mean pressure needs an itinerary language")
+    label = lang.label.tolist()
     best = NEG_INF
     for cycle in lang.cycles:
-        mean = math.fsum(weights[lang.label[x]] for x in cycle) / len(cycle)
+        mean = math.fsum(weights[label[x]] for x in cycle) / len(cycle)
         best = max(best, mean / weights.tau)
     return best
 

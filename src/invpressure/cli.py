@@ -232,10 +232,8 @@ class Run:
                 x = x if type(x) is str else str(x)
                 for u, y in _typed(row, dict, f"transition row {x}").items():
                     trans[(x, u if type(u) is str else str(u))] = y if type(y) is str else str(y)
-            inv = tuple(
-                s if type(s) is str else str(s)
-                for s in _optional(block, "invariant_set", "system", list, states)
-            )
+            inv = _optional(block, "invariant_set", "system", list, None)
+            inv = states if inv is None else tuple(s if type(s) is str else str(s) for s in inv)
             cells = {
                 x if type(x) is str else str(x): i if type(i) is int else _int(i, "cell_of")
                 for x, i in _require(block, "cell_of", "system", dict).items()

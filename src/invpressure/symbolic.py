@@ -239,57 +239,19 @@ class UnitGraph:
         return kids
 
 
-class _UnitWalk:
-    """Breadth-first walk over a language's units, extended one depth at a time."""
-
-    def __init__(self, symbols: Sequence[int]):
-        self.sym_index = {s: k for k, s in enumerate(symbols)}
-        self.units: list[object] = [None]
-        self.index: dict[object, int] = {}
-        self.edges: list[tuple[int, int, int]] = []  # (dst, src, sym)
-        self.expanded = 0  # units[:expanded] have their out-edges
-        self.depth = 0  # every unit of depth < self.depth is expanded
-        self.graph: UnitGraph | None = None
-
-    def graph_to(self, lang: "WordLanguage", depth: int) -> UnitGraph:
-        if self.graph is None or (self.depth < depth and self.expanded < len(self.units)):
-            while self.depth < depth and self.expanded < len(self.units):
-                self._expand_level(lang)
-            self.graph = self._compile()
-        return self.graph
-
-    def _expand_level(self, lang: "WordLanguage") -> None:
-        end = len(self.units)
-        for k in range(self.expanded, end):
-            succ = lang.initial_units() if k == 0 else lang.unit_successors(self.units[k])
-            for u2, s in succ:
-                if u2 not in self.index:
-                    self.index[u2] = len(self.units)
-                    self.units.append(u2)
-                self.edges.append((self.index[u2], k, self.sym_index[s]))
-        self.expanded = end
-        self.depth += 1
-
-    def _compile(self) -> UnitGraph:
-        edges = np.array(self.edges, dtype=np.intp).reshape(-1, 3)
-        dst, src, sym = np.ascontiguousarray(edges[np.argsort(edges[:, 0], kind="stable")].T)
-        return UnitGraph(
-            n_units=len(self.units),
-            src=src,
-            sym=sym,
-            starts=np.flatnonzero(np.diff(dst, prepend=0)),
-            seg=dst - 1,
-        )
-
-
 class WordLanguage:
     """Admissible-word language of an invariant partition.
 
     Words are expanded through *units*: a unit is whatever a presentation
     needs to continue a word class (the last symbol for a transition
-    relation, the set of current states for itinerary generators).  Distinct
-    length-n words always map to a unique (unit chain); aggregating masses by
-    unit is exact for every additive-weight sum used downstream.
+    relation, the sorted ids of the current states for itinerary
+    generators).  Distinct length-n words always map to a unique (unit
+    chain); aggregating masses by unit is exact for every additive-weight
+    sum used downstream.
+
+    ``initial_units`` and ``unit_successors`` are the raw presentation, one
+    unit at a time: (unit, symbol) pairs by symbol.  The solvers read the
+    compiled ``unit_graph`` instead.
     """
 
     symbols: tuple[int, ...]
@@ -300,20 +262,16 @@ class WordLanguage:
     def unit_successors(self, unit: object) -> list[tuple[object, int]]:
         raise NotImplementedError
 
-    @cached_property
-    def _unit_walk(self) -> _UnitWalk:
-        return _UnitWalk(self.symbols)
-
     def unit_graph(self, depth: int) -> UnitGraph:
         """The units met by words shorter than ``depth``, with their labelled out-edges.
 
-        The breadth-first walk is kept on the language and only extended when
-        a later call asks for a deeper graph, so each unit is expanded once
-        per language.  Once no new unit turns up the graph is complete and
-        serves every depth; until then it holds at most the units of the
-        words shorter than ``depth`` plus their successors.
+        Units are numbered breadth first, each unit's successors by symbol
+        and new units in order of first appearance.  Once no new unit turns
+        up the graph is complete and serves every depth; until then it holds
+        at most the units of the words shorter than ``depth`` plus their
+        successors.
         """
-        return self._unit_walk.graph_to(self, depth)
+        raise NotImplementedError
 
     @cached_property
     def _cover_graphs(self) -> dict:
@@ -389,9 +347,9 @@ class SftLanguage(WordLanguage):
         return [(j, j) for j in self._succ[unit]]
 
     def unit_graph(self, depth: int) -> UnitGraph:
-        """The walk's graph in closed form, complete at every depth: every unit
-        turns up at depth 1.  Below depth 2 the edges out of units 1..q carry no
-        mass, so every reader of the graph gets the walk's numbers."""
+        """The breadth-first walk's graph in closed form, complete at every depth:
+        every unit turns up at depth 1.  Below depth 2 the edges out of units
+        1..q carry no mass, so every reader of the graph gets the walk's numbers."""
         return self._complete_unit_graph
 
     @cached_property
@@ -481,61 +439,134 @@ def cyclic_components(succ: Sequence[Sequence[int]]) -> list[list[int]]:
     return comps
 
 
+def _changes(a: np.ndarray) -> np.ndarray:
+    """Mask of the entries of a that differ from the entry before; the first always does."""
+    mask = np.empty(len(a), dtype=bool)
+    mask[:1] = True
+    np.not_equal(a[1:], a[:-1], out=mask[1:])
+    return mask
+
+
 class ItineraryLanguage(WordLanguage):
     """Distinct symbol itineraries of a deterministic map on finitely many states.
 
-    ``step`` is the induced tau-step map on the invariant set, ``label`` the
-    cell of each state.  A unit is the frozenset of current states of one
-    word class; classes split as labels diverge, so there are at most
-    ``len(states)`` words per length.
+    The states are numbered 0..len(states)-1: ``step[x]`` is the id of the
+    induced tau-step image of state x, and ``label[x]`` its cell.  A unit is
+    the sorted ids of the current states of one word class; classes split
+    as labels diverge, so there are at most ``len(states)`` words per length.
     """
 
-    def __init__(self, states: Sequence[object], step: Mapping[object, object],
-                 label: Mapping[object, int]):
+    def __init__(self, states: Sequence[object], step: Sequence[int], label: Sequence[int]):
         if not states:
             raise PreconditionError("itinerary language needs at least one state")
         self.states = tuple(states)
-        self.step = dict(step)
-        self.label = dict(label)
-        in_set = set(self.states)
-        for x in self.states:
-            if x not in self.step or self.step[x] not in in_set:
-                raise PreconditionError(f"state {x!r} has no in-set successor")
-            if x not in self.label:
-                raise PreconditionError(f"state {x!r} has no cell label")
-        self.symbols = tuple(sorted(set(self.label[x] for x in self.states)))
+        self.step = np.asarray(step, dtype=np.intp)
+        self.label = np.asarray(label, dtype=np.intp)
+        m = len(self.states)
+        if self.step.shape != (m,) or self.label.shape != (m,):
+            raise PreconditionError("itinerary language needs one successor and one label per state")
+        bad = np.flatnonzero((self.step < 0) | (self.step >= m))
+        if len(bad):
+            raise PreconditionError(f"state {self.states[bad[0]]!r} has no in-set successor")
+        self.symbols = tuple(sorted(set(self.label.tolist())))
+        # a level's sort key (unit, label, next state) is below m * labels * m: a
+        # level holds at most m states, so at most m units
+        if m * len(self.symbols) * m >= 2**63:
+            raise GuardError(f"{m} states over {len(self.symbols)} labels overflow the level sort key")
+        self._sym = np.searchsorted(self.symbols, self.label)  # symbol index of each state
+        # the level expansion: unit numbers by the bytes of their sorted state ids,
+        # the edges of each expanded level, and the units found last, not yet expanded,
+        # as their state ids and each id's unit (unit 0 holds every state)
+        self._units: dict[bytes, int] = {}
+        self._edges: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        self._front = (np.zeros(m, dtype=np.intp), np.arange(m))
+        self._depth = 0
+        self._graph: UnitGraph | None = None
 
-    def _split(self, group: Iterable[object]) -> list[tuple[frozenset, int]]:
+    def unit_graph(self, depth: int) -> UnitGraph:
+        """The breadth-first unit graph, expanded a whole level at a time and kept
+        on the language: a deeper call extends it, so each level is expanded
+        once per language."""
+        if self._graph is None or (self._depth < depth and len(self._front[0])):
+            while self._depth < depth and len(self._front[0]):
+                self._expand_level()
+            dst, src, sym = (
+                np.concatenate([e[k] for e in self._edges] or [np.zeros(0, np.intp)]) for k in range(3)
+            )
+            order = np.argsort(dst, kind="stable")
+            dst = dst[order]
+            self._graph = UnitGraph(
+                n_units=len(self._units) + 1,
+                src=src[order],
+                sym=sym[order],
+                starts=np.flatnonzero(np.diff(dst, prepend=0)),
+                seg=dst - 1,
+            )
+        return self._graph
+
+    def _expand_level(self) -> None:
+        # one sort of the level's (unit, label, next state) keys, repeats dropped: each
+        # run of one (unit, label) is a successor unit, as its sorted next states
+        owner, states = self._front
+        m, q, first = len(self.step), len(self.symbols), int(owner[0])
+        key = ((owner - first) * q + self._sym[states]) * m + self.step[states]
+        key.sort()
+        key = key[_changes(key)]
+        pair, nxt = np.divmod(key, m)
+        starts = np.flatnonzero(_changes(pair))
+        src, sym = np.divmod(pair[starts], q)
+        # a successor unit is keyed by the bytes of its ids and numbered on its first
+        # appearance; a run whose number exceeds every earlier one is a new unit
+        ids, bounds = nxt.tobytes(), np.append(starts, len(nxt))
+        cuts = (bounds * nxt.itemsize).tolist()
+        units, n = self._units, len(self._units)
+        dst = np.array(
+            [units.setdefault(ids[a:b], len(units) + 1) for a, b in zip(cuts, cuts[1:])],
+            dtype=np.intp,
+        )
+        fresh = dst > np.maximum.accumulate(np.append(n, dst[:-1]))
+        sizes = np.diff(bounds)
+        self._edges.append((dst, src + first, sym))
+        self._front = (np.repeat(dst[fresh], sizes[fresh]), nxt[np.repeat(fresh, sizes)])
+        self._depth += 1
+
+    def _split(self, group: Iterable[int]) -> list[tuple[tuple[int, ...], int]]:
+        step, label = self._lists
         buckets: dict[int, set] = {}
         for x in group:
-            buckets.setdefault(self.label[x], set()).add(self.step[x])
-        return [(frozenset(buckets[s]), s) for s in sorted(buckets)]
+            buckets.setdefault(label[x], set()).add(step[x])
+        return [(tuple(sorted(buckets[s])), s) for s in sorted(buckets)]
+
+    @cached_property
+    def _lists(self) -> tuple[list[int], list[int]]:
+        return self.step.tolist(), self.label.tolist()
 
     def initial_units(self):
-        return self._split(self.states)
+        return self._split(range(len(self.states)))
 
     def unit_successors(self, unit):
         return self._split(unit)
 
     @cached_property
-    def cycles(self) -> tuple[tuple[object, ...], ...]:
-        """Cycles of the step map (every state falls into exactly one), found once."""
-        color: dict[object, int] = {}
-        cycles = []
-        for x0 in self.states:
-            if x0 in color:
-                continue
-            path, x = [], x0
-            seen_at = {}
-            while x not in color and x not in seen_at:
-                seen_at[x] = len(path)
-                path.append(x)
-                x = self.step[x]
-            if x in seen_at:
-                cycles.append(tuple(path[seen_at[x]:]))
-            for y in path:
-                color[y] = 1
-        return tuple(cycles)
+    def cycles(self) -> tuple[tuple[int, ...], ...]:
+        """Cycles of the step map, each as its state ids in increasing order, found once.
+
+        After 2^K >= len(states) steps every state is on its cycle, so the image
+        of step^(2^K) is the set of cycle states.  The same K doublings take the
+        smallest id over 2^K steps of each state's orbit: on a cycle, that names
+        the cycle.
+        """
+        jump, least = self.step, np.arange(len(self.step))
+        for _ in range(max(len(self.step) - 1, 0).bit_length()):
+            least = np.minimum(least, least[jump])
+            jump = jump[jump]
+        on_cycle = np.zeros(len(jump), dtype=bool)
+        on_cycle[jump] = True
+        members = np.flatnonzero(on_cycle)
+        members = members[np.argsort(least[members], kind="stable")]
+        heads = least[members]
+        cuts = np.flatnonzero(heads[1:] != heads[:-1]) + 1
+        return tuple(tuple(c.tolist()) for c in np.split(members, cuts))
 
 
 @dataclass

@@ -5,7 +5,10 @@ transition table, exhaustively validated) and one-dimensional affine
 interval systems x -> q*x + u (validated with exact rational interval
 arithmetic).  Valid partitions compile to a ``WordLanguage``:
 finite-state systems produce itinerary languages, and explicit transition
-relations produce ``SftLanguage`` directly.
+relations produce ``SftLanguage`` directly.  A finite-state system's
+itinerary language numbers the invariant states in ``invariant_set`` order
+and holds its tau-step map and cell labels as integer arrays over those ids;
+a unit is the sorted ids of its current states, not a set of state names.
 """
 
 from __future__ import annotations
@@ -13,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .errors import PreconditionError
 from .symbolic import ItineraryLanguage, PartitionSpec, SftLanguage, WordLanguage
@@ -25,7 +30,7 @@ class FiniteStateSystem:
     ``transition[(x, u)]`` is the successor of state x under control value u
     (missing pairs mean the move is undefined and counts as leaving Q).
     ``invariant_set`` is the controlled invariant set; ``cell_of`` assigns
-    each of its states to a partition symbol.
+    each of its states to a partition symbol.  No state may be listed twice.
     """
 
     states: tuple[object, ...]
@@ -35,6 +40,14 @@ class FiniteStateSystem:
 
     def __post_init__(self):
         state_set = set(self.states)
+        for name, listed, distinct in (
+            ("states", self.states, state_set),
+            ("invariant_set", self.invariant_set, set(self.invariant_set)),
+        ):
+            if len(distinct) != len(listed):
+                seen: set = set()
+                twice = next(x for x in listed if x in seen or seen.add(x))
+                raise PreconditionError(f"state {twice!r} is listed twice in {name}")
         for x in self.invariant_set:
             if x not in state_set:
                 raise PreconditionError(f"invariant-set state {x!r} unknown")
@@ -93,28 +106,38 @@ class PartitionValidationReport:
 
 def _walk_finite_state(
     system: FiniteStateSystem, spec: PartitionSpec
-) -> tuple[dict, list[tuple[int, int, str]]]:
-    """(tau-step images, violations): one walk per invariant state along its cell's
-    control word, ending at its first escape (a violation) or at the state's image."""
-    cell_of = system.cell_of
-    used = {cell_of[x] for x in system.invariant_set}
+) -> tuple[np.ndarray, list[int], list[tuple[int, int, str]]]:
+    """(tau-step images, cells, violations) in state ids, which number
+    ``invariant_set`` in order.  Every state takes its cell's control word one
+    step at a time, all states together; a state stops at its first escape (a
+    violation), where its id becomes -1.  Violations come by symbol, then in
+    ``invariant_set`` order."""
+    names = system.invariant_set
+    ids = {x: k for k, x in enumerate(names)}
+    ids.pop(None, None)  # None is the undefined move of transition.get, never a successor
+    cells = [system.cell_of[x] for x in names]
+    used = set(cells)
     if not used <= set(spec.symbols):
         raise PreconditionError(f"system cells {sorted(used)} not all in partition symbols")
-    q_set = set(system.invariant_set)
     move = system.transition.get
-    step, violations = {}, []
-    for x0 in system.invariant_set:
-        i = cell_of[x0]
-        x = x0
-        for j, u in enumerate(spec.control_words[i], start=1):
-            x = move((x, u))
-            if x is None or x not in q_set:
-                violations.append((i, j, f"state {x0!r} escapes at step {j}"))
-                break
-        else:
-            step[x0] = x
-    violations.sort(key=lambda v: v[0])  # stable: by symbol, then invariant_set order
-    return step, violations
+    words = [spec.control_words[i] for i in cells]
+    at = np.arange(len(names))
+    escape = np.zeros(len(names), dtype=np.intp)  # the step a state escapes at, or 0
+    for j in range(spec.tau):
+        after = np.array(
+            [k if k < 0 else ids.get(move((names[k], word[j])), -1)
+             for k, word in zip(at.tolist(), words)],
+            dtype=np.intp,
+        )
+        escape[(after < 0) & (at >= 0)] = j + 1
+        at = after
+    escaped = np.flatnonzero(escape)
+    escaped = escaped[np.argsort(np.array(cells)[escaped], kind="stable")]
+    violations = [
+        (cells[x], j, f"state {names[x]!r} escapes at step {j}")
+        for x, j in zip(escaped.tolist(), escape[escaped].tolist())
+    ]
+    return at, cells, violations
 
 
 def _validate_affine(
@@ -150,7 +173,7 @@ def validate_invariant_partition(system, spec: PartitionSpec) -> PartitionValida
     with exact rational endpoints.
     """
     if isinstance(system, FiniteStateSystem):
-        violations = _walk_finite_state(system, spec)[1]
+        violations = _walk_finite_state(system, spec)[2]
     elif isinstance(system, AffineIntervalSystem):
         violations = _validate_affine(system, spec)
     else:
@@ -160,11 +183,10 @@ def validate_invariant_partition(system, spec: PartitionSpec) -> PartitionValida
 
 def itinerary_language(system: FiniteStateSystem, spec: PartitionSpec) -> WordLanguage:
     """Language of symbol itineraries of the induced tau-step map on Q."""
-    step, violations = _walk_finite_state(system, spec)
+    step, cells, violations = _walk_finite_state(system, spec)
     if violations:
         raise PreconditionError(f"partition not invariant; first violation: {violations[0]}")
-    label = {x: system.cell_of[x] for x in system.invariant_set}
-    return ItineraryLanguage(system.invariant_set, step, label)
+    return ItineraryLanguage(system.invariant_set, step, cells)
 
 
 def compile_sft(

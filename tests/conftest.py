@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 import invpressure as ip
-from invpressure.symbolic import MAX_TREE_NODES, MAX_WORDS, NEG_INF, logsumexp
+from invpressure.symbolic import MAX_TREE_NODES, MAX_WORDS, NEG_INF, UnitGraph, logsumexp
 
 
 # ---------------------------------------------------------------------------
@@ -97,6 +97,34 @@ def golden_itinerary(D: int):
     return ip.itinerary_language(sys, ip.PartitionSpec(1, {1: ("u",), 2: ("u",)}))
 
 
+def coprime_cycles(periods=(2, 3, 5, 7, 11, 13, 17, 19, 23)):
+    """Itinerary language of cycles of the given lengths, labelled 1, each fed by a
+    tail state labelled 2: the tail class visits lcm(periods) distinct state sets."""
+    step, cell_of = {}, {}
+    for p in periods:
+        cycle = [f"c{p}_{k}" for k in range(p)]
+        step.update({x: cycle[(k + 1) % p] for k, x in enumerate(cycle)})
+        cell_of.update({x: 1 for x in cycle})
+        step[f"t{p}"], cell_of[f"t{p}"] = cycle[0], 2
+    names = tuple(step)
+    sys = ip.FiniteStateSystem(names, {(x, "u"): y for x, y in step.items()}, names, cell_of)
+    return ip.itinerary_language(sys, ip.PartitionSpec(1, {1: ("u",), 2: ("u",)}))
+
+
+def record_expansions(lang) -> list:
+    """Spy on an itinerary language's level expansion: the returned list gets, per
+    expanded level, the units that level expands, read off its frontier."""
+    levels = []
+    expand = lang._expand_level
+
+    def spy():
+        levels.append(np.unique(lang._front[0]).tolist())
+        expand()
+
+    lang._expand_level = spy
+    return levels
+
+
 def random_finite_state(rng, states: int, cells: int, tau: int, leak: float):
     """(system, spec) whose moves leave the invariant set or are undefined with
     probability ``leak`` each; a leak of 0 gives a valid partition."""
@@ -161,6 +189,51 @@ def words(lang, n: int, max_words: int = MAX_WORDS) -> list:
         else:
             raise ip.GuardError(f"word enumeration exceeded {max_words} words")
     return out
+
+
+class UnitWalk:
+    """The breadth-first walk of a language's units through the raw
+    ``initial_units``/``unit_successors`` presentation, one unit at a time,
+    extended one depth at a time: the reference for every compiled ``unit_graph``."""
+
+    def __init__(self, symbols):
+        self.sym_index = {s: k for k, s in enumerate(symbols)}
+        self.units: list = [None]
+        self.index: dict = {}
+        self.edges: list = []  # (dst, src, sym)
+        self.expanded = 0  # units[:expanded] have their out-edges
+        self.depth = 0  # every unit of depth < self.depth is expanded
+        self.graph = None
+
+    def graph_to(self, lang, depth: int) -> UnitGraph:
+        if self.graph is None or (self.depth < depth and self.expanded < len(self.units)):
+            while self.depth < depth and self.expanded < len(self.units):
+                self._expand_level(lang)
+            self.graph = self._compile()
+        return self.graph
+
+    def _expand_level(self, lang) -> None:
+        end = len(self.units)
+        for k in range(self.expanded, end):
+            succ = lang.initial_units() if k == 0 else lang.unit_successors(self.units[k])
+            for u2, s in succ:
+                if u2 not in self.index:
+                    self.index[u2] = len(self.units)
+                    self.units.append(u2)
+                self.edges.append((self.index[u2], k, self.sym_index[s]))
+        self.expanded = end
+        self.depth += 1
+
+    def _compile(self) -> UnitGraph:
+        edges = np.array(self.edges, dtype=np.intp).reshape(-1, 3)
+        dst, src, sym = np.ascontiguousarray(edges[np.argsort(edges[:, 0], kind="stable")].T)
+        return UnitGraph(
+            n_units=len(self.units),
+            src=src,
+            sym=sym,
+            starts=np.flatnonzero(np.diff(dst, prepend=0)),
+            seg=dst - 1,
+        )
 
 
 def reference_partition_walk(system: ip.FiniteStateSystem, spec: ip.PartitionSpec):

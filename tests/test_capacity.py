@@ -9,8 +9,10 @@ import invpressure as ip
 from invpressure import capacity
 from invpressure.capacity import _perron_radius, level_log_sums
 from conftest import (
+    UnitWalk,
     bisect_root,
     const_weights,
+    coprime_cycles,
     cubic_time_scale_root,
     dense_log_radius,
     full_shift,
@@ -18,6 +20,7 @@ from conftest import (
     random_itinerary,
     random_sft,
     random_weights,
+    record_expansions,
     separated_sum,
     single_branch,
     spanning_sum,
@@ -153,16 +156,27 @@ class TestLevelSumKernel:
                 assert value == pytest.approx(separated_sum(lang, w, n) / n, rel=1e-12)
 
     def test_units_expand_once_per_language(self, rng):
-        lang = random_itinerary(rng, 12, 3)
-        calls = []
-        expand = lang.unit_successors
-        lang.unit_successors = lambda unit: calls.append(unit) or expand(unit)
+        # the tail class of the coprime cycles gets a new unit at every level up to 210
+        lang = coprime_cycles((2, 3, 5, 7))
+        levels = record_expansions(lang)
         w = spread_weights(rng, lang.symbols)
         ip.capacity_pressure(lang, w, 30, 5)
+        shallow = lang.unit_graph(30)
+        assert len(levels) == 30
         ip.capacity_pressure(lang, w, 60, 5)
-        assert len(calls) == len(set(calls))
-        # every expanded unit but the root (expanded by initial_units) is a source
-        assert len(calls) == len(np.unique(lang.unit_graph(60).src)) - 1
+        deep = lang.unit_graph(60)
+        # the deeper call expanded levels 30..59 only, and kept every earlier edge
+        assert len(levels) == 60
+        edges = lambda g: set(zip(g.seg.tolist(), g.src.tolist(), g.sym.tolist()))
+        assert deep.n_units > shallow.n_units and edges(shallow) < edges(deep)
+        # a shallower call reuses the graph
+        assert lang.unit_graph(10) is deep and len(levels) == 60
+        expanded = [unit for level in levels for unit in level]
+        assert len(expanded) == len(set(expanded))
+        # every expanded unit, the root included, is a source
+        assert sorted(expanded) == np.unique(deep.src).tolist()
+        walk = UnitWalk(lang.symbols).graph_to(lang, 60)
+        assert all(np.array_equal(getattr(deep, f), getattr(walk, f)) for f in ("src", "sym", "seg"))
 
     def test_unit_walk_stops_at_the_requested_depth(self):
         # cycles of coprime lengths 2..23, labelled 1, each fed by a tail state

@@ -189,6 +189,14 @@ WRONG_TYPE = {
 
 #: finite-state blocks the library refuses: (system keys replaced, task, the line it exits 4 with)
 FINITE_STATE_REFUSALS = {
+    "repeated-state": (
+        {"states": ["p", "q", "p"]}, "validate",
+        "state 'p' is listed twice in states",
+    ),
+    "repeated-invariant-state": (
+        {"invariant_set": ["q", "p", "q"]}, "validate",
+        "state 'q' is listed twice in invariant_set",
+    ),
     "unknown-invariant-state": (
         {"invariant_set": ["p", "z"]}, "validate",
         "invariant-set state 'z' unknown",

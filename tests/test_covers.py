@@ -5,6 +5,7 @@ import random
 import time
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import invpressure as ip
@@ -22,6 +23,7 @@ from conftest import (
     random_itinerary,
     random_sft,
     random_weights,
+    record_expansions,
     reference_cover_table,
     single_branch,
     sparse_sft,
@@ -516,13 +518,16 @@ class TestSearchesOnOneGraph:
     def test_bs_dimension_expands_each_unit_once(self, rng):
         lang = random_itinerary(rng, 14, 3)
         Z = ip.SubsetSpec.cylinders(words(lang, 2)[:2])
-        calls = []
-        expand = lang.unit_successors
-        lang.unit_successors = lambda unit: calls.append(unit) or expand(unit)
+        levels = record_expansions(lang)
         w = random_weights(rng, lang, 0.4, 1.5)
         ip.bs_dimension(lang, w, Z, 1e-6, 1, 10)
+        first = len(levels)
         ip.bs_dimension(lang, w, ALL, 1e-6, 1, 10)
-        assert calls and len(calls) == len(set(calls))
+        # the second search reuses the graph; no unit is expanded twice
+        assert levels and len(levels) == first
+        expanded = [unit for level in levels for unit in level]
+        assert len(expanded) == len(set(expanded))
+        assert sorted(expanded) == np.unique(lang.unit_graph(10).src).tolist()
 
     def test_one_cover_graph_per_language_target_and_depth(self, monkeypatch):
         compiled = []

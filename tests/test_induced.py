@@ -103,7 +103,7 @@ class TestInducedSum:
         assert got == pytest.approx(math.log(4), rel=1e-12)
 
     def test_random_instances_against_brute_oracle(self, rng):
-        # random relations, then itinerary languages, whose units are frozensets
+        # random relations, then itinerary languages, whose units are sorted state ids
         makers = [lambda: random_sft(rng, rng.choice((2, 3)))] * 8
         makers += [lambda: random_itinerary(rng, rng.choice((6, 10, 14)), rng.choice((2, 3)))] * 8
         for make in makers:

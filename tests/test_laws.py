@@ -5,7 +5,8 @@ out bit for bit the same; its symbols are not consecutive, so the relation's
 ends are looked up by bisection.  A permutation reorders the sums inside each
 kernel, so its numbers may move by rounding, never past the certificates.  A
 disjoint union's pressure, Bowen root and induced sum are those of its larger
-part, or the log-sum of the parts.
+part, or the log-sum of the parts.  Renaming and reordering the states of a
+finite-state system changes no unit and no bit.
 """
 
 import math
@@ -14,6 +15,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 import invpressure as ip
+from invpressure.capacity import level_log_sums
 
 LAW = settings(max_examples=100, derandomize=True, deadline=None, database=None)
 T = 3.0
@@ -121,3 +123,56 @@ def test_a_disjoint_union_reads_its_parts(first, second):
     # a few roundings of a log-sum whose terms are near 1, or of the value itself
     ref = np.logaddexp(a, b)
     assert abs(both - ref) <= 4 * math.ulp(max(1.0, abs(ref))), (a, b, both)
+
+
+@st.composite
+def finite_state_systems(draw):
+    """(step, cells, phi, psi) of a tau = 1 system: 3-60 states, each state's one
+    move and its cell among 1-5 cells; phi in [-2, 2] and psi in [0.25, 2] per
+    cell, on the 2-decimal grid."""
+    n = draw(st.integers(3, 60))
+    c = draw(st.integers(1, 5))
+    step = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    cells = draw(st.lists(st.integers(1, c), min_size=n, max_size=n))
+    phi = {i: draw(grid(-200, 200)) for i in range(1, c + 1)}
+    psi = {i: draw(grid(25, 200)) for i in range(1, c + 1)}
+    return step, cells, phi, psi
+
+
+def finite_state_language(drawn, name, states_order, invariant_order, move_order):
+    """The itinerary language of the drawn system with state k named name(k), its
+    states and invariant set listed, and its moves inserted, in the given orders."""
+    step, cells, phi, psi = drawn
+    moves = {(name(k), "u"): name(step[k]) for k in move_order}
+    system = ip.FiniteStateSystem(
+        tuple(name(k) for k in states_order), moves,
+        tuple(name(k) for k in invariant_order), {name(k): c for k, c in enumerate(cells)},
+    )
+    spec = ip.PartitionSpec(1, {i: ("u",) for i in phi})
+    return ip.itinerary_language(system, spec)
+
+
+@LAW
+@given(finite_state_systems().flatmap(lambda d: st.tuples(
+    st.just(d), *(st.permutations(range(len(d[0]))) for _ in range(4))
+)))
+def test_renaming_and_reordering_states_changes_no_bit(drawn):
+    system, names, states_order, invariant_order, move_order = drawn
+    n = len(system[0])
+    plain = finite_state_language(system, lambda k: f"x{k}", range(n), range(n), range(n))
+    moved = finite_state_language(
+        system, lambda k: f"s{names[k]}", states_order, invariant_order, move_order
+    )
+    _, _, phi, psi = system
+    w_phi, w_psi = ip.PerSymbolWeights(phi, 1), ip.PerSymbolWeights(psi, 1)
+    got = []
+    for lang in (plain, moved):
+        g = lang.unit_graph(30)
+        root = ip.bowen_root(lang, w_phi, w_psi)
+        got.append((
+            g.n_units, [getattr(g, f).tolist() for f in ("src", "sym", "starts", "seg")],
+            [x.hex() for x in level_log_sums(lang, w_phi, 30).tolist()],
+            root.beta_hat.hex(), root.error_bound.hex(),
+            ip.induced_sum(lang, w_phi, w_psi, T).hex(),
+        ))
+    assert got[0] == got[1]

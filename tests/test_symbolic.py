@@ -9,8 +9,19 @@ import pytest
 
 import invpressure as ip
 from invpressure.capacity import level_log_sums
-from invpressure.symbolic import NEG_INF, _UnitWalk, cyclic_components, logsumexp
-from conftest import brute_words, full_shift, golden_mean, random_sft, single_branch, words
+from invpressure.symbolic import NEG_INF, cyclic_components, logsumexp
+from conftest import (
+    UnitWalk,
+    brute_words,
+    coprime_cycles,
+    full_shift,
+    golden_itinerary,
+    golden_mean,
+    random_itinerary,
+    random_sft,
+    single_branch,
+    words,
+)
 
 
 def make_range(tau_words, potentials):
@@ -270,7 +281,7 @@ class TestCompiledRelation:
                     lang = ip.compile_sft(symbols, pairs)
                     assert np.array_equal(lang.adjacency, A)
                     ours = lang.unit_graph(depth)
-                    walk = _UnitWalk(lang.symbols).graph_to(lang, depth)
+                    walk = UnitWalk(lang.symbols).graph_to(lang, depth)
                     assert ours.n_units == walk.n_units == q + 1
                     for name in ("src", "sym", "starts", "seg"):
                         a, b = getattr(ours, name), getattr(walk, name)
@@ -364,3 +375,51 @@ class TestCompiledRelation:
             for k, early in enumerate(comps):
                 for late in comps[k + 1:]:
                     assert not reach[np.ix_(early, late)].any()
+
+
+def assert_same_graph(ours, ref, where):
+    assert ours.n_units == ref.n_units, where
+    for name in ("src", "sym", "starts", "seg"):
+        a, b = getattr(ours, name), getattr(ref, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), (where, name)
+
+
+class TestLevelExpansion:
+    """An itinerary language's unit graph, expanded a level at a time, against the
+    reference walk over the raw presentation."""
+
+    BUILDERS = {
+        "random": [
+            (lambda k=k: random_itinerary(random.Random(k), 3 + 7 * k, 1 + k % 5)) for k in range(8)
+        ],
+        "golden": [lambda: golden_itinerary(10)],
+        "coprime": [coprime_cycles],
+    }
+
+    @pytest.mark.parametrize("kind", sorted(BUILDERS))
+    def test_unit_graph_matches_the_walk(self, kind):
+        # the coprime cycles never complete, so they stop at depth 30
+        depths = (1, 2, 3, 7, 30) + ((1000,) if kind == "random" else ())
+        for build in self.BUILDERS[kind]:
+            extended = build()
+            walk = UnitWalk(extended.symbols)
+            for depth in depths:
+                fresh = build()
+                ref = walk.graph_to(extended, depth)
+                assert_same_graph(fresh.unit_graph(depth), ref, (kind, depth, "fresh"))
+                assert_same_graph(extended.unit_graph(depth), ref, (kind, depth, "extended"))
+
+    def test_cycles_match_a_plain_walk(self, rng):
+        for _ in range(60):
+            lang = random_itinerary(rng, rng.randint(1, 80), 2)
+            step, cycles, done = lang.step.tolist(), set(), set()
+            for x in range(len(step)):
+                path = []
+                while x not in done and x not in path:
+                    path.append(x)
+                    x = step[x]
+                if x in path:
+                    cycles.add(tuple(sorted(path[path.index(x):])))
+                done.update(path)
+            assert set(lang.cycles) == cycles
+            assert sorted(x for c in lang.cycles for x in c) == sorted(set().union(*cycles))

@@ -144,7 +144,11 @@ class TestPartitionWalk:
                     ip.itinerary_language(sys, spec)
             else:
                 seen_valid += 1
-                assert ip.itinerary_language(sys, spec).step == step
+                lang = ip.itinerary_language(sys, spec)
+                # state ids number the invariant set in order
+                assert lang.states == sys.invariant_set
+                assert dict(zip(lang.states, (lang.states[y] for y in lang.step))) == step
+                assert lang.label.tolist() == [sys.cell_of[x] for x in lang.states]
         if leak:
             assert seen_invalid and (seen_valid or leak > 0.1)
         else:
