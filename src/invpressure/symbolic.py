@@ -564,9 +564,9 @@ class ItineraryLanguage(WordLanguage):
         on_cycle[jump] = True
         members = np.flatnonzero(on_cycle)
         members = members[np.argsort(least[members], kind="stable")]
-        heads = least[members]
-        cuts = np.flatnonzero(heads[1:] != heads[:-1]) + 1
-        return tuple(tuple(c.tolist()) for c in np.split(members, cuts))
+        cuts = np.flatnonzero(_changes(least[members])).tolist() + [len(members)]
+        members = members.tolist()
+        return tuple(tuple(members[a:b]) for a, b in zip(cuts, cuts[1:]))
 
 
 @dataclass

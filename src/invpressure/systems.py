@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-import numpy as np
-
 from .errors import PreconditionError
 from .symbolic import ItineraryLanguage, PartitionSpec, SftLanguage, WordLanguage
 
@@ -106,7 +104,7 @@ class PartitionValidationReport:
 
 def _walk_finite_state(
     system: FiniteStateSystem, spec: PartitionSpec
-) -> tuple[np.ndarray, list[int], list[tuple[int, int, str]]]:
+) -> tuple[list[int], list[int], list[tuple[int, int, str]]]:
     """(tau-step images, cells, violations) in state ids, which number
     ``invariant_set`` in order.  Every state takes its cell's control word one
     step at a time, all states together; a state stops at its first escape (a
@@ -121,23 +119,16 @@ def _walk_finite_state(
         raise PreconditionError(f"system cells {sorted(used)} not all in partition symbols")
     move = system.transition.get
     words = [spec.control_words[i] for i in cells]
-    at = np.arange(len(names))
-    escape = np.zeros(len(names), dtype=np.intp)  # the step a state escapes at, or 0
+    at = range(len(names))
+    escape = [0] * len(names)  # the step a state escapes at, or 0
     for j in range(spec.tau):
-        after = np.array(
-            [k if k < 0 else ids.get(move((names[k], word[j])), -1)
-             for k, word in zip(at.tolist(), words)],
-            dtype=np.intp,
-        )
-        escape[(after < 0) & (at >= 0)] = j + 1
-        at = after
-    escaped = np.flatnonzero(escape)
-    escaped = escaped[np.argsort(np.array(cells)[escaped], kind="stable")]
+        at = [k if k < 0 else ids.get(move((names[k], word[j])), -1) for k, word in zip(at, words)]
+        escape = [e or (j + 1 if k < 0 else 0) for e, k in zip(escape, at)]
     violations = [
-        (cells[x], j, f"state {names[x]!r} escapes at step {j}")
-        for x, j in zip(escaped.tolist(), escape[escaped].tolist())
+        (i, escape[x], f"state {names[x]!r} escapes at step {escape[x]}")
+        for i, x in sorted((cells[x], x) for x, e in enumerate(escape) if e)
     ]
-    return at, cells, violations
+    return list(at), cells, violations
 
 
 def _validate_affine(
