@@ -128,7 +128,7 @@ def _walk_finite_state(
         (i, escape[x], f"state {names[x]!r} escapes at step {escape[x]}")
         for i, x in sorted((cells[x], x) for x, e in enumerate(escape) if e)
     ]
-    return list(at), cells, violations
+    return at, cells, violations
 
 
 def _validate_affine(
