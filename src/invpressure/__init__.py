@@ -12,7 +12,6 @@ from .symbolic import (
     build_cylinder_tree,
     combine_weights,
     derive_symbol_weights,
-    word_weight,
     zero_weights,
 )
 from .systems import (
@@ -37,7 +36,6 @@ from .induced import (
     DIVERGENT,
     INCONCLUSIVE,
     CharacterizationResult,
-    bookkeeping_index,
     characterization_scan,
     characterization_sum,
     induced_sum,
@@ -69,7 +67,6 @@ from .measures import (
     VpReport,
     bernoulli_measure,
     cylinder_masses,
-    frostman_cylinder_measure,
     lower_bs_pressure,
     markov_measure,
     parry_measure,

@@ -38,13 +38,15 @@ from .symbolic import (
     UnitGraph,
     WordLanguage,
     combine_weights,
-    _successor_lists,
+    _adjacency_lists,
     cyclic_components,
 )
 
 
 #: Shift of a unit with no mass, in place of its maximum -inf.
 _FLOOR = -np.finfo(float).max
+#: log of the largest float: exp of anything up to it is finite.
+_LOG_MAX = math.log(-_FLOOR)
 
 
 def level_log_sums(lang: WordLanguage, weights: PerSymbolWeights, n_max: int) -> np.ndarray:
@@ -74,26 +76,30 @@ def _forward_sums(
     A level is one log-sum-exp per unit over its entering edges, shifted by
     that unit's own maximum: no unit underflows against another, however far
     apart their masses drift.  Only the current level's masses are kept.
+    A level whose masses leave the float range is refused with GuardError.
     """
     inflow = iter(inflow)
     live = np.array(next(inflow))  # a copy: each level overwrites it
     entered = live[1:]  # the units with an entering edge
     out = np.empty(n_max)
-    with np.errstate(divide="ignore"):  # log(0) = -inf marks units with no mass
-        for n in range(n_max):
-            vals = live[g.src]
-            vals += step
-            top = np.maximum.reduceat(vals, g.starts)
-            np.maximum(top, _FLOOR, out=top)  # a massless unit: -inf - _FLOOR stays -inf
-            vals -= top[g.seg]
-            np.exp(vals, out=vals)
-            live[0] = NEG_INF  # unit 0, the empty word, has no entering edge
-            np.log(np.add.reduceat(vals, g.starts), out=entered)
-            entered += top
-            add = next(inflow, None)
-            if add is not None:
-                np.logaddexp(live, add, out=live)
-            out[n] = np.logaddexp.reduce(live)
+    try:  # log(0) = -inf marks units with no mass
+        with np.errstate(divide="ignore", over="raise", invalid="raise"):
+            for n in range(n_max):
+                vals = live[g.src]
+                vals += step
+                top = np.maximum.reduceat(vals, g.starts)
+                np.maximum(top, _FLOOR, out=top)  # a massless unit: -inf - _FLOOR stays -inf
+                vals -= top[g.seg]
+                np.exp(vals, out=vals)
+                live[0] = NEG_INF  # unit 0, the empty word, has no entering edge
+                np.log(np.add.reduceat(vals, g.starts), out=entered)
+                entered += top
+                add = next(inflow, None)
+                if add is not None:
+                    np.logaddexp(live, add, out=live)
+                out[n] = np.logaddexp.reduce(live)
+    except FloatingPointError:
+        raise GuardError(f"level sums left the float range at level {n + 1}") from None
     return out
 
 
@@ -143,15 +149,22 @@ def _log_radius(A: np.ndarray, w: np.ndarray) -> float:
     so the radius lies in [1, len(A)].  Entries that underflow there are
     below 1e-308 of the radius and are dropped; if that splits the block,
     the radius is the largest among the cyclic components left, each
-    balanced afresh.
+    balanced afresh.  A balance that leaves the float range, or whose
+    rounding drops every cycle, is refused with GuardError.
     """
     top = float(w.max())
     if top - float(w.min()) <= _EVEN_SPREAD:
         half = np.exp(0.5 * (w - top))
         return top + math.log(_perron_radius(A * half[:, None] * half))
-    lam, v = _max_plus_balance(A, w)
-    B = np.exp(np.where(A > 0.0, w[:, None] - lam + v - v[:, None], NEG_INF))
-    parts = cyclic_components(_successor_lists(B))
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            lam, v = _max_plus_balance(A, w)
+            B = np.exp(np.where(A > 0.0, w[:, None] - lam + v - v[:, None], NEG_INF))
+    except (FloatingPointError, ValueError):  # ValueError: no finite walk, from a weight of -inf
+        raise GuardError(f"max-plus balance of {len(A)} symbols left the float range") from None
+    parts = cyclic_components(_adjacency_lists(B))
+    if not parts:
+        raise GuardError(f"max-plus balance of {len(A)} symbols rounds away every cycle")
     if len(parts[0]) == len(A):
         return lam + math.log(_perron_radius(B))
     return max(_log_radius(A[np.ix_(p, p)], w[p]) for p in parts)
@@ -390,7 +403,9 @@ def _find_root(f, lo: float, hi: float, eps: float, done=None):
     guess, truncates it towards the midpoint, and projects it into the ball
     around the midpoint that keeps the bracket within bisection's width
     plus one halving.  So at most ceil(log2(w0 / (2*eps))) + 1 steps bring
-    the width to 2*eps, whatever the guesses.  The search stops there, when
+    the width to 2*eps, whatever the guesses; a bracket that is not finite,
+    or 2^1022 times 2*eps wide or more, is refused with GuardError.  The
+    search stops there, when
     ``done(x, f(x))`` holds at a new point, at float resolution, or after
     _MAX_STEPS steps.
 
@@ -424,6 +439,8 @@ def _find_root(f, lo: float, hi: float, eps: float, done=None):
     steps = 0
     if done is not None and (done(lo, f_lo) or done(hi, f_hi)):
         return lo, hi, f_lo, f_hi, steps
+    if not hi - lo < 2.0 * eps * 2.0**1022:  # n_max <= 1023 keeps 2.0 ** (n_max - steps) a float
+        raise GuardError(f"bracket [{lo}, {hi}] cannot be shrunk to width {2.0 * eps!r}")
     n_max = max(0, math.ceil(math.log2((hi - lo) / (2.0 * eps)))) + 1
     kappa = 0.2 / (hi - lo)
     # the projection aims a few ulps inside eps, so rounding of the points
@@ -446,7 +463,8 @@ def _find_root(f, lo: float, hi: float, eps: float, done=None):
             guess = (f_lo * hi - f_hi * lo) / (f_lo - f_hi)
         if guess is not None:
             gap = mid - guess
-            push = kappa * (hi - lo) ** 2
+            # a bracket 1e154 wide or more squares past the float range: bisect
+            push = kappa * (hi - lo) ** 2 if hi - lo < 1e154 else math.inf
             x = guess + math.copysign(push, gap) if push <= abs(gap) else mid
             radius = max(0.0, aim * 2.0 ** (n_max - steps) - 0.5 * (hi - lo))
             if abs(x - mid) > radius:

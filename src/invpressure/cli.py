@@ -507,6 +507,7 @@ def _write_artifact(path: str, text: str) -> None:
         raise
 
 
+# perfbench/run.py and perfbench/selftest.py pass threads=1
 def run(config: dict, out_dir: str, force_guards: bool = False, threads: int = 1) -> dict:
     """Execute one config and write manifest + CSV artifacts into out_dir.
 

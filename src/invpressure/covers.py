@@ -65,7 +65,7 @@ from .symbolic import (
     logsumexp,
     zero_weights,
 )
-from .capacity import RootCertificate, _certified_root, _find_root, bowen_root
+from .capacity import _LOG_MAX, RootCertificate, _certified_root, _find_root, bowen_root
 
 
 @dataclass(frozen=True)
@@ -411,15 +411,20 @@ def _jump_estimate(
 
     Detection ignores cover elements at or above the target words' own
     depths, which is where the limit lives; the values just below and above
-    the final bracket are the optima at the least depth N.
+    the final bracket are the optima at the least depth N, inf for one above
+    the float range.
     """
     n_detect = _detect_depth(Z, N, D)
     graph = _cover_graph(lang, Z, D)
     lo, hi, iters = _jump(graph, steps, n_detect, lo, hi, tol)
+
+    def value(lam: float) -> float:
+        total = _CoverTable(graph, steps(lam), N).total
+        return math.exp(total) if total <= _LOG_MAX else math.inf
     return JumpEstimate(
         critical=hi,
-        value_below=math.exp(_CoverTable(graph, steps(lo - tol), N).total),
-        value_above=math.exp(_CoverTable(graph, steps(hi + tol), N).total),
+        value_below=value(lo - tol),
+        value_above=value(hi + tol),
         iterations=iters,
         bracket=(lo, hi),
     )
@@ -554,6 +559,7 @@ class FrostmanWeights:
         return {w: m / self.total for w, m in self.masses.items()}
 
 
+# perfbench/tracing.py rebinds this by name
 def weighted_cover_value(
     lang: WordLanguage,
     weights: PerSymbolWeights,
@@ -589,7 +595,8 @@ def frostman_measure(
     with constant 1/total.  Each node passes its flow to its children in
     proportion to their capped optima in the cover table, depth first in
     word order, so the leaves come out in word order; ``max_nodes`` bounds
-    the number of cylinders that receive flow.
+    the number of cylinders that receive flow.  A total above the float
+    range is refused with GuardError.
     """
     if Z.is_empty:
         raise PreconditionError("target set is empty at this resolution")
@@ -600,6 +607,8 @@ def frostman_measure(
     total = table.total
     if total == NEG_INF:
         raise PreconditionError("target set carries no flow at this lambda")
+    if not total <= _LOG_MAX:
+        raise GuardError(f"flow total exp({total!r}) at lambda={lam!r} leaves the float range")
     # each live node, from the leaves' parents up: (its flowing children as
     # (child, word suffix, log share), its log optimum below, whether its
     # children are leaves)

@@ -66,24 +66,6 @@ def _budget_levels(w_psi: PerSymbolWeights, T: float) -> tuple[int, int, PerSymb
     return budget // least, budget, replace(w_psi, weights=psi)
 
 
-def bookkeeping_index(word: Sequence[int], w_psi: PerSymbolWeights) -> int:
-    """The unique positive integer m with (m-1)*r*tau < weight(word) <= m*r*tau,
-    where r*tau is the largest psi weight, all weights rounded to 12 decimals.
-
-    Rounds a branch's accumulated psi-weight to a whole number of
-    maximal-rate steps; exp(-beta*weight) and exp(-beta*m*r*tau) then agree
-    within a factor exp(|beta|*r*tau).
-    """
-    w_psi.require_positive("psi weights")
-    if not word:
-        raise PreconditionError("bookkeeping index needs a nonempty word")
-    top = max(w_psi.weights.values())
-    unit = _lattice(top) if top < math.inf else 0
-    if unit == 0:
-        raise PreconditionError(f"largest psi weight {top!r} is inf or rounds to 0 at 12 decimals")
-    return -(-sum(_lattice(w_psi[s]) for s in word) // unit)
-
-
 def _budget_walk(
     lang: WordLanguage,
     w_step: PerSymbolWeights,

@@ -34,7 +34,7 @@ import numpy as np
 from .errors import GuardError, PreconditionError
 from .symbolic import MAX_TREE_NODES, PerSymbolWeights, SftLanguage, WordLanguage
 from .capacity import _RTOL, _log_radius
-from .covers import BsDimension, SubsetSpec, bs_dimension, frostman_measure, FrostmanWeights
+from .covers import BsDimension, SubsetSpec, bs_dimension, frostman_measure
 
 
 @dataclass(frozen=True)
@@ -183,16 +183,6 @@ class CylinderMeasure:
             return True
         return all(Z.contains(leaf) for leaf, m in self.masses.items() if m > 0.0)
 
-    def restricted_to(self, Z: SubsetSpec) -> "CylinderMeasure":
-        """Conditional measure on Z (renormalized over the leaves under Z)."""
-        if Z.is_whole_space:
-            return self
-        kept = {leaf: m for leaf, m in self.masses.items() if Z.contains(leaf)}
-        total = math.fsum(kept.values())
-        if total <= 0.0:
-            raise PreconditionError("measure gives the target set zero mass")
-        return CylinderMeasure(self.lang, self.depth, {w: m / total for w, m in kept.items()})
-
 
 class _PrefixTrie:
     """The prefix trie of a measure's words, by node id.
@@ -274,10 +264,6 @@ def cylinder_masses(
             for c, suffix, p in children:
                 push((word + suffix, c, matrix[p], m * row[p]))
     return CylinderMeasure(lang, depth, masses)
-
-
-def frostman_cylinder_measure(lang: WordLanguage, fw: FrostmanWeights) -> CylinderMeasure:
-    return CylinderMeasure(lang, fw.D, fw.normalized())
 
 
 @dataclass(frozen=True)
@@ -399,7 +385,7 @@ def vp_check(
             raise PreconditionError(f"candidate {name!r} is not supported on the target set")
         pool.append((name, cand))
     fw = frostman_measure(lang, weights, K, dim - tol, N, D, max_nodes)
-    pool.append(("frostman", frostman_cylinder_measure(lang, fw)))
+    pool.append(("frostman", CylinderMeasure(lang, fw.D, fw.normalized())))
     dim_err = detail.certificate.error_bound
     for name, cand in pool:
         est = lower_bs_pressure(cand, weights)

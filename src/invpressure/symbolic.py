@@ -2,10 +2,13 @@
 
 The objects here carry everything downstream computations need: a finite
 control range with named potentials, the partition data (symbols, step
-length tau, one control word per cell), the admissible-word language in one
-of two presentations, and additive per-symbol weights obtained by summing a
-potential over each cell's control word.  Every pressure-like quantity in
-the package is a function of (language, per-symbol weights) only.
+length tau, one control word per cell), the admissible-word language of a
+transition relation or of a finite-state map, and additive per-symbol
+weights obtained by summing a potential over each cell's control word.
+Every pressure-like quantity in the package is a function of (language,
+per-symbol weights) only.  Each language compiles its words to one integer
+``UnitGraph``, and every solver, the cylinder tree included, walks that
+graph; the tests keep the raw unit presentation as their reference.
 """
 
 from __future__ import annotations
@@ -192,16 +195,11 @@ def derive_symbol_weights(
                 raise PreconditionError(
                     f"control value {u!r} of cell {i} missing from range"
                 )
-        weights[i] = math.fsum(table[u] for u in word)
+        try:
+            weights[i] = math.fsum(table[u] for u in word)
+        except OverflowError:
+            raise PreconditionError(f"potential {potential_name!r} overflows on cell {i}") from None
     return PerSymbolWeights(weights, spec.tau, potential_name)
-
-
-def word_weight(word: Sequence[int], weights: PerSymbolWeights) -> float:
-    """Total weight of a word: sum of w over its symbols (0 for the empty word)."""
-    total = 0.0
-    for s in word:
-        total += weights[s]
-    return total
 
 
 @dataclass(frozen=True, eq=False)
@@ -247,15 +245,13 @@ class WordLanguage:
     relation, the sorted ids of the current states for itinerary
     generators).  Distinct length-n words always map to a unique (unit
     chain); aggregating masses by unit is exact for every additive-weight
-    sum used downstream.
-
-    ``initial_units`` and ``unit_successors`` are the raw presentation, one
-    unit at a time: (unit, symbol) pairs by symbol.  The solvers read the
-    compiled ``unit_graph`` instead.
+    sum used downstream.  A subclass compiles its units to integers in
+    ``unit_graph``, the one way the library expands words.
     """
 
     symbols: tuple[int, ...]
 
+    # perfbench/tracing.py rebinds these two by name on both subclasses
     def initial_units(self) -> list[tuple[object, int]]:
         raise NotImplementedError
 
@@ -283,8 +279,8 @@ class SftLanguage(WordLanguage):
     """Language of all paths in a transition relation over the symbols.
 
     The relation is compiled once, to its 0/1 ``adjacency`` A[i, j] =
-    [symbols[i] -> symbols[j]]; the unit graph, the cyclic blocks and the
-    successor lists are all read off that matrix.
+    [symbols[i] -> symbols[j]]; the unit graph, in which unit k + 1 is
+    symbol k, and the cyclic blocks are both read off that matrix.
     """
 
     def __init__(self, symbols: Sequence[int], transitions: Iterable[tuple[int, int]]):
@@ -333,19 +329,6 @@ class SftLanguage(WordLanguage):
         bad = next(p for p in pairs if len(p) != 2 or any(e not in self.symbols for e in p))
         raise PreconditionError(f"transition ({','.join(map(str, bad))}) uses unknown symbol")
 
-    @cached_property
-    def _succ(self) -> dict[int, tuple[int, ...]]:
-        return {
-            i: tuple(self.symbols[k] for k in row)
-            for i, row in zip(self.symbols, _successor_lists(self.adjacency))
-        }
-
-    def initial_units(self):
-        return [(i, i) for i in self.symbols]
-
-    def unit_successors(self, unit):
-        return [(j, j) for j in self._succ[unit]]
-
     def unit_graph(self, depth: int) -> UnitGraph:
         """The breadth-first walk's graph in closed form, complete at every depth:
         every unit turns up at depth 1.  Below depth 2 the edges out of units
@@ -374,13 +357,13 @@ class SftLanguage(WordLanguage):
         of any weighting of the relation is the largest radius among them.
         """
         blocks = []
-        for comp in cyclic_components(_successor_lists(self.adjacency)):
+        for comp in cyclic_components(_adjacency_lists(self.adjacency)):
             block = np.array(comp, dtype=np.intp)
             blocks.append((block, self.adjacency[np.ix_(block, block)]))
         return tuple(blocks)
 
 
-def _successor_lists(M: np.ndarray) -> list[list[int]]:
+def _adjacency_lists(M: np.ndarray) -> list[list[int]]:
     """The column indices of each row's nonzero entries, for a square matrix M,
     from one ``np.nonzero``."""
     rows, cols = np.nonzero(M)
@@ -454,6 +437,8 @@ class ItineraryLanguage(WordLanguage):
     induced tau-step image of state x, and ``label[x]`` its cell.  A unit is
     the sorted ids of the current states of one word class; classes split
     as labels diverge, so there are at most ``len(states)`` words per length.
+    ``unit_graph`` numbers the units by the bytes of their ids as it expands
+    them, a level at a time, and keeps no unit as a tuple.
     """
 
     def __init__(self, states: Sequence[object], step: Sequence[int], label: Sequence[int]):
@@ -530,23 +515,6 @@ class ItineraryLanguage(WordLanguage):
         self._front = (np.repeat(dst[fresh], sizes[fresh]), nxt[np.repeat(fresh, sizes)])
         self._depth += 1
 
-    def _split(self, group: Iterable[int]) -> list[tuple[tuple[int, ...], int]]:
-        step, label = self._lists
-        buckets: dict[int, set] = {}
-        for x in group:
-            buckets.setdefault(label[x], set()).add(step[x])
-        return [(tuple(sorted(buckets[s])), s) for s in sorted(buckets)]
-
-    @cached_property
-    def _lists(self) -> tuple[list[int], list[int]]:
-        return self.step.tolist(), self.label.tolist()
-
-    def initial_units(self):
-        return self._split(range(len(self.states)))
-
-    def unit_successors(self, unit):
-        return self._split(unit)
-
     @cached_property
     def cycles(self) -> tuple[tuple[int, ...], ...]:
         """Cycles of the step map, each as its state ids in increasing order, found once.
@@ -571,20 +539,17 @@ class ItineraryLanguage(WordLanguage):
 
 @dataclass
 class CylinderNode:
-    """One nonempty cylinder: the admissible word spelling it, plus cumulative weights."""
+    """One nonempty cylinder: the admissible word spelling it, its unit in the
+    language's unit graph, plus cumulative weights."""
 
     word: tuple[int, ...]
-    unit: object
+    unit: int
     cum: tuple[float, ...]
     children: list["CylinderNode"] = field(default_factory=list)
 
     @property
     def depth(self) -> int:
         return len(self.word)
-
-    @property
-    def symbol(self) -> int | None:
-        return self.word[-1] if self.word else None
 
 
 @dataclass
@@ -595,8 +560,6 @@ class CylinderTree:
     word prefixes the other and disjoint otherwise.
     """
 
-    lang: WordLanguage
-    weight_names: tuple[str, ...]
     depth_cap: int
     root: CylinderNode
 
@@ -608,11 +571,6 @@ class CylinderTree:
             out.append(frontier)
         return out
 
-    def level(self, n: int) -> list[CylinderNode]:
-        if not 0 < n <= self.depth_cap:
-            raise PreconditionError(f"level {n} outside 1..{self.depth_cap}")
-        return self.levels()[n - 1]
-
     def nodes(self) -> Iterator[CylinderNode]:
         stack = [self.root]
         while stack:
@@ -621,29 +579,30 @@ class CylinderTree:
                 yield node
             stack.extend(reversed(node.children))
 
-    def node_count(self) -> int:
-        return sum(1 for _ in self.nodes())
 
-
+# perfbench/tracing.py rebinds this by name
 def build_cylinder_tree(
     lang: WordLanguage,
     weights: Sequence[PerSymbolWeights],
     depth: int,
     max_nodes: int = MAX_TREE_NODES,
 ) -> CylinderTree:
-    """Expand the cylinder tree to the given depth with cumulative weights."""
+    """Expand the cylinder tree to the given depth with cumulative weights, on the
+    children of ``lang.unit_graph(depth)`` from unit 0, the empty word; each
+    node's children come by symbol, and each cumulative weight adds one term
+    per symbol, left to right."""
     if depth < 1:
         raise PreconditionError("depth cap must be >= 1")
-    names = tuple(w.name or f"w{k}" for k, w in enumerate(weights))
-    root = CylinderNode((), None, tuple(0.0 for _ in weights))
+    kids = lang.unit_graph(depth).children
+    root = CylinderNode((), 0, tuple(0.0 for _ in weights))
     count = 0
     stack = [root]
     while stack:
         node = stack.pop()
         if node.depth == depth:
             continue
-        succ = lang.initial_units() if node.unit is None else lang.unit_successors(node.unit)
-        for unit, sym in sorted(succ, key=lambda p: p[1]):
+        for k, unit in kids[node.unit]:
+            sym = lang.symbols[k]
             cum = tuple(c + w[sym] for c, w in zip(node.cum, weights))
             child = CylinderNode(node.word + (sym,), unit, cum)
             node.children.append(child)
@@ -651,4 +610,4 @@ def build_cylinder_tree(
             if count > max_nodes:
                 raise GuardError(f"cylinder tree exceeded {max_nodes} nodes")
             stack.append(child)
-    return CylinderTree(lang, names, depth, root)
+    return CylinderTree(depth, root)

@@ -3,10 +3,13 @@
 Oracles here never call the code paths they check: word sets come from
 filtered cartesian products, cover optima from explicit antichain
 enumeration or an LP solver, roots from generic bisection on closed forms.
-The brute-force reference routes (separated and spanning sums, budget level
-sets, the word-level cover value) enumerate words or cylinder trees through
-the languages' raw ``initial_units``/``unit_successors`` presentation, never
-through the compiled unit graph the library's solvers walk.
+The raw unit presentation lives here too: ``initial_units`` and
+``unit_successors`` read a relation's units off its ``adjacency`` and an
+itinerary language's off its ``step`` and ``label``, one unit at a time.
+Every word-enumerating oracle (word lists, cylinder walks, cover optima and
+antichains, the separated and spanning sums, the word-level cover value) and
+the reference unit walk go through it, never through the compiled unit
+graph the library's solvers and its cylinder tree walk.
 """
 
 import itertools
@@ -147,9 +150,43 @@ def random_finite_state(rng, states: int, cells: int, tau: int, leak: float):
 # oracles
 
 
+def initial_units(lang) -> list:
+    """(unit, symbol) pairs of the one-symbol words, by symbol: each symbol is its
+    own unit in a relation; an itinerary language splits all its states by label."""
+    if isinstance(lang, ip.SftLanguage):
+        return [(i, i) for i in lang.symbols]
+    return _split(lang, range(len(lang.states)))
+
+
+def unit_successors(lang, unit) -> list:
+    """(unit, symbol) pairs that continue a word class, by symbol: the successors of
+    a relation's symbol in its adjacency row, or an itinerary unit's states (sorted
+    ids) stepped and split by label."""
+    if isinstance(lang, ip.SftLanguage):
+        row = lang.adjacency[lang.symbols.index(unit)]
+        return [(j, j) for j, a in zip(lang.symbols, row.tolist()) if a]
+    return _split(lang, unit)
+
+
+def _split(lang, group) -> list:
+    group = list(group)
+    buckets: dict = {}
+    for s, y in zip(lang.label[group].tolist(), lang.step[group].tolist()):
+        buckets.setdefault(s, set()).add(y)
+    return [(tuple(sorted(buckets[s])), s) for s in sorted(buckets)]
+
+
+def word_weight(word, weights: ip.PerSymbolWeights) -> float:
+    """Total weight of a word: w summed over its symbols, left to right (0 for the empty word)."""
+    total = 0.0
+    for s in word:
+        total += weights[s]
+    return total
+
+
 def successors(lang: ip.SftLanguage, symbol: int) -> tuple:
     """The symbols that may follow ``symbol``, from the raw ``unit_successors``."""
-    return tuple(j for j, _ in lang.unit_successors(symbol))
+    return tuple(j for j, _ in unit_successors(lang, symbol))
 
 
 def chain_index(measure: ip.MarkovMeasure, symbol: int) -> int:
@@ -178,16 +215,37 @@ def words(lang, n: int, max_words: int = MAX_WORDS) -> list:
     if n == 0:
         return [()]
     out = []
-    todo = sorted((((), s, u) for u, s in lang.initial_units()), reverse=True)
+    todo = sorted((((), s, u) for u, s in initial_units(lang)), reverse=True)
     while todo:
         prefix, sym, unit = todo.pop()
         word = prefix + (sym,)
         if len(word) < n:
-            todo.extend(sorted(((word, s, u) for u, s in lang.unit_successors(unit)), reverse=True))
+            todo.extend(sorted(((word, s, u) for u, s in unit_successors(lang, unit)), reverse=True))
         elif len(out) < max_words:
             out.append(word)
         else:
             raise ip.GuardError(f"word enumeration exceeded {max_words} words")
+    return out
+
+
+def cylinders(lang, weights, depth: int, max_nodes: int = MAX_TREE_NODES) -> list:
+    """(word, cumulative weights) of every nonempty cylinder up to ``depth``, depth
+    first in word order, by a walk of the raw presentation: the reference for
+    ``ip.build_cylinder_tree``.  Each cumulative weight adds one term per symbol,
+    left to right."""
+    out = []
+    todo = [((), None, tuple(0.0 for _ in weights))]
+    while todo:
+        word, unit, cum = todo.pop()
+        if word:
+            out.append((word, cum))
+            if len(out) > max_nodes:
+                raise ip.GuardError(f"cylinder walk exceeded {max_nodes} nodes")
+        if len(word) < depth:
+            succ = initial_units(lang) if unit is None else unit_successors(lang, unit)
+            todo.extend(reversed([
+                (word + (s,), u, tuple(c + w[s] for c, w in zip(cum, weights))) for u, s in succ
+            ]))
     return out
 
 
@@ -215,7 +273,7 @@ class UnitWalk:
     def _expand_level(self, lang) -> None:
         end = len(self.units)
         for k in range(self.expanded, end):
-            succ = lang.initial_units() if k == 0 else lang.unit_successors(self.units[k])
+            succ = initial_units(lang) if k == 0 else unit_successors(lang, self.units[k])
             for u2, s in succ:
                 if u2 not in self.index:
                     self.index[u2] = len(self.units)
@@ -290,7 +348,7 @@ def log_cover_optimum(lang, step: dict, N: int, D: int) -> float:
         if n == D:
             return 0.0
         if (unit, n) not in memo:
-            succ = lang.initial_units() if unit is None else lang.unit_successors(unit)
+            succ = initial_units(lang) if unit is None else unit_successors(lang, unit)
             parts = [step[s] + below(u, n + 1) for u, s in succ]
             m = max(parts)
             val = m + math.log(math.fsum(math.exp(p - m) for p in parts))
@@ -360,7 +418,7 @@ def enumerate_antichain_covers(lang, z_words, N, D, limit=300_000):
         if len(word) >= N:
             opts.append([word])
         if len(word) < D:
-            succ = lang.initial_units() if unit is None else lang.unit_successors(unit)
+            succ = initial_units(lang) if unit is None else unit_successors(lang, unit)
             child_opts = []
             for u2, sym in sorted(succ, key=lambda p: p[1]):
                 w2 = word + (sym,)
@@ -374,7 +432,7 @@ def enumerate_antichain_covers(lang, z_words, N, D, limit=300_000):
 
     zroot = "inside" if z_words is None else [tuple(z) for z in z_words]
     tops = []
-    for unit, sym in sorted(lang.initial_units(), key=lambda p: p[1]):
+    for unit, sym in sorted(initial_units(lang), key=lambda p: p[1]):
         w = (sym,)
         tops.append(list(expand(w, unit, z_state_for(w, zroot))))
     for combo in itertools.product(*tops):
@@ -393,8 +451,7 @@ def lp_cover_min(lang, cost_fn, z_words, N, D) -> float:
     """Fractional cover optimum by linear programming (laminar constraint matrix)."""
     from scipy.optimize import linprog
 
-    tree = ip.build_cylinder_tree(lang, [ip.zero_weights(lang.symbols, 1)], D)
-    words = [node.word for node in tree.nodes()]
+    words = [word for word, _ in cylinders(lang, [], D)]
 
     def under_z(word):
         if z_words is None:
@@ -437,25 +494,24 @@ def separated_sum(lang, weights, n: int, max_words: int = MAX_WORDS) -> float:
     """
     if n < 1:
         raise ip.PreconditionError("n must be >= 1")
-    return logsumexp([ip.word_weight(s, weights) for s in words(lang, n, max_words)])
+    return logsumexp([word_weight(s, weights) for s in words(lang, n, max_words)])
 
 
 def spanning_sum(lang, weights, n: int, max_nodes: int = MAX_TREE_NODES) -> float:
     """log of the minimal spanning-set sum at horizon n.
 
     Minimal spanning sets also take one representative per cylinder; computed
-    independently of ``separated_sum`` by a greedy cover of level-n cylinder
-    tree nodes (one representative each, weights read off the tree).
+    independently of ``separated_sum`` by a greedy cover of the depth-n
+    cylinders (one representative each, weights read off the cylinder walk).
     """
     if n < 1:
         raise ip.PreconditionError("n must be >= 1")
-    tree = ip.build_cylinder_tree(lang, [weights], n, max_nodes)
     covered: set = set()
     vals = []
-    for node in tree.level(n):
-        if node.word not in covered:
-            covered.add(node.word)
-            vals.append(node.cum[0])
+    for word, cum in cylinders(lang, [weights], n, max_nodes):
+        if len(word) == n and word not in covered:
+            covered.add(word)
+            vals.append(cum[0])
     return logsumexp(vals)
 
 
@@ -529,16 +585,15 @@ def induced_sum_spanning(lang, w_phi, w_psi, T: float, max_words: int = MAX_WORD
     vals = []
     for n in sets.window_levels:
         reps = sorted({s[:n] for s in sets.crossing_words[n]})
-        vals.extend(ip.word_weight(p, w_phi) for p in reps)
+        vals.extend(word_weight(p, w_phi) for p in reps)
     return logsumexp(vals)
 
 
-def word_cover_value(lang, weights, Z, lam: float, N: int, D: int,
-                     max_nodes: int = MAX_TREE_NODES) -> float:
+def word_cover_value(lang, weights, Z, lam: float, N: int, D: int) -> float:
     """The time-cost cover optimum of ``ip.cover_value``, over explicit admissible words.
 
-    Walks the materialized cylinder tree with no factoring; the
-    word/cylinder bijection makes it agree with ``cover_value`` on every
+    Recurses over every cylinder of the raw presentation with no factoring;
+    the word/cylinder bijection makes it agree with ``cover_value`` on every
     instance.
     """
     if not 1 <= N <= D:
@@ -552,22 +607,24 @@ def word_cover_value(lang, weights, Z, lam: float, N: int, D: int,
         raise ip.PreconditionError(f"target words deeper than resolution D={D}")
     prefixes = {word[:k] for word in targets for k in range(1, len(word))}
     length_coeff = -lam * weights.tau
-    tree = ip.build_cylinder_tree(lang, [weights], D, max_nodes)
     found = set()
 
-    def value(node, inside: bool) -> float:
-        if node.word in targets:
-            found.add(node.word)
+    def value(word, unit, wsum: float, inside: bool) -> float:
+        if word in targets:
+            found.add(word)
             inside = True
-        elif not inside and node.word not in prefixes:
+        elif not inside and word not in prefixes:
             return NEG_INF
-        own = length_coeff * node.depth + node.cum[0]
-        if node.depth == D:
+        own = length_coeff * len(word) + wsum
+        if len(word) == D:
             return own
-        ls = logsumexp([value(child, inside) for child in node.children])
-        return min(own, ls) if node.depth >= N else ls
+        succ = unit_successors(lang, unit)
+        ls = logsumexp([value(word + (s,), u, wsum + weights[s], inside) for u, s in succ])
+        return min(own, ls) if len(word) >= N else ls
 
-    total = logsumexp([value(child, Z.is_whole_space) for child in tree.root.children])
+    total = logsumexp([
+        value((s,), u, weights[s], Z.is_whole_space) for u, s in initial_units(lang)
+    ])
     if found != targets:
         raise ip.PreconditionError(f"target words {sorted(targets - found)} are not admissible")
     return math.exp(total)

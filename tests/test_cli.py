@@ -112,6 +112,34 @@ FINITE_STATE = {
     "task": {"command": "validate"},
 }
 
+#: one run per site that ended with a traceback or a warning once a weight is huge, on the
+#: golden mean with the potential {"a": value, "b": "1"} as phi or psi (and scale as the
+#: other): (value, role, command, exit code, start of the one stderr line)
+HUGE_WEIGHTS = {
+    "cycle-rounded-away": (
+        "1e50", "phi", "bowen-root", 3,
+        "guard tripped: max-plus balance of 2 symbols rounds away every cycle",
+    ),
+    "max-plus-overflow": (
+        "-1e308", "phi", "scan", 3,
+        "guard tripped: max-plus balance of 2 symbols left the float range",
+    ),
+    "tilted-weight-overflow": (
+        "1e308", "psi", "bowen-root", 3,
+        "guard tripped: max-plus balance of 2 symbols left the float range",
+    ),
+    "level-sum-overflow": (
+        "-1e308", "phi", "pressure", 3, "guard tripped: level sums left the float range at level 2",
+    ),
+    "bracket-too-wide": (
+        "-1e300", "phi", "bowen-root", 3,
+        "guard tripped: bracket [-5e+299, -2.5e+299] cannot be shrunk",
+    ),
+    "bracket-squares-past-float": ("1e200", "phi", "pp-pressure", 0, None),
+    "flanking-value-past-float": ("1e20", "phi", "bs-dim", 0, None),
+    "flow-total-past-float": ("1e10", "phi", "vp-check", 3, "guard tripped: flow total exp("),
+}
+
 #: (base config, key path, value of the wrong JSON type at that path, the line it is refused with)
 WRONG_TYPE = {
     "subset-string": (
@@ -273,6 +301,31 @@ class TestExitCodes:
         # guard overrides are read only behind the flag; no other block depends on it
         assert main(["--config", path, "--out", str(tmp_path / "o"), "--force-guards"]) == 2
         assert capsys.readouterr().err == f"config error: {line}\n"
+
+    def test_potential_that_overflows_its_control_word_is_4(self, tmp_path, capsys):
+        cfg = load("golden-mean.json")
+        cfg["control_range"]["potentials"]["big"] = {"a": "1e308", "b": "1e308"}
+        cfg["partition"] = {"tau": 2, "control_words": {"1": ["a", "a"], "2": ["b", "b"]}}
+        cfg["task"] = {"command": "bowen-root", "phi": "big", "psi": "scale"}
+        assert main(["--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 4
+        assert capsys.readouterr().err == (
+            "precondition failed: potential 'big' overflows on cell 1\n"
+        )
+
+    @pytest.mark.parametrize("value,role,command,code,line", HUGE_WEIGHTS.values(), ids=HUGE_WEIGHTS.keys())
+    def test_huge_weight_ends_cleanly(self, tmp_path, capsys, value, role, command, code, line):
+        # pytest turns any RuntimeWarning into an error, so a clean run also warns of nothing
+        cfg = load("golden-mean.json")
+        cfg["control_range"]["potentials"]["P"] = {"a": value, "b": "1"}
+        other = "psi" if role == "phi" else "phi"
+        cfg["task"] = {"command": command, role: "P", other: "scale", "n_max": 12, "beta_grid": ["0"],
+                       "D": 5}
+        assert main(["--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "o")]) == code
+        err = capsys.readouterr().err
+        if line is None:
+            assert err == ""
+        else:
+            assert err.startswith(line) and err.count("\n") == 1, err
 
     @pytest.mark.parametrize("end", [10**30, -(2**70), 2**63, 0])
     def test_relation_end_that_is_no_symbol_is_4(self, tmp_path, capsys, end):

@@ -342,7 +342,7 @@ class TestWeightedCoverAndFrostman:
         # only through the root split, which follows the right Perron vector
         lang = golden_mean()
         fw = ip.frostman_measure(lang, weights({1: 1.0, 2: 1.0}), ALL, LOG_GOLDEN, 1, 8)
-        mu = ip.frostman_cylinder_measure(lang, fw)
+        mu = ip.CylinderMeasure(lang, fw.D, fw.normalized())
         parry_chain = ip.parry_measure(lang)
         parry = ip.cylinder_masses(parry_chain, lang, 8)
         for word, mass in parry.masses.items():

@@ -199,48 +199,6 @@ class TestInducedSum:
             assert lo - 1e-9 <= val <= hi + 1e-9
 
 
-class TestBookkeepingIndex:
-    def test_uniqueness_and_bounds(self, rng):
-        for _ in range(50):
-            lang = random_sft(rng, 3)
-            w_psi = random_weights(rng, lang, 0.5, 2.0)
-            word = rng.choice(words(lang, rng.randrange(1, 7)))
-            m = ip.bookkeeping_index(word, w_psi)
-            unit = w_psi.rate_max() * w_psi.tau
-            total = sum(w_psi[s] for s in word)
-            assert m >= 1
-            assert (m - 1) * unit < total <= m * unit + 1e-12
-
-    def test_tilt_comparison_factor(self, rng):
-        # exp(-beta*weight) vs exp(-beta*m*unit) within exp(|beta|*unit)
-        for _ in range(50):
-            lang = random_sft(rng, 3)
-            w_psi = random_weights(rng, lang, 0.5, 2.0)
-            word = rng.choice(words(lang, rng.randrange(1, 7)))
-            beta = rng.uniform(-2, 2)
-            unit = w_psi.rate_max() * w_psi.tau
-            m = ip.bookkeeping_index(word, w_psi)
-            exact = -beta * sum(w_psi[s] for s in word)
-            rounded = -beta * m * unit
-            assert rounded - abs(beta) * unit <= exact + 1e-9
-            assert exact <= rounded + abs(beta) * unit + 1e-9
-
-    @pytest.mark.parametrize("psi", [{1: 0.1, 2: 0.3}, {1: 0.2, 2: 0.6}])
-    def test_whole_step_tie(self, psi):
-        # three of the small weight make one largest weight at 12 decimals, not in binary floats
-        assert ip.bookkeeping_index((1, 1, 1), weights(psi)) == 1
-        assert ip.bookkeeping_index((1, 1, 1, 1), weights(psi)) == 2
-
-    @pytest.mark.parametrize("top", [1e-13, math.inf])
-    def test_largest_weight_off_the_lattice_rejected(self, top):
-        with pytest.raises(ip.PreconditionError):
-            ip.bookkeeping_index((1,), weights({1: top}))
-
-    def test_empty_word_rejected(self):
-        with pytest.raises(ip.PreconditionError):
-            ip.bookkeeping_index((), weights({1: 1.0}))
-
-
 class TestHorizonGuard:
     """Horizons derived from T are bounded by MAX_DEPTH before anything is built."""
 

@@ -6,7 +6,11 @@ ends are looked up by bisection.  A permutation reorders the sums inside each
 kernel, so its numbers may move by rounding, never past the certificates.  A
 disjoint union's pressure, Bowen root and induced sum are those of its larger
 part, or the log-sum of the parts.  Renaming and reordering the states of a
-finite-state system changes no unit and no bit.
+finite-state system changes no unit and no bit.  Scaling psi by c divides the
+Bowen root and the BS dimension by c, and the 2-block recoding of a relation
+keeps its pressure and its Bowen root, each within the summed certificates.
+Shifting phi by c*psi moves the Bowen root by exactly c; at c = 1e7 the
+certificate misses that (ROADMAP item 8), which a strict xfail pins.
 """
 
 import math
@@ -14,8 +18,10 @@ import math
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+import pytest
+
 import invpressure as ip
-from invpressure.capacity import level_log_sums
+from invpressure.capacity import _RTOL, level_log_sums
 
 LAW = settings(max_examples=100, derandomize=True, deadline=None, database=None)
 T = 3.0
@@ -176,3 +182,55 @@ def test_renaming_and_reordering_states_changes_no_bit(drawn):
             ip.induced_sum(lang, w_phi, w_psi, T).hex(),
         ))
     assert got[0] == got[1]
+
+
+@LAW
+@given(relations(), st.integers(-300, 300).map(lambda k: 10.0 ** (k / 100)))
+def test_scaling_psi_divides_the_root_and_the_dimension(relation, c):
+    lang, w_phi, w_psi = renamed(relation, lambda s: s)
+    w_scaled = w_psi.scaled(c)
+    root, scaled = ip.bowen_root(lang, w_phi, w_psi), ip.bowen_root(lang, w_phi, w_scaled)
+    gap = abs(scaled.beta_hat - root.beta_hat / c)
+    assert gap <= scaled.error_bound + root.error_bound / c, (c, root, scaled)
+    dim, dim_scaled = ip.bs_dimension(lang, w_psi, D=4), ip.bs_dimension(lang, w_scaled, D=4)
+    gap = abs(dim_scaled.value - dim.value / c)
+    bound = dim_scaled.certificate.error_bound + dim.certificate.error_bound / c
+    assert gap <= bound, (c, dim, dim_scaled)
+
+
+def two_block(relation):
+    """The 2-block recoding: edge k of the sorted edges is symbol k + 1, edge (i, j)
+    runs to every edge (j, l), and each edge carries the weights of its first symbol."""
+    q, edges, phi, psi = relation
+    index = {e: k + 1 for k, e in enumerate(edges)}
+    pairs = [(index[i, j], index[j, l]) for i, j in edges for j2, l in edges if j2 == j]
+    return (
+        len(edges), pairs, {index[e]: phi[e[0]] for e in edges}, {index[e]: psi[e[0]] for e in edges},
+    )
+
+
+@LAW
+@given(relations())
+def test_the_two_block_recoding_keeps_pressure_and_root(relation):
+    plain, recoded = renamed(relation, lambda s: s), renamed(two_block(relation), lambda s: s)
+    pressures = [ip.spectral_pressure(lang, w_phi) for lang, w_phi, _ in (plain, recoded)]
+    # each oracle stops at a Collatz-Wielandt half-width of at most _RTOL, relative
+    assert abs(pressures[0] - pressures[1]) <= 2 * _RTOL + 4 * math.ulp(max(1.0, abs(pressures[0])))
+    roots = [ip.bowen_root(*lang_weights) for lang_weights in (plain, recoded)]
+    assert abs(roots[0].beta_hat - roots[1].beta_hat) <= roots[0].error_bound + roots[1].error_bound
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 8: error_bound counts no rounding of the tilted weights")
+def test_shifting_phi_by_c_psi_moves_the_root_by_c():
+    # a draw where the shift law fails at c = 1e7.  The weights are multiples of 1/64,
+    # so phi + c*psi and beta_hat - c are exact, and the law needs no rounding slack
+    c = 1e7
+    edges = [(1, 1), (1, 3), (2, 1), (2, 4), (2, 6), (3, 4), (3, 6), (4, 6), (5, 2), (5, 4), (5, 5), (6, 3)]
+    phi = {1: -0.15625, 2: -1.703125, 3: -1.015625, 4: 0.671875, 5: 0.09375, 6: -1.59375}
+    psi = {1: 0.78125, 2: 1.515625, 3: 1.34375, 4: 1.59375, 5: 1.109375, 6: 1.609375}
+    lang, w_phi, w_psi = renamed((6, edges, phi, psi), lambda s: s)
+    w_shifted = ip.PerSymbolWeights({s: phi[s] + c * psi[s] for s in phi}, 1)
+    assert all(w_shifted[s] - c * psi[s] == phi[s] for s in phi)
+    root, shifted = ip.bowen_root(lang, w_phi, w_psi), ip.bowen_root(lang, w_shifted, w_psi)
+    gap = abs((shifted.beta_hat - c) - root.beta_hat)
+    assert gap <= root.error_bound + shifted.error_bound + 4 * math.ulp(1.0), (gap, root, shifted)

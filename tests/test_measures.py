@@ -21,6 +21,7 @@ from conftest import (
     reference_prefix_masses,
     successors,
     weights,
+    word_weight,
     words,
 )
 
@@ -260,7 +261,7 @@ def reference_covers(Z, word):
 
 
 class TestTargetSupport:
-    def test_supported_on_and_restricted_to_against_tuple_slices(self, rng):
+    def test_supported_on_against_tuple_slices(self, rng):
         for trial in range(60):
             lang = full_shift(3) if trial % 2 else random_sft(rng, 3)
             D = rng.randint(1, 5)
@@ -279,14 +280,7 @@ class TestTargetSupport:
             )
             supported = all(reference_covers(Z, w) for w in support)
             assert mu.supported_on(Z) is supported
-            kept = {w: m for w, m in masses.items() if reference_covers(Z, w)}
-            mass = math.fsum(kept.values())
-            if mass <= 0.0:
-                with pytest.raises(ip.PreconditionError):
-                    mu.restricted_to(Z)
-            else:
-                assert mu.restricted_to(Z).masses == {w: m / mass for w, m in kept.items()}
-        assert mu.supported_on(ALL) and mu.restricted_to(ALL) is mu
+        assert mu.supported_on(ALL)
 
 
 class TestLowerBsPressure:
@@ -328,7 +322,7 @@ class TestLowerBsPressure:
         value, sums = 0.0, [0.0] * 9
         for leaf, m in sorted(mu.masses.items()):
             if m > 0.0:
-                ratios = [-math.log(mu.mass(leaf[:n])) / ip.word_weight(leaf[:n], w)
+                ratios = [-math.log(mu.mass(leaf[:n])) / word_weight(leaf[:n], w)
                           for n in range(1, 10)]
                 value += m * min(ratios[-3:])
                 for n, r in enumerate(ratios):
@@ -367,7 +361,7 @@ class TestPrefixTrie:
             Z = ALL if trial % 2 else ip.SubsetSpec.cylinders(words(lang, 2)[:2])
             fw = ip.frostman_measure(lang, w, Z, rng.uniform(0.2, 0.8), 1, D)
             assert list(fw.masses) == sorted(fw.masses)
-            _check_against_prefix_reference(ip.frostman_cylinder_measure(lang, fw), w)
+            _check_against_prefix_reference(ip.CylinderMeasure(lang, fw.D, fw.normalized()), w)
 
     def test_parry_and_frostman_on_itineraries(self, rng):
         D = 8
@@ -380,7 +374,7 @@ class TestPrefixTrie:
             w = random_weights(rng, lang, 0.3, 1.5)
             Z = ALL if trial % 2 else ip.SubsetSpec.cylinders(words(lang, 2)[:1])
             fw = ip.frostman_measure(lang, w, Z, rng.uniform(0.2, 0.8), 1, rng.randrange(4, 9))
-            _check_against_prefix_reference(ip.frostman_cylinder_measure(lang, fw), w, 2)
+            _check_against_prefix_reference(ip.CylinderMeasure(lang, fw.D, fw.normalized()), w, 2)
 
     def test_shuffled_hand_built_measure(self, rng):
         # a mass table in no walk's order, with zero-mass words mixed in
@@ -435,8 +429,11 @@ class TestVpCheck:
         lang = full_shift(2)
         K = ip.SubsetSpec.cylinders([(1,)])
         D = 16
+        # the fair coin conditioned on [1]: the words under 1, their masses doubled
         full = ip.cylinder_masses(ip.bernoulli_measure(lang, [0.5, 0.5]), lang, D)
-        conditional = full.restricted_to(K)
+        conditional = ip.CylinderMeasure(
+            lang, D, {w: 2.0 * m for w, m in full.masses.items() if w[0] == 1}
+        )
         rep = ip.vp_check(
             lang, const_weights(lang, 1.0), K, [("conditional", conditional)], D=D
         )
@@ -451,12 +448,8 @@ class TestVpCheck:
         tol = 1e-6
         rep = ip.vp_check(lang, w, ALL, [], D=12, tol=tol)
         row = next(r for r in rep.candidates if r.name == "frostman")
-        est = ip.lower_bs_pressure(
-            ip.frostman_cylinder_measure(
-                lang, ip.frostman_measure(lang, w, ALL, rep.dimension - tol, 1, 12)
-            ),
-            w,
-        )
+        fw = ip.frostman_measure(lang, w, ALL, rep.dimension - tol, 1, 12)
+        est = ip.lower_bs_pressure(ip.CylinderMeasure(lang, fw.D, fw.normalized()), w)
         assert row.value == pytest.approx(est.value, rel=1e-12)
         assert row.value >= (rep.dimension - tol) - est.slack - 1e-9
 
@@ -490,7 +483,7 @@ class TestVpCheck:
             fw = ip.frostman_measure(lang, w, ALL, rep.dimension - tol, 1, D)
             refs = [
                 reference_lower_bs(ip.cylinder_masses(parry, lang, D), w),
-                reference_lower_bs(ip.frostman_cylinder_measure(lang, fw), w),
+                reference_lower_bs(ip.CylinderMeasure(lang, fw.D, fw.normalized()), w),
             ]
             for row, (value, _, slack) in zip(rep.candidates, refs):
                 assert (row.value.hex(), row.slack.hex()) == (value.hex(), slack.hex())

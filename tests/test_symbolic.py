@@ -14,12 +14,14 @@ from conftest import (
     UnitWalk,
     brute_words,
     coprime_cycles,
+    cylinders,
     full_shift,
     golden_itinerary,
     golden_mean,
     random_itinerary,
     random_sft,
     single_branch,
+    word_weight,
     words,
 )
 
@@ -85,13 +87,15 @@ class TestEnumerateWords:
 
 
 class TestWordWeight:
+    """The reference word weight the oracles sum with."""
+
     def test_empty_word(self):
         w = ip.PerSymbolWeights({1: 1.0}, 1)
-        assert ip.word_weight((), w) == 0.0
+        assert word_weight((), w) == 0.0
 
     def test_hand_sum(self):
         w = ip.PerSymbolWeights({1: 1.0, 2: 2.0}, 1)
-        assert ip.word_weight((1, 2, 1), w) == 4.0
+        assert word_weight((1, 2, 1), w) == 4.0
 
     def test_concatenation_additivity(self):
         rng = random.Random(7)
@@ -99,14 +103,14 @@ class TestWordWeight:
         for _ in range(200):
             a = tuple(rng.choice((1, 2, 3)) for _ in range(rng.randrange(0, 9)))
             b = tuple(rng.choice((1, 2, 3)) for _ in range(rng.randrange(0, 9)))
-            whole = ip.word_weight(a + b, w)
-            parts = ip.word_weight(a, w) + ip.word_weight(b, w)
+            whole = word_weight(a + b, w)
+            parts = word_weight(a, w) + word_weight(b, w)
             assert whole == pytest.approx(parts, rel=1e-12, abs=1e-12)
 
     def test_unknown_symbol(self):
         w = ip.PerSymbolWeights({1: 1.0}, 1)
         with pytest.raises(ip.PreconditionError):
-            ip.word_weight((1, 9), w)
+            word_weight((1, 9), w)
 
 
 class TestLogSumExp:
@@ -129,7 +133,7 @@ class TestLogSumExp:
 class TestCylinderTree:
     def test_full_2_shift_node_count(self):
         tree = ip.build_cylinder_tree(full_shift(2), [], 3)
-        assert tree.node_count() == 2 + 4 + 8
+        assert len(list(tree.nodes())) == 2 + 4 + 8
 
     def test_golden_mean_fibonacci_counts(self):
         tree = ip.build_cylinder_tree(golden_mean(), [], 3)
@@ -145,18 +149,45 @@ class TestCylinderTree:
         for lang in (golden_mean(), random_sft(rng, 3)):
             tree = ip.build_cylinder_tree(lang, [], 5)
             for n in range(1, 6):
-                assert len(tree.level(n)) == len(words(lang, n))
+                assert len(tree.levels()[n - 1]) == len(words(lang, n))
 
     def test_cumulative_weights_match_word_weight(self, rng):
         lang = random_sft(rng, 3)
         w = ip.PerSymbolWeights({i: rng.uniform(-2, 2) for i in lang.symbols}, 1)
         tree = ip.build_cylinder_tree(lang, [w], 4)
         for node in tree.nodes():
-            assert node.cum[0] == pytest.approx(ip.word_weight(node.word, w), rel=1e-12, abs=1e-12)
+            assert node.cum[0] == pytest.approx(word_weight(node.word, w), rel=1e-12, abs=1e-12)
 
     def test_node_guard(self):
         with pytest.raises(ip.GuardError):
             ip.build_cylinder_tree(full_shift(3), [], 12, max_nodes=1000)
+
+    @pytest.mark.parametrize("kind", ["relation", "finite-state"])
+    def test_nodes_match_the_raw_walk(self, kind):
+        # word, cumulative-weight bits and order, node for node, against the
+        # depth-first walk of the raw presentation; the node guard at its count
+        rng = random.Random(21)
+        for trial in range(40):
+            if kind == "relation":
+                q = rng.randint(1, 6)
+                lang = ip.compile_sft(range(1, q + 1), random_relation(rng, q, rng.random() < 0.5))
+            else:
+                lang = random_itinerary(rng, rng.randint(1, 30), rng.randint(1, 4))
+            tables = [
+                ip.PerSymbolWeights({s: rng.uniform(-3, 3) for s in lang.symbols}, 1)
+                for _ in range(rng.randint(0, 2))
+            ]
+            depth = rng.randint(1, 6)
+            tree = ip.build_cylinder_tree(lang, tables, depth)
+            ref = cylinders(lang, tables, depth)
+            got = [(node.word, [c.hex() for c in node.cum]) for node in tree.nodes()]
+            assert got == [(word, [c.hex() for c in cum]) for word, cum in ref], (kind, trial)
+            assert [len(lv) for lv in tree.levels()] == [
+                sum(len(word) == n for word, _ in ref) for n in range(1, depth + 1)
+            ]
+            ip.build_cylinder_tree(lang, tables, depth, max_nodes=len(ref))
+            with pytest.raises(ip.GuardError):
+                ip.build_cylinder_tree(lang, tables, depth, max_nodes=len(ref) - 1)
 
 
 def leaf_set(node, depth):
