@@ -82,8 +82,8 @@ def _forward_sums(
     live = np.array(next(inflow))  # a copy: each level overwrites it
     entered = live[1:]  # the units with an entering edge
     out = np.empty(n_max)
-    try:  # log(0) = -inf marks units with no mass
-        with np.errstate(divide="ignore", over="raise", invalid="raise"):
+    try:
+        with np.errstate(divide="ignore", over="raise", invalid="raise"):  # log(0) = -inf: no mass
             for n in range(n_max):
                 vals = live[g.src]
                 vals += step
