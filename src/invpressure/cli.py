@@ -136,12 +136,6 @@ def _pair(value, where: str):
     return value
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
-
-
 class Run:
     """One parsed configuration, ready to execute."""
 
@@ -335,8 +329,8 @@ class Run:
         return [start + k * step for k in range(math.floor(span) + 1)]
 
     # ------------------------------------------------------------------
-    def execute(self) -> dict[str, tuple[list[str], list[list]]]:
-        """Run the task; returns {csv name: (header, rows)} plus manifest extras."""
+    def execute(self) -> dict[str, tuple]:
+        """Run the task; returns {csv name: (header, rows of plain values)} plus manifest extras."""
         self.info: dict = {}
         handler = getattr(self, "_cmd_" + self.command.replace("-", "_"))
         return handler()
@@ -359,16 +353,13 @@ class Run:
             oracle=est.oracle,
             tail_window=est.tail_window,
         )
-        return {"pressure": (["n", "value"], [[n, _fmt(v)] for n, v in est.values])}
+        return {"pressure": (["n", "value"], est.values)}
 
     def _cmd_bowen_root(self):
         tol = _real(self.task.get("tol", "1e-9"), "tol")
         cert = bowen_root(self.lang, self.weights("phi", default_zero=True), self.weights("psi"), tol)
         self.info["beta_hat"] = cert.beta_hat
-        row = [
-            _fmt(cert.beta_hat), _fmt(cert.residual), _fmt(cert.error_bound),
-            _fmt(cert.bracket[0]), _fmt(cert.bracket[1]), cert.iterations,
-        ]
+        row = [cert.beta_hat, cert.residual, cert.error_bound, *cert.bracket, cert.iterations]
         header = ["beta_hat", "residual", "error_bound", "bracket_lo", "bracket_hi", "iterations"]
         return {"bowen_root": (header, [row])}
 
@@ -376,7 +367,7 @@ class Run:
         w_phi = self.weights("phi", default_zero=True)
         w_psi = self.weights("psi")
         betas = self.grid("beta_grid")
-        rows = [[_fmt(b), _fmt(pressure_difference(self.lang, w_phi, w_psi, b))] for b in betas]
+        rows = [[b, pressure_difference(self.lang, w_phi, w_psi, b)] for b in betas]
         return {"scan": (["beta", "phi_value"], rows)}
 
     def _cmd_induced(self):
@@ -388,9 +379,9 @@ class Run:
         for T in ts:
             v = induced_sum(self.lang, w_phi, w_psi, T, max_cells=self.max_words)
             if v == float("-inf"):
-                rows.append([_fmt(T), "empty window", ""])
+                rows.append([T, "empty window", ""])
             else:
-                rows.append([_fmt(T), _fmt(v), _fmt(v / (T * tau))])
+                rows.append([T, v, v / (T * tau)])
         return {"induced": (["T", "log_sum", "normalized"], rows)}
 
     def _cmd_characterize(self):
@@ -399,7 +390,7 @@ class Run:
         T = _real(_require(self.task, "T", "task"), "T")
         betas = self.grid("beta_grid")
         results = characterization_scan(self.lang, w_phi, w_psi, betas, T)
-        rows = [[_fmt(r.beta), r.verdict] for r in results]
+        rows = [[r.beta, r.verdict] for r in results]
         return {"characterize": (["beta", "verdict"], rows)}
 
     def _cmd_pp_pressure(self):
@@ -408,8 +399,8 @@ class Run:
         res = pp_pressure(self.lang, w, Z, N, D, tol)
         self.info["critical"] = crit = res.critical
         sol = cover_solution(self.lang, w, Z, crit, N, D, self.max_nodes)
-        summary = [[_fmt(crit), _fmt(res.value_below), _fmt(res.value_above), res.iterations]]
-        cover_rows = [[label, repr(c)] for label, c in zip(self.word_labels(sol.words), sol.costs)]
+        summary = [[crit, res.value_below, res.value_above, res.iterations]]
+        cover_rows = zip(self.word_labels(sol.words), sol.costs)
         return {
             "pp_pressure": (["critical", "value_below", "value_above", "iterations"], summary),
             "cover_solution": (["word", "cost"], cover_rows),
@@ -421,10 +412,8 @@ class Run:
         res = bs_dimension(self.lang, w, Z, tol, N, D)
         self.info["dimension"] = res.value
         header = ["value", "residual", "error_bound", "jump_critical", "root_jump_gap"]
-        row = [
-            _fmt(res.value), _fmt(res.certificate.residual), _fmt(res.certificate.error_bound),
-            _fmt(res.jump.critical), _fmt(res.root_jump_gap),
-        ]
+        cert = res.certificate
+        row = [res.value, cert.residual, cert.error_bound, res.jump.critical, res.root_jump_gap]
         return {"bs_dim": (header, [row])}
 
     def _cmd_frostman(self):
@@ -432,9 +421,7 @@ class Run:
         lam = _real(_require(self.task, "lambda", "task"), "lambda")
         fw = frostman_measure(self.lang, w, Z, lam, N, D, self.max_nodes)
         self.info["total"] = fw.total
-        leaves = sorted(fw.masses.items())
-        labels = self.word_labels(word for word, _ in leaves)
-        rows = [[label, repr(mass)] for label, (_, mass) in zip(labels, leaves)]
+        rows = zip(self.word_labels(fw.masses), fw.masses.values())
         return {"frostman": (["word", "mass"], rows)}
 
     def _cmd_sandwich(self):
@@ -444,10 +431,7 @@ class Run:
         rep = sandwich_check(self.lang, w, Z, lam, eps, N, D)
         self.info["holds"] = rep.holds
         header = ["lambda", "epsilon", "r_at_lam_plus_eps", "w_at_lam", "r_at_lam", "holds"]
-        row = [
-            _fmt(rep.lam), _fmt(rep.eps), _fmt(rep.r_at_lam_plus_eps),
-            _fmt(rep.w_at_lam), _fmt(rep.r_at_lam), rep.holds,
-        ]
+        row = [rep.lam, rep.eps, rep.r_at_lam_plus_eps, rep.w_at_lam, rep.r_at_lam, rep.holds]
         return {"sandwich": (header, [row])}
 
     def _cmd_vp_check(self):
@@ -474,10 +458,7 @@ class Run:
             cands.append((name, mu))
         rep = vp_check(self.lang, w, K, cands, D, tol, N=N, max_nodes=self.max_nodes)
         self.info.update(dimension=rep.dimension, best=rep.best_name, best_value=rep.best_value)
-        rows = [
-            [r.name, _fmt(r.value), _fmt(r.gap), _fmt(r.slack), r.within_upper_bound]
-            for r in rep.candidates
-        ]
+        rows = [[r.name, r.value, r.gap, r.slack, r.within_upper_bound] for r in rep.candidates]
         return {"vp_check": (["candidate", "estimate", "gap", "slack", "within_upper_bound"], rows)}
 
 
@@ -533,7 +514,7 @@ def run(config: dict, out_dir: str, force_guards: bool = False, threads: int = 1
         "command": r.command,
         "config": r.config,
         "outputs": written,
-        "info": getattr(r, "info", {}),
+        "info": r.info,
         "seed": r.seed,
         "version": __version__,
         "wall_time_s": time.time() - started,

@@ -9,14 +9,14 @@ one cell walk, polynomial in T for a fixed alphabet, which decides each edge
 once.  The induced pressure is the Bowen root in ``capacity``.  The
 boundedness characterization reads its verdicts off that root's certificate,
 since the exceed-level series converges exactly when the tilted pressure is
-negative; the exact partial exceed-level sum is the independent data, run on
-``capacity``'s forward recursion with the walk's crossing words flowing in.
+negative; the exact partial exceed-level sum, the independent route, solves no
+root: ``capacity``'s forward recursion with the walk's crossings flowing in.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -47,7 +47,7 @@ def _lattice(x: float) -> int:
     return round(Fraction(x) * _SCALE)
 
 
-def _budget_levels(w_psi: PerSymbolWeights, T: float) -> tuple[int, int, PerSymbolWeights]:
+def _budget_levels(w_psi: PerSymbolWeights, T: float) -> tuple[int, int, dict[int, int]]:
     """(n_hi, budget, psi): T*tau and the psi weights on the lattice (a weight above
     the budget, inf included, crosses on its own edge), and n_hi = budget // min psi,
     the longest word inside the budget.  Every horizon derived from T starts at n_hi,
@@ -63,7 +63,7 @@ def _budget_levels(w_psi: PerSymbolWeights, T: float) -> tuple[int, int, PerSymb
     least = min(psi.values())
     if budget >= (MAX_DEPTH + 1) * least:  # a weight under 1e-9 can round far down, or to 0
         raise GuardError(f"T={T!r} spans more than {MAX_DEPTH} levels at 12 decimals")
-    return budget // least, budget, replace(w_psi, weights=psi)
+    return budget // least, budget, psi
 
 
 def _budget_walk(
@@ -127,13 +127,11 @@ def induced_sum(
 
 @dataclass(frozen=True)
 class CharacterizationResult:
-    """Boundedness verdict at one (beta, T); the partial sum up to n_cap, if computed."""
+    """Boundedness verdict at one (beta, T)."""
 
     beta: float
     T: float
     verdict: str
-    partial_log_sum: float | None
-    n_cap: int | None
 
 
 def characterization_scan(
@@ -157,7 +155,7 @@ def characterization_scan(
     cert = bowen_root(lang, w_phi, w_psi)
     lo, hi = cert.beta_hat - cert.error_bound, cert.beta_hat + cert.error_bound
     verdicts = [DIVERGENT if b < lo else CONVERGENT if b > hi else INCONCLUSIVE for b in betas]
-    return [CharacterizationResult(b, T, v, None, None) for b, v in zip(betas, verdicts)]
+    return [CharacterizationResult(b, T, v) for b, v in zip(betas, verdicts)]
 
 
 def characterization_sum(
@@ -168,15 +166,15 @@ def characterization_sum(
     T: float,
     n_cap: int | None = None,
     max_cells: int = MAX_WORDS,
-) -> CharacterizationResult:
-    """Partial sum over exceed levels 1..n_cap of the tilted weights phi - beta*psi.
+) -> tuple[float, int]:
+    """(log_sum, n_cap): log partial sum over exceed levels 1..n_cap of phi - beta*psi.
 
     A word exceeds the budget from the level its budget-walk cell crosses on,
     and from there extends freely, so ``_forward_sums`` gives the exceed-level
     sums exactly when the walk's crossing edges flow in as each level's new
     masses; once the walk runs out of cells every word exceeds.  n_cap, at
-    least the first such level n_full, defaults to n_full + 20.  The verdict
-    is ``characterization_scan``'s; the exact partial sum is independent of it.
+    least the first such level n_full, defaults to n_full + 20.  It solves no
+    root, so it checks ``characterization_scan``'s verdicts independently.
     """
     n_full = _budget_levels(w_psi, T)[0] + 1
     if n_cap is None:
@@ -197,8 +195,7 @@ def characterization_sum(
             yield add
 
     sums = _forward_sums(g, np.array(step)[g.sym], inflow(), n_cap)
-    [result] = characterization_scan(lang, w_phi, w_psi, [beta], T)
-    return replace(result, partial_log_sum=logsumexp(sums.tolist()), n_cap=n_cap)
+    return logsumexp(sums.tolist()), n_cap
 
 
 def verdict_flip(results: Sequence[CharacterizationResult]) -> tuple[float, float] | None:

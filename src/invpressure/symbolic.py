@@ -123,7 +123,6 @@ class PerSymbolWeights:
 
     weights: Mapping[int, float]
     tau: int
-    name: str | None = None
 
     def __post_init__(self):
         if self.tau < 1:
@@ -156,14 +155,9 @@ class PerSymbolWeights:
         if bad:
             raise PreconditionError(f"{role} must be strictly positive, got {bad}")
 
-    def scaled(self, factor: float, name: str | None = None) -> "PerSymbolWeights":
-        return PerSymbolWeights(
-            {i: factor * v for i, v in self.weights.items()}, self.tau, name
-        )
-
 
 def zero_weights(symbols: Sequence[int], tau: int) -> PerSymbolWeights:
-    return PerSymbolWeights({i: 0.0 for i in symbols}, tau, "zero")
+    return PerSymbolWeights({i: 0.0 for i in symbols}, tau)
 
 
 def combine_weights(
@@ -199,7 +193,7 @@ def derive_symbol_weights(
             weights[i] = math.fsum(table[u] for u in word)
         except OverflowError:
             raise PreconditionError(f"potential {potential_name!r} overflows on cell {i}") from None
-    return PerSymbolWeights(weights, spec.tau, potential_name)
+    return PerSymbolWeights(weights, spec.tau)
 
 
 @dataclass(frozen=True, eq=False)

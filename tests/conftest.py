@@ -52,6 +52,11 @@ def const_weights(lang: ip.SftLanguage, c: float, tau: int = 1) -> ip.PerSymbolW
     return ip.PerSymbolWeights({s: c for s in lang.symbols}, tau)
 
 
+def scaled(w: ip.PerSymbolWeights, c: float) -> ip.PerSymbolWeights:
+    """The weights c*w(i), on the same tau."""
+    return ip.PerSymbolWeights({s: c * v for s, v in w.weights.items()}, w.tau)
+
+
 def random_sft(rng: random.Random, q: int, extra: float = 0.5) -> ip.SftLanguage:
     """Random relation containing the full cycle 1->2->...->q->1 (irreducible)."""
     syms = list(range(1, q + 1))

@@ -21,6 +21,7 @@ from conftest import (
     golden_mean,
     random_sft,
     random_weights,
+    scaled,
     separated_sum,
     sparse_sft,
     weights,
@@ -161,7 +162,7 @@ def test_criterion_08_flow_duality_and_sandwich():
             Z = ALL
         fw = ip.frostman_measure(lang, w, Z, lam, N, D)
         # the cover optimum under caps exp(-lam*weight), over explicit words
-        W = word_cover_value(lang, w.scaled(-lam), Z, 0.0, N, D)
+        W = word_cover_value(lang, scaled(w, -lam), Z, 0.0, N, D)
         ok &= abs(fw.total - W) <= 1e-10 * max(W, 1e-300)
         under = {}
         for leaf, m in fw.masses.items():

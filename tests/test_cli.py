@@ -327,6 +327,33 @@ class TestExitCodes:
         else:
             assert err.startswith(line) and err.count("\n") == 1, err
 
+    @pytest.mark.parametrize("spread", ["1e100", "1e200"])
+    def test_bs_dim_at_a_huge_weight_spread_certifies_the_root(self, tmp_path, capsys, spread):
+        # golden mean, dimension weights (M, 1): the root is about ln 2 / M, and the jump
+        # searches far from it stop at float resolution, 1e71 wide and more
+        cfg = load("golden-mean.json")
+        cfg["control_range"]["potentials"]["P"] = {"a": spread, "b": "1"}
+        cfg["task"] = {"command": "bs-dim", "phi": "P", "D": 5}
+        out = tmp_path / "o"
+        assert main(["--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        header, row = (out / "golden_mean.csv").read_text().splitlines()
+        cells = dict(zip(header.split(","), map(float, row.split(","))))
+        assert 0.0 < cells["value"] and cells["error_bound"] <= 1e-6
+        assert abs(cells["value"] - math.log(2) / float(spread)) <= cells["error_bound"]
+
+    @pytest.mark.parametrize("spread", ["1e100", "1e200"])
+    def test_vp_check_at_a_huge_weight_spread_names_it(self, tmp_path, capsys, spread):
+        # the dimension is found as above; the Frostman flow at dimension - tol then
+        # weighs exp(1e-6 * M) per cylinder, past the float range
+        cfg = load("golden-mean.json")
+        cfg["control_range"]["potentials"]["P"] = {"a": spread, "b": "1"}
+        cfg["task"] = {"command": "vp-check", "phi": "P", "D": 5}
+        assert main(["--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("guard tripped: flow total exp(") and err.count("\n") == 1, err
+        assert err.endswith(f"(weights spread by {float(spread):.3g})\n"), err
+
     @pytest.mark.parametrize("end", [10**30, -(2**70), 2**63, 0])
     def test_relation_end_that_is_no_symbol_is_4(self, tmp_path, capsys, end):
         # an end past int64 is compared as the integer it is, never cast

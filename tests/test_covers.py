@@ -25,6 +25,7 @@ from conftest import (
     random_weights,
     record_expansions,
     reference_cover_table,
+    scaled,
     single_branch,
     sparse_sft,
     successors,
@@ -492,6 +493,19 @@ class TestSearchesOnOneGraph:
         cert = ip.bs_dimension(lang, w, ALL, 1e-6, 1, 8).certificate
         assert cert.error_bound == (abs(cert.residual) + 1e-6 / 16) / w.rate_min()
 
+    def test_root_whose_jump_search_stops_wide_is_refused(self, monkeypatch):
+        # every inner search reports a bracket wider than the inner tolerance, as one
+        # stopped at float resolution does: no certificate may then count only that tolerance
+        real = covers._jump
+
+        def wide(graph, steps, n_detect, lo, hi, tol):
+            lo, hi, iters = real(graph, steps, n_detect, lo, hi, tol)
+            return lo - tol, hi, iters
+
+        monkeypatch.setattr(covers, "_jump", wide)
+        with pytest.raises(ip.GuardError, match="weights spread by 2: the jump search at the root"):
+            ip.bs_dimension(golden_mean(), weights({1: 1.0, 2: 2.0}), ALL, 1e-6, 1, 8)
+
     def test_root_and_jump_are_independent_searches(self):
         lang, w = golden_mean(), weights({1: 1.0, 2: 1.7})
         res = ip.bs_dimension(lang, w, ALL, 1e-6, 1, 12)
@@ -558,7 +572,7 @@ class TestSearchesOnOneGraph:
                 for b in sol.words:
                     assert a == b or (a[: len(b)] != b and b[: len(a)] != a)
             fw = ip.frostman_measure(lang, w, Z, lam, N, D)
-            W = word_cover_value(lang, w.scaled(-lam), Z, 0.0, N, D)
+            W = word_cover_value(lang, scaled(w, -lam), Z, 0.0, N, D)
             assert fw.total == pytest.approx(W, rel=1e-12)
             assert math.fsum(fw.masses.values()) == pytest.approx(fw.total, rel=1e-12)
 

@@ -3,7 +3,6 @@
 import inspect
 import math
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -228,16 +227,16 @@ class TestHorizonGuard:
         # floor(0.3 / 0.1) = 3 at 12 decimals (2.9999999999999996 in binary floats):
         # n_cap = 3 + 1 + 20
         lang = full_shift(2)
-        res = ip.characterization_sum(
+        _, n_cap = ip.characterization_sum(
             lang, const_weights(lang, 0.0), const_weights(lang, 0.1), 0.0, 0.3
         )
-        assert res.n_cap == 24
+        assert n_cap == 24
 
     def test_horizon_at_the_limit_runs(self):
         lang = golden_mean()
         w0, ones = const_weights(lang, 0.0), const_weights(lang, 1.0)
-        res = ip.characterization_sum(lang, w0, ones, 0.0, float(MAX_DEPTH))
-        assert res.n_cap == MAX_DEPTH + 1 + 20
+        _, n_cap = ip.characterization_sum(lang, w0, ones, 0.0, float(MAX_DEPTH))
+        assert n_cap == MAX_DEPTH + 1 + 20
         # psi = 1: every word crosses the budget at its length-MAX_DEPTH prefix, and
         # the golden mean has F(n + 2) = round(g^(n + 2) / sqrt(5)) words of length n
         g = (1 + math.sqrt(5)) / 2
@@ -250,19 +249,19 @@ class TestCharacterization:
     def test_convergent_above_pressure(self):
         lang = full_shift(2)
         w0, ones = const_weights(lang, 0.0), const_weights(lang, 1.0)
-        res = ip.characterization_sum(lang, w0, ones, math.log(2) + 0.1, 10.5)
+        [res] = ip.characterization_scan(lang, w0, ones, [math.log(2) + 0.1], 10.5)
         assert res.verdict == ip.CONVERGENT
 
     def test_divergent_below_pressure(self):
         lang = full_shift(2)
         w0, ones = const_weights(lang, 0.0), const_weights(lang, 1.0)
-        res = ip.characterization_sum(lang, w0, ones, math.log(2) - 0.1, 10.5)
+        [res] = ip.characterization_scan(lang, w0, ones, [math.log(2) - 0.1], 10.5)
         assert res.verdict == ip.DIVERGENT
 
     def test_critical_is_inconclusive(self):
         lang = full_shift(2)
         w0, ones = const_weights(lang, 0.0), const_weights(lang, 1.0)
-        res = ip.characterization_sum(lang, w0, ones, math.log(2), 10.5)
+        [res] = ip.characterization_scan(lang, w0, ones, [math.log(2)], 10.5)
         assert res.verdict == ip.INCONCLUSIVE
 
     def test_partial_sum_matches_direct_series(self):
@@ -270,11 +269,12 @@ class TestCharacterization:
         lang = full_shift(2)
         w0, ones = const_weights(lang, 0.0), const_weights(lang, 1.0)
         beta = math.log(2) + 0.2
-        res = ip.characterization_sum(lang, w0, ones, beta, 10.5, n_cap=40)
+        log_sum, n_cap = ip.characterization_sum(lang, w0, ones, beta, 10.5, n_cap=40)
         direct = math.log(
             math.fsum(2**n * math.exp(-beta * n) for n in range(11, 41))
         )
-        assert res.partial_log_sum == pytest.approx(direct, rel=1e-12)
+        assert n_cap == 40
+        assert log_sum == pytest.approx(direct, rel=1e-12)
 
     @pytest.mark.parametrize("kind", ["golden-mean", "itinerary", "growing"])
     def test_partial_sum_against_word_enumeration(self, rng, kind):
@@ -296,7 +296,7 @@ class TestCharacterization:
         n_full = math.floor(budget / min(w_psi.weights.values())) + 1
         n_cap = n_full + 14
         walk_units = lang.unit_graph(n_full).n_units
-        res = ip.characterization_sum(lang, w_phi, w_psi, beta, T, n_cap=n_cap)
+        log_sum, _ = ip.characterization_sum(lang, w_phi, w_psi, beta, T, n_cap=n_cap)
         if kind == "growing":
             assert walk_units < lang.unit_graph(n_cap).n_units
         terms = [
@@ -305,29 +305,43 @@ class TestCharacterization:
             for word in words(lang, n)
             if sum(w_psi[s] for s in word) > budget
         ]
-        assert res.partial_log_sum == pytest.approx(math.log(math.fsum(terms)), rel=1e-12)
+        assert log_sum == pytest.approx(math.log(math.fsum(terms)), rel=1e-12)
 
     def test_partial_sum_counts_words_on_the_budget_as_inside(self):
         # full 2-shift, psi = 0.1, T = 0.3: the length-3 words land on the budget,
         # so exceeding starts at n = 4; the tilt is 0 - 10 * 0.1 = -1 per symbol
         lang = full_shift(2)
-        res = ip.characterization_sum(
+        log_sum, n_cap = ip.characterization_sum(
             lang, const_weights(lang, 0.0), const_weights(lang, 0.1), 10.0, 0.3
         )
-        direct = math.log(math.fsum((2 / math.e) ** n for n in range(4, res.n_cap + 1)))
-        assert res.partial_log_sum == pytest.approx(direct, rel=1e-12)
+        direct = math.log(math.fsum((2 / math.e) ** n for n in range(4, n_cap + 1)))
+        assert log_sum == pytest.approx(direct, rel=1e-12)
 
     def test_partial_sum_cell_guard(self, monkeypatch):
         lang = full_shift(2)
         w0 = const_weights(lang, 0.0)
         w_psi = weights({1: 1.0, 2: 1.4142})
-        full = ip.characterization_sum(lang, w0, w_psi, 1.0, 6.0, max_cells=8)  # see test_cell_guard
+        ip.characterization_sum(lang, w0, w_psi, 1.0, 6.0, max_cells=8)  # see test_cell_guard
         with pytest.raises(ip.GuardError):
             ip.characterization_sum(lang, w0, w_psi, 1.0, 6.0, max_cells=7)
         # the verdict alone never walks the cells
+        expected = ip.characterization_scan(lang, w0, w_psi, [1.0], 6.0)
         monkeypatch.setattr(induced, "_budget_walk", None)
-        [verdict] = ip.characterization_scan(lang, w0, w_psi, [1.0], 6.0)
-        assert verdict == replace(full, partial_log_sum=None, n_cap=None)
+        assert ip.characterization_scan(lang, w0, w_psi, [1.0], 6.0) == expected
+
+    def test_partial_sum_solves_no_root(self, monkeypatch):
+        # the independent route solves no Bowen root; the scan, which does, shows the patch bites
+        lang = full_shift(2)
+        w0, ones = const_weights(lang, 0.0), const_weights(lang, 1.0)
+        expected = ip.characterization_sum(lang, w0, ones, 1.0, 10.5)
+
+        def no_root(*_args, **_kwargs):
+            raise AssertionError("the partial sum solved a Bowen root")
+
+        monkeypatch.setattr(induced, "bowen_root", no_root)
+        assert ip.characterization_sum(lang, w0, ones, 1.0, 10.5) == expected
+        with pytest.raises(AssertionError):
+            ip.characterization_scan(lang, w0, ones, [1.0], 10.5)
 
     def test_scan_flip_brackets_pressure(self):
         lang = full_shift(2)
@@ -346,7 +360,7 @@ class TestCharacterization:
         flip = ip.verdict_flip(results)
         assert flip[0] <= 0.9 / 1.5 <= flip[1]
 
-    def test_scan_point_equals_single_sum(self, rng):
+    def test_scan_point_equals_single_point_scan(self, rng):
         # one root for the grid; no point may depend on its neighbours
         for lang in (golden_mean(), random_sft(rng, 4), random_sft(rng, 5)):
             w_phi = random_weights(rng, lang, -1.0, 1.0)
@@ -355,8 +369,6 @@ class TestCharacterization:
             results = ip.characterization_scan(lang, w_phi, w_psi, betas, 4.0)
             for beta, res in zip(betas, results):
                 assert ip.characterization_scan(lang, w_phi, w_psi, [beta], 4.0) == [res]
-                single = ip.characterization_sum(lang, w_phi, w_psi, beta, 4.0)
-                assert res == replace(single, partial_log_sum=None, n_cap=None)
 
     def test_empty_grid(self):
         lang = golden_mean()

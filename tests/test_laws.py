@@ -10,10 +10,14 @@ finite-state system changes no unit and no bit.  Scaling psi by c divides the
 Bowen root and the BS dimension by c, and the 2-block recoding of a relation
 keeps its pressure and its Bowen root, each within the summed certificates.
 Shifting phi by c*psi moves the Bowen root by exactly c; at c = 1e7 the
-certificate misses that (ROADMAP item 8), which a strict xfail pins.
+certificate misses that (ROADMAP item 8), which a strict xfail pins.  The
+induced sum lies inside the explicit finite-T enclosure of acceptance
+criterion 11, cover optima never fall as the start depth N grows, and on a
+pure cycle the certified Bowen root covers the exact root sum(phi)/sum(psi).
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -22,6 +26,7 @@ import pytest
 
 import invpressure as ip
 from invpressure.capacity import _RTOL, level_log_sums
+from conftest import scaled
 
 LAW = settings(max_examples=100, derandomize=True, deadline=None, database=None)
 T = 3.0
@@ -83,7 +88,8 @@ def test_an_increasing_relabelling_changes_no_bit(relation):
             ip.induced_sum(lang, w_phi, w_psi, T),
             dim.value,
             dim.certificate.error_bound,
-            [(r.beta, r.T, r.verdict, r.partial_log_sum, r.n_cap) for r in rows],
+            ip.characterization_sum(lang, w_phi, w_psi, betas[0], T)[0],
+            [(r.beta, r.T, r.verdict) for r in rows],
         ))
     (*numbers, rows), (*numbers_moved, rows_moved) = got
     assert all(same_bits(a, b) for a, b in zip(numbers, numbers_moved)), (numbers, numbers_moved)
@@ -188,14 +194,56 @@ def test_renaming_and_reordering_states_changes_no_bit(drawn):
 @given(relations(), st.integers(-300, 300).map(lambda k: 10.0 ** (k / 100)))
 def test_scaling_psi_divides_the_root_and_the_dimension(relation, c):
     lang, w_phi, w_psi = renamed(relation, lambda s: s)
-    w_scaled = w_psi.scaled(c)
-    root, scaled = ip.bowen_root(lang, w_phi, w_psi), ip.bowen_root(lang, w_phi, w_scaled)
-    gap = abs(scaled.beta_hat - root.beta_hat / c)
-    assert gap <= scaled.error_bound + root.error_bound / c, (c, root, scaled)
+    w_scaled = scaled(w_psi, c)
+    root, root_scaled = ip.bowen_root(lang, w_phi, w_psi), ip.bowen_root(lang, w_phi, w_scaled)
+    gap = abs(root_scaled.beta_hat - root.beta_hat / c)
+    assert gap <= root_scaled.error_bound + root.error_bound / c, (c, root, root_scaled)
     dim, dim_scaled = ip.bs_dimension(lang, w_psi, D=4), ip.bs_dimension(lang, w_scaled, D=4)
     gap = abs(dim_scaled.value - dim.value / c)
     bound = dim_scaled.certificate.error_bound + dim.certificate.error_bound / c
     assert gap <= bound, (c, dim, dim_scaled)
+
+
+@LAW
+@given(relations())
+def test_the_induced_sum_lies_in_the_finite_budget_enclosure(relation):
+    # acceptance criterion 11: a crossing prefix is at most T/m symbols long, and
+    # at most T/m - T/|psi| + 1 lengths, of at most q^(T/m + 1) words each, cross
+    lang, w_phi, w_psi = renamed(relation, lambda s: s)
+    val = ip.induced_sum(lang, w_phi, w_psi, T)
+    norm_phi = max(abs(v) for v in w_phi.weights.values())
+    norm_psi, m = max(w_psi.weights.values()), min(w_psi.weights.values())
+    lo = -(T / m) * norm_phi
+    hi = math.log(T / m - T / norm_psi + 1) + (T / m + 1) * math.log(relation[0]) + (T / m) * norm_phi
+    assert lo - 1e-9 <= val <= hi + 1e-9, (lo, val, hi)
+
+
+@LAW
+@given(relations(), grid(-50, 120))
+def test_cover_optima_never_fall_as_the_start_depth_grows(relation, lam):
+    # a cover from depth N + 1 on is also one from depth N on; criterion 11's relative slack
+    lang, w_phi, w_psi = renamed(relation, lambda s: s)
+    all_words = ip.SubsetSpec.whole_space()
+    for value, w in ((ip.cover_value, w_phi), (ip.bs_cover_value, w_psi)):
+        seq = [value(lang, w, all_words, lam, N, 6) for N in (1, 2, 3, 4)]
+        assert all(b >= a - 1e-12 * max(1.0, abs(a)) for a, b in zip(seq, seq[1:])), (value, seq)
+
+
+@LAW
+@given(st.integers(1, 13).flatmap(lambda p: st.tuples(
+    st.lists(grid(-200, 200), min_size=p, max_size=p), st.lists(grid(25, 200), min_size=p, max_size=p)
+)))
+def test_a_pure_cycle_root_is_covered_by_its_certificate(weights):
+    # on the cycle 1 -> 2 -> ... -> p -> 1 the pressure of phi - beta*psi is the mean of
+    # its weights, so the root is sum(phi)/sum(psi), exactly, in the weights as floats
+    phi, psi = weights
+    p = len(phi)
+    lang = ip.compile_sft(range(1, p + 1), [(k, k % p + 1) for k in range(1, p + 1)])
+    w_phi = ip.PerSymbolWeights(dict(enumerate(phi, 1)), 1)
+    w_psi = ip.PerSymbolWeights(dict(enumerate(psi, 1)), 1)
+    root = ip.bowen_root(lang, w_phi, w_psi)
+    exact = sum(map(Fraction, phi)) / sum(map(Fraction, psi))
+    assert abs(Fraction(root.beta_hat) - exact) <= Fraction(root.error_bound), (float(exact), root)
 
 
 def two_block(relation):
