@@ -501,16 +501,15 @@ def bs_dimension(
     ``capacity._certified_root`` checks and shrinks that bracket.  Each
     Phi(t) is a jump search at tolerance inner = tol*min(1/16, r/2) on one
     compiled cover graph.  It starts from the bracket that the same slope
-    bounds give around the points already evaluated, each padded by the
-    larger of inner and that point's own final bracket plus the rounding of
-    the bound, and ``_find_root`` checks and widens that bracket, so a
-    wrong hint costs steps, never accuracy.  At a huge weight spread a
-    search far from the root can stop at float resolution, wider than
-    inner.  An evaluated Phi(t) exceeds the true one by at most inner, the
-    certificate's err, and inner <= tol*r/2 keeps its stop rule within
-    reach; a root whose own search stopped wider is refused with
-    GuardError.  The direct weight-cost jump is computed alongside, as an
-    independent search on the same graph, and reported for agreement checks.
+    bounds give around the points already evaluated, each padded by its
+    own error, and ``_find_root`` checks and widens that bracket, so a
+    wrong hint costs steps, never accuracy.  An evaluated Phi(t) exceeds
+    the true one by at most inner, the certificate's err, and inner <=
+    tol*r/2 keeps its stop rule within reach; far from the root, at a huge
+    weight spread, a search can stop wider, at float resolution, and a
+    root whose search did so is refused.  The direct weight-cost jump is
+    computed alongside, as an independent search on the same graph, and
+    reported for agreement checks.
     """
     Z = Z or SubsetSpec.whole_space()
     weights.require_positive("dimension weight")
@@ -521,23 +520,22 @@ def bs_dimension(
     n_detect = _detect_depth(Z, N, D)
     graph = _cover_graph(lang, Z, D)
     wts, tau = [weights[s] for s in lang.symbols], weights.tau
-    seen: dict[float, tuple[float, float]] = {}  # t: (Phi(t), its bracket width) so far
+    seen: dict[float, tuple[float, float]] = {}  # t: (Phi(t), its error) evaluated so far
 
     def crit(t: float, lo: float, hi: float) -> float:
         lo, c, _ = _jump(graph, lambda lam: _steps(wts, -lam * tau, -t), n_detect, lo, hi, inner)
-        seen[t] = (c, c - lo)
+        seen[t] = (c, max(inner, c - lo))
         return c
 
     def phi(t: float) -> float:
         # Phi(t) lies in [c - d*R, c - d*r] (ends in either order) for each
-        # evaluated (s, c) and d = t - s, less c's error; pad for rounding
-        ends = []
-        for s, (c, width) in seen.items():
-            a, b = c - (t - s) * big, c - (t - s) * r
-            pad = inner if width <= inner else width + 4.0 * math.ulp(abs(c) + abs(t - s) * big)
-            ends.append((min(a, b) - 2.0 * pad, max(a, b) + pad))
-        lo = max(a for a, _ in ends)
-        hi = min(b for _, b in ends)
+        # evaluated (s, c) and d = t - s, less c's error e; pad for rounding
+        lo, hi = -math.inf, math.inf
+        for s, (c, e) in seen.items():
+            a, b = sorted((c - (t - s) * big, c - (t - s) * r))
+            if e > inner:  # a search stopped at float resolution: count these ends' rounding
+                e += 4.0 * math.ulp(abs(c) + abs(t - s) * big)
+            lo, hi = max(lo, a - 2.0 * e), min(hi, b + e)
         return crit(t, min(lo, hi), max(lo, hi))
 
     span = math.log(max(2, len(lang.symbols))) / tau + 1.0
@@ -545,8 +543,8 @@ def bs_dimension(
     lo, hi = (dim - inner) / big - tol, (dim + inner) / r + tol
     cert = _certified_root(phi, lo, hi, tol, r, big, inner)
     if seen[cert.beta_hat][1] > inner:
-        raise GuardError(f"weights spread by {big / r:.3g}: the jump search at the root stops "
-                         f"{seen[cert.beta_hat][1]:.3g} wide, above {inner:.3g}")
+        raise GuardError(f"weights spread by {big / r:.3g}: the jump search at the root "
+                         f"stops wider than {inner:.3g}")
     return BsDimension(cert.beta_hat, cert, bs_jump(lang, weights, Z, N, D, inner))
 
 
@@ -619,9 +617,8 @@ def frostman_measure(
     if total == NEG_INF:
         raise PreconditionError("target set carries no flow at this lambda")
     if not total <= _LOG_MAX:
-        spread = weights.rate_max() / weights.rate_min()
         raise GuardError(f"flow total exp({total!r}) at lambda={lam!r} leaves the float range "
-                         f"(weights spread by {spread:.3g})")
+                         f"(weights spread by {weights.rate_max() / weights.rate_min():.3g})")
     # each live node, from the leaves' parents up: (its flowing children as
     # (child, word suffix, log share), its log optimum below, whether its
     # children are leaves)
