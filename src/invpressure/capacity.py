@@ -371,7 +371,7 @@ def pressure_difference(
 
 @dataclass(frozen=True)
 class RootCertificate:
-    """Approximate Bowen root with residual and a slope-based error bound."""
+    """Approximate Bowen root with its residual, final bracket and error bound."""
 
     beta_hat: float
     residual: float
@@ -484,24 +484,6 @@ def _find_root(f, lo: float, hi: float, eps: float, done=None):
     return lo, hi, f_lo, f_hi, steps
 
 
-def _certified_root(
-    f, lo: float, hi: float, tol: float, m: float, M: float, err: float
-) -> RootCertificate:
-    """Root of a decreasing f with slope in [-M, -m], each f(x) within err of the truth.
-
-    ``_find_root`` checks and shrinks the starting [lo, hi] by ITP at
-    tolerance tol*m/(4M).  The reported root is the end of the final
-    bracket with the smaller residual, and (|residual| + err)/m bounds its
-    error.  The search stops once that bound is at most ``tol``, when the
-    bracket is narrow enough that it must hold, or after _MAX_STEPS steps.
-    """
-    lo, hi, f_lo, f_hi, steps = _find_root(
-        f, lo, hi, 0.25 * tol * m / M, lambda x, res: (abs(res) + err) / m <= tol
-    )
-    x, res = (lo, f_lo) if abs(f_lo) <= abs(f_hi) else (hi, f_hi)
-    return RootCertificate(x, res, (abs(res) + err) / m, (lo, hi), steps)
-
-
 def bowen_root(
     lang: WordLanguage,
     w_phi: PerSymbolWeights,
@@ -512,10 +494,14 @@ def bowen_root(
 
     Phi decreases with slope in [-M, -m], where m and M are the least and
     largest of w_psi(i)/tau.  So the root lies between P/M and P/m, with
-    P = Phi(0), and ``_certified_root`` checks and shrinks that rigorous
-    bracket.  ``error_bound`` is (|residual| + e)/m, where e bounds the
-    oracle's own error: the spectral bracket's half-width for a transition
-    relation, and 0 for the exact cycle mean.
+    P = Phi(0), and ``_find_root`` checks and shrinks that rigorous bracket
+    by ITP at tolerance tol*m/(4M).  The reported root is the end of the
+    final bracket with the smaller residual, and ``error_bound`` is
+    (|residual| + e)/m, where e bounds the oracle's own error: the spectral
+    bracket's half-width for a transition relation, and 0 for the exact
+    cycle mean.  The search stops once that bound is at most ``tol``, when
+    the bracket is narrow enough that it must hold, or after _MAX_STEPS
+    steps.
     """
     if tol <= 0:
         raise PreconditionError("tol must be positive")
@@ -530,4 +516,8 @@ def bowen_root(
     p0 = phi(0.0)
     pad = tol + 2.0 * err / m
     lo, hi = min(p0 / m, p0 / big) - pad, max(p0 / m, p0 / big) + pad
-    return _certified_root(phi, lo, hi, tol, m, big, err)
+    lo, hi, f_lo, f_hi, steps = _find_root(
+        phi, lo, hi, 0.25 * tol * m / big, lambda x, res: (abs(res) + err) / m <= tol
+    )
+    beta, res = (lo, f_lo) if abs(f_lo) <= abs(f_hi) else (hi, f_hi)
+    return RootCertificate(beta, res, (abs(res) + err) / m, (lo, hi), steps)

@@ -42,10 +42,11 @@ final bracket.
 For cylinder-presented targets the crossing is measured relative to the target
 words' own cover cost, which removes the fixed head prefactor and makes the
 detector track the subtree jump (the whole-space case keeps the literal
-threshold 1).  ``bs_dimension`` solves its Bowen equation with the same
-driver, starting each inner jump search from the bracket that the slope
-bounds give around the points it has already evaluated, and certifies its
-root by ``capacity._certified_root``, as ``bowen_root`` does.
+threshold 1).  ``bs_dimension`` is the zero of Bowen's equation
+Phi(t) = pp_pressure(-t*weight) = 0, read by its sign off one search: Phi(t)
+has the sign of the log optimum of the weight-cost sums exp(-t*weight(s)),
+so the ``bs_jump`` search brackets the root, and its final bracket is the
+certificate.  That certificate counts no rounding of the cover values.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ from .symbolic import (
     logsumexp,
     zero_weights,
 )
-from .capacity import _LOG_MAX, RootCertificate, _certified_root, _find_root, bowen_root
+from .capacity import _LOG_MAX, RootCertificate, _find_root, bowen_root
 
 
 @dataclass(frozen=True)
@@ -391,43 +392,38 @@ def _detect_depth(Z: SubsetSpec, N: int, D: int) -> int:
 def _jump(graph: _CoverGraph, steps, n_detect: int, lo: float, hi: float, tol: float):
     """Sign change of the head-normalized optimum of the cost law lam -> steps(lam).
 
-    Returns (lo, hi, steps taken): the final bracket, at most ``tol`` wide.
-    The critical value is its upper end, where the optimum was seen below
-    the threshold.
+    Returns (lo, hi, the head-normalized log optimum at hi, steps taken):
+    the final bracket, at most ``tol`` wide.  The critical value is its
+    upper end, where the optimum was seen below the threshold.
     """
 
     def detect(lam: float) -> float:
         table = _CoverTable(graph, steps(lam), n_detect)
         return table.total - table.head
 
-    lo, hi, _, _, iters = _find_root(detect, lo, hi, 0.5 * tol)
-    return lo, hi, iters
+    lo, hi, _, f_hi, iters = _find_root(detect, lo, hi, 0.5 * tol)
+    return lo, hi, f_hi, iters
 
 
 def _jump_estimate(
     lang: WordLanguage, Z: SubsetSpec, N: int, D: int, steps, lo: float, hi: float, tol: float
-) -> JumpEstimate:
+) -> tuple[JumpEstimate, float]:
     """The jump of the cost law lam -> steps(lam) on (lang, Z, D), with its flanking values.
 
     Detection ignores cover elements at or above the target words' own
     depths, which is where the limit lives; the values just below and above
     the final bracket are the optima at the least depth N, inf for one above
-    the float range.
+    the float range.  Returns the estimate and the searched log optimum at
+    its critical end.
     """
     n_detect = _detect_depth(Z, N, D)
     graph = _cover_graph(lang, Z, D)
-    lo, hi, iters = _jump(graph, steps, n_detect, lo, hi, tol)
+    lo, hi, f_hi, iters = _jump(graph, steps, n_detect, lo, hi, tol)
 
     def value(lam: float) -> float:
         total = _CoverTable(graph, steps(lam), N).total
         return math.exp(total) if total <= _LOG_MAX else math.inf
-    return JumpEstimate(
-        critical=hi,
-        value_below=value(lo - tol),
-        value_above=value(hi + tol),
-        iterations=iters,
-        bracket=(lo, hi),
-    )
+    return JumpEstimate(hi, value(lo - tol), value(hi + tol), iters, (lo, hi)), f_hi
 
 
 def pp_pressure(
@@ -449,7 +445,8 @@ def pp_pressure(
         raise PreconditionError("tol must be positive")
     wts, tau = [weights[s] for s in lang.symbols], weights.tau
     span = weights.rate_absmax() + math.log(max(2, len(lang.symbols))) / tau + 1.0
-    return _jump_estimate(lang, Z, N, D, lambda lam: _steps(wts, -lam * tau, 1.0), -span, span, tol)
+    steps = lambda lam: _steps(wts, -lam * tau, 1.0)
+    return _jump_estimate(lang, Z, N, D, steps, -span, span, tol)[0]
 
 
 def bs_jump(
@@ -465,7 +462,13 @@ def bs_jump(
     The critical value is the upper end of a final bracket at most ``tol``
     wide.
     """
-    Z = Z or SubsetSpec.whole_space()
+    return _bs_jump(lang, weights, Z or SubsetSpec.whole_space(), N, D, tol)[0]
+
+
+def _bs_jump(
+    lang: WordLanguage, weights: PerSymbolWeights, Z: SubsetSpec, N: int, D: int, tol: float
+) -> tuple[JumpEstimate, float]:
+    """``bs_jump``, with the searched log optimum at its critical end."""
     weights.require_positive("dimension weight")
     wts = [weights[s] for s in lang.symbols]
     hi0 = math.log(max(2, len(lang.symbols))) / (weights.tau * weights.rate_min()) + 1.0
@@ -474,7 +477,11 @@ def bs_jump(
 
 @dataclass(frozen=True)
 class BsDimension:
-    """Dimension via the pressure root, with the direct jump as cross-check."""
+    """Dimension as the zero of Bowen's equation, with the jump search that finds it.
+
+    ``certificate`` is the search's final bracket, and ``value`` its upper
+    end, ``jump.critical``.
+    """
 
     value: float
     certificate: RootCertificate
@@ -493,59 +500,25 @@ def bs_dimension(
     N: int = 1,
     D: int = 12,
 ) -> BsDimension:
-    """Unique root t* of Phi(t) = pp_pressure(-t*weights) = 0, certified.
+    """Unique root t* of Bowen's equation Phi(t) = pp_pressure(-t*weights) = 0.
 
-    Phi decreases with slope in [-R, -r], where r and R are the least and
-    largest rate of the weights.  So t* lies in [dim/R, dim/r], where dim =
-    Phi(0) is the zero-potential critical exponent, and
-    ``capacity._certified_root`` checks and shrinks that bracket.  Each
-    Phi(t) is a jump search at tolerance inner = tol*min(1/16, r/2) on one
-    compiled cover graph.  It starts from the bracket that the same slope
-    bounds give around the points already evaluated, each padded by its
-    own error, and ``_find_root`` checks and widens that bracket, so a
-    wrong hint costs steps, never accuracy.  An evaluated Phi(t) exceeds
-    the true one by at most inner, the certificate's err, and inner <=
-    tol*r/2 keeps its stop rule within reach; far from the root, at a huge
-    weight spread, a search can stop wider, at float resolution, and a
-    root whose search did so is refused.  The direct weight-cost jump is
-    computed alongside, as an independent search on the same graph, and
-    reported for agreement checks.
+    Phi(t) is where the head-normalized log cover optimum under cost
+    exp(-lambda*n*tau - t*weight(s)), falling in lambda, crosses 0, so Phi(t)
+    has the sign of that optimum at lambda = 0, and t* is the jump of the
+    weight-cost sums: one ``bs_jump`` search at tolerance tol*min(1/16, r/2),
+    r the least rate, finds it.  Its final bracket [lo, hi] is the
+    certificate: root hi, error bound hi - lo (wider than the tolerance when
+    the search stops at float resolution), and residual the searched log
+    optimum at hi, below 0.  The bound counts no rounding of cover values.
     """
     Z = Z or SubsetSpec.whole_space()
     weights.require_positive("dimension weight")
     if tol <= 0:
         raise PreconditionError("tol must be positive")
-    r, big = weights.rate_min(), weights.rate_max()
-    inner = tol * min(1.0 / 16.0, 0.5 * r)
-    n_detect = _detect_depth(Z, N, D)
-    graph = _cover_graph(lang, Z, D)
-    wts, tau = [weights[s] for s in lang.symbols], weights.tau
-    seen: dict[float, tuple[float, float]] = {}  # t: (Phi(t), its error) evaluated so far
-
-    def crit(t: float, lo: float, hi: float) -> float:
-        lo, c, _ = _jump(graph, lambda lam: _steps(wts, -lam * tau, -t), n_detect, lo, hi, inner)
-        seen[t] = (c, max(inner, c - lo))
-        return c
-
-    def phi(t: float) -> float:
-        # Phi(t) lies in [c - d*R, c - d*r] (ends in either order) for each
-        # evaluated (s, c) and d = t - s, less c's error e; pad for rounding
-        lo, hi = -math.inf, math.inf
-        for s, (c, e) in seen.items():
-            a, b = sorted((c - (t - s) * big, c - (t - s) * r))
-            if e > inner:  # a search stopped at float resolution: count these ends' rounding
-                e += 4.0 * math.ulp(abs(c) + abs(t - s) * big)
-            lo, hi = max(lo, a - 2.0 * e), min(hi, b + e)
-        return crit(t, min(lo, hi), max(lo, hi))
-
-    span = math.log(max(2, len(lang.symbols))) / tau + 1.0
-    dim = crit(0.0, -span, span)
-    lo, hi = (dim - inner) / big - tol, (dim + inner) / r + tol
-    cert = _certified_root(phi, lo, hi, tol, r, big, inner)
-    if seen[cert.beta_hat][1] > inner:
-        raise GuardError(f"weights spread by {big / r:.3g}: the jump search at the root "
-                         f"stops wider than {inner:.3g}")
-    return BsDimension(cert.beta_hat, cert, bs_jump(lang, weights, Z, N, D, inner))
+    inner = tol * min(1.0 / 16.0, 0.5 * weights.rate_min())
+    jump, residual = _bs_jump(lang, weights, Z, N, D, inner)
+    lo, hi = jump.bracket
+    return BsDimension(hi, RootCertificate(hi, residual, hi - lo, (lo, hi), jump.iterations), jump)
 
 
 # ---------------------------------------------------------------------------

@@ -365,7 +365,8 @@ def vp_check(
     """Evaluate candidate measures supported on K against bs_dimension(K).
 
     Every candidate must give K full mass.  The normalized Frostman flow at
-    lambda = dimension - tol is appended automatically; each estimate is
+    lambda = max(0, lower end of the dimension's certified bracket) is
+    appended automatically, so no cap exceeds 1; each estimate is
     compared against dimension + slack, with slack the candidate's own
     tail-window oscillation.  ``max_nodes`` bounds every cylinder walk.
     """
@@ -384,7 +385,8 @@ def vp_check(
         if not cand.supported_on(K):
             raise PreconditionError(f"candidate {name!r} is not supported on the target set")
         pool.append((name, cand))
-    fw = frostman_measure(lang, weights, K, dim - tol, N, D, max_nodes)
+    lam = max(0.0, detail.certificate.bracket[0])
+    fw = frostman_measure(lang, weights, K, lam, N, D, max_nodes)
     pool.append(("frostman", CylinderMeasure(lang, fw.D, fw.normalized())))
     dim_err = detail.certificate.error_bound
     for name, cand in pool:

@@ -19,6 +19,7 @@ from conftest import (
     cubic_time_scale_root,
     full_shift,
     golden_mean,
+    nested_bisection_dimension,
     random_sft,
     random_weights,
     scaled,
@@ -132,18 +133,20 @@ def test_criterion_06_cover_dp_exactness():
 
 
 def test_criterion_07_dimension_root_agrees_with_jump():
+    # each dimension against the zero of Bowen's equation found by nested bisection
     started = time.perf_counter()
     ok = True
     lang2 = full_shift(2)
-    for c in (0.5, math.log(2), 2.0):
-        res = ip.bs_dimension(lang2, const_weights(lang2, c), ALL, tol=1e-7, N=1, D=14)
-        ok &= res.root_jump_gap <= 2e-6
-        ok &= abs(res.value - math.log(2) / c) <= 2e-6
-    res = ip.bs_dimension(golden_mean(), weights({1: 1.0, 2: 1.0}), ALL, tol=1e-7, N=1, D=14)
-    ok &= res.root_jump_gap <= 2e-6
-    ok &= abs(res.value - 0.4812118) <= 1e-6
+    cases = [(lang2, const_weights(lang2, c), math.log(2) / c, 2e-6)
+             for c in (0.5, math.log(2), 2.0)]
+    cases.append((golden_mean(), weights({1: 1.0, 2: 1.0}), 0.4812118, 1e-6))
+    for lang, w, closed_form, within in cases:
+        res = ip.bs_dimension(lang, w, ALL, tol=1e-7, N=1, D=14)
+        bowen = nested_bisection_dimension(lang, w, 1, 14)
+        ok &= abs(res.value - bowen) <= res.certificate.error_bound + 1e-9
+        ok &= abs(res.value - closed_form) <= within
     ok &= (time.perf_counter() - started) < 30.0
-    report(7, "dimension root agrees with direct jump at D=14", ok)
+    report(7, "dimension root solves Bowen's equation at D=14", ok)
 
 
 def test_criterion_08_flow_duality_and_sandwich():

@@ -12,6 +12,7 @@ import invpressure as ip
 from invpressure import covers
 from invpressure.symbolic import MAX_DEPTH
 from conftest import (
+    bisect_root,
     brute_cover_min,
     chain_index,
     const_weights,
@@ -476,6 +477,18 @@ class TestSearchesOnOneGraph:
             ref = nested_bisection_dimension(lang, w, N, D)
             assert abs(res.value - ref) <= res.certificate.error_bound + 1e-10
             assert res.certificate.error_bound <= 1e-6
+        for _ in range(2):
+            # a cylinder target: the zero of t -> pp_pressure(-t*w) on it, by bisection
+            lang = sparse_sft(rng, 3) if kind == "sft" else random_itinerary(rng, 10, 3)
+            w = random_weights(rng, lang, 0.4, 1.5)
+            Z = ip.SubsetSpec.cylinders(words(lang, 2)[: rng.randrange(1, 3)])
+            N, D = rng.choice((1, 2)), 7
+            res = ip.bs_dimension(lang, w, Z, 1e-6, N, D)
+            phi = lambda t: ip.pp_pressure(lang, scaled(w, -t), Z, N, D, tol=1e-12).critical
+            t_max = math.log(max(2, len(lang.symbols))) / (w.tau * w.rate_min()) + 1.0
+            ref = bisect_root(phi, -1.0, t_max, 52)
+            assert abs(res.value - ref) <= res.certificate.error_bound + 1e-10
+            assert res.certificate.error_bound <= 1e-6
 
     def test_small_weights_keep_the_certificate_within_tol(self):
         # inner searches tighten with the least rate, so the stop rule stays reachable
@@ -487,33 +500,47 @@ class TestSearchesOnOneGraph:
             ref = nested_bisection_dimension(lang, w, 1, 8)
             assert abs(res.value - ref) <= res.certificate.error_bound + 1e-10
 
-    def test_dimension_certificate_adds_the_inner_tolerance(self, rng):
+    def test_dimension_certificate_is_the_jump_bracket(self, rng):
         lang = sparse_sft(rng, 3)
         w = random_weights(rng, lang, 0.4, 1.5)
-        cert = ip.bs_dimension(lang, w, ALL, 1e-6, 1, 8).certificate
-        assert cert.error_bound == (abs(cert.residual) + 1e-6 / 16) / w.rate_min()
+        res = ip.bs_dimension(lang, w, ALL, 1e-6, 1, 8)
+        cert, (lo, hi) = res.certificate, res.jump.bracket
+        assert cert.bracket == (lo, hi) and cert.beta_hat == res.value == hi
+        assert cert.error_bound == hi - lo <= 1e-6 / 16
+        assert cert.iterations == res.jump.iterations
+        # the residual is the searched log optimum at the upper end, below 0 there and not below
+        assert cert.residual == covers._table(lang, w, 0.0, -hi, ALL, 1, 8).total < 0.0
+        assert covers._table(lang, w, 0.0, -lo, ALL, 1, 8).total >= 0.0
 
-    def test_root_whose_jump_search_stops_wide_is_refused(self, monkeypatch):
-        # every inner search reports a bracket wider than the inner tolerance, as one
-        # stopped at float resolution does: no certificate may then count only that tolerance
+    def test_jump_search_that_stops_wide_reports_its_width(self, monkeypatch):
+        # the search reports a bracket wider than its tolerance, as one stopped at float
+        # resolution does: the certificate counts that width, and the root is not refused
         real = covers._jump
 
         def wide(graph, steps, n_detect, lo, hi, tol):
-            lo, hi, iters = real(graph, steps, n_detect, lo, hi, tol)
-            return lo - tol, hi, iters
+            lo, hi, f_hi, iters = real(graph, steps, n_detect, lo, hi, tol)
+            return lo - tol, hi, f_hi, iters
 
         monkeypatch.setattr(covers, "_jump", wide)
-        with pytest.raises(ip.GuardError, match="weights spread by 2: the jump search at the root"):
-            ip.bs_dimension(golden_mean(), weights({1: 1.0, 2: 2.0}), ALL, 1e-6, 1, 8)
+        res = ip.bs_dimension(golden_mean(), weights({1: 1.0, 2: 2.0}), ALL, 1e-6, 1, 8)
+        lo, hi = res.certificate.bracket
+        assert res.certificate.error_bound == hi - lo > 1e-6 / 16
+        assert res.value == hi
 
-    def test_root_and_jump_are_independent_searches(self):
+    def test_root_is_the_jump_search(self, monkeypatch):
+        searches = []
+        find_root = covers._find_root
+        monkeypatch.setattr(
+            covers, "_find_root", lambda *args: searches.append(args) or find_root(*args)
+        )
         lang, w = golden_mean(), weights({1: 1.0, 2: 1.7})
         res = ip.bs_dimension(lang, w, ALL, 1e-6, 1, 12)
+        assert len(searches) == 1
         jump = ip.bs_jump(lang, w, ALL, 1, 12, 1e-6 / 16)
         assert res.jump == jump
-        assert res.value == res.certificate.beta_hat
-        assert res.root_jump_gap == abs(res.value - jump.critical)
-        assert jump.iterations > 0 and jump.bracket != res.certificate.bracket
+        assert res.value == res.certificate.beta_hat == jump.critical
+        assert res.root_jump_gap == 0.0
+        assert jump.iterations > 0 and jump.bracket == res.certificate.bracket
 
     def test_jump_is_reported_at_the_upper_end(self):
         lang = full_shift(3)

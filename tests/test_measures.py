@@ -448,10 +448,12 @@ class TestVpCheck:
         tol = 1e-6
         rep = ip.vp_check(lang, w, ALL, [], D=12, tol=tol)
         row = next(r for r in rep.candidates if r.name == "frostman")
-        fw = ip.frostman_measure(lang, w, ALL, rep.dimension - tol, 1, 12)
+        lam = max(0.0, rep.dimension_detail.certificate.bracket[0])
+        assert rep.dimension - tol < lam <= rep.dimension
+        fw = ip.frostman_measure(lang, w, ALL, lam, 1, 12)
         est = ip.lower_bs_pressure(ip.CylinderMeasure(lang, fw.D, fw.normalized()), w)
         assert row.value == pytest.approx(est.value, rel=1e-12)
-        assert row.value >= (rep.dimension - tol) - est.slack - 1e-9
+        assert row.value >= lam - est.slack - 1e-9
 
     @pytest.mark.parametrize("with_candidate", [True, False])
     def test_cylinder_walks_honour_max_nodes(self, with_candidate):
@@ -480,7 +482,8 @@ class TestVpCheck:
             w, tol, D = random_weights(rng, lang, 0.3, 1.5), 1e-6, 9
             parry = ip.parry_measure(lang)
             rep = ip.vp_check(lang, w, ALL, [("parry", parry)], D=D, tol=tol)
-            fw = ip.frostman_measure(lang, w, ALL, rep.dimension - tol, 1, D)
+            lam = max(0.0, rep.dimension_detail.certificate.bracket[0])
+            fw = ip.frostman_measure(lang, w, ALL, lam, 1, D)
             refs = [
                 reference_lower_bs(ip.cylinder_masses(parry, lang, D), w),
                 reference_lower_bs(ip.CylinderMeasure(lang, fw.D, fw.normalized()), w),
