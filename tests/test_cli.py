@@ -335,8 +335,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("spread", ["1e100", "1e200", "1e305"])
     def test_bs_dim_at_a_huge_weight_spread_certifies_the_root(self, tmp_path, capsys, spread):
-        # golden mean, dimension weights (M, 1): the root is about ln 2 / M, and the jump
-        # searches far from it stop at float resolution, 1e71 wide and more
+        # golden mean, dimension weights (M, 1): the root is about ln 2 / M
         cfg = load("golden-mean.json")
         cfg["control_range"]["potentials"]["P"] = {"a": spread, "b": "1"}
         cfg["task"] = {"command": "bs-dim", "phi": "P", "D": 5}

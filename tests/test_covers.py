@@ -491,7 +491,7 @@ class TestSearchesOnOneGraph:
             assert res.certificate.error_bound <= 1e-6
 
     def test_small_weights_keep_the_certificate_within_tol(self):
-        # inner searches tighten with the least rate, so the stop rule stays reachable
+        # the search tolerance, tol*min(1/16, r/2), tightens with the least rate r
         lang = golden_mean()
         for c in (0.05, 0.01):
             w = weights({1: c, 2: 2 * c})
@@ -508,7 +508,7 @@ class TestSearchesOnOneGraph:
         assert cert.bracket == (lo, hi) and cert.beta_hat == res.value == hi
         assert cert.error_bound == hi - lo <= 1e-6 / 16
         assert cert.iterations == res.jump.iterations
-        # the residual is the searched log optimum at the upper end, below 0 there and not below
+        # the residual is the searched log optimum at hi, below 0; at lo it is at least 0
         assert cert.residual == covers._table(lang, w, 0.0, -hi, ALL, 1, 8).total < 0.0
         assert covers._table(lang, w, 0.0, -lo, ALL, 1, 8).total >= 0.0
 
