@@ -495,13 +495,13 @@ def bowen_root(
     Phi decreases with slope in [-M, -m], where m and M are the least and
     largest of w_psi(i)/tau.  So the root lies between P/M and P/m, with
     P = Phi(0), and ``_find_root`` checks and shrinks that rigorous bracket
-    by ITP at tolerance tol*m/(4M).  The reported root is the end of the
-    final bracket with the smaller residual, and ``error_bound`` is
-    (|residual| + e)/m, where e bounds the oracle's own error: the spectral
-    bracket's half-width for a transition relation, and 0 for the exact
-    cycle mean.  The search stops once that bound is at most ``tol``, when
-    the bracket is narrow enough that it must hold, or after _MAX_STEPS
-    steps.
+    by ITP at tolerance tol*m/(4M), floored at 2**-1022.  The reported root
+    is the end of the final bracket with the smaller residual, and
+    ``error_bound`` is (|residual| + e)/m, where e bounds the oracle's own
+    error: the spectral bracket's half-width for a transition relation, and
+    0 for the exact cycle mean.  The search stops once that bound is at
+    most ``tol``, when the bracket is narrow enough that it must hold, or
+    after _MAX_STEPS steps.
     """
     if tol <= 0:
         raise PreconditionError("tol must be positive")
@@ -516,8 +516,11 @@ def bowen_root(
     p0 = phi(0.0)
     pad = tol + 2.0 * err / m
     lo, hi = min(p0 / m, p0 / big) - pad, max(p0 / m, p0 / big) + pad
+    # floored at the least normal float: a subnormal eps, from psi weights spread
+    # by about 1e298 or more, makes any finite bracket too wide to shrink to it
+    eps = max(0.25 * tol * m / big, 2.0**-1022)
     lo, hi, f_lo, f_hi, steps = _find_root(
-        phi, lo, hi, 0.25 * tol * m / big, lambda x, res: (abs(res) + err) / m <= tol
+        phi, lo, hi, eps, lambda x, res: (abs(res) + err) / m <= tol
     )
     beta, res = (lo, f_lo) if abs(f_lo) <= abs(f_hi) else (hi, f_hi)
     return RootCertificate(beta, res, (abs(res) + err) / m, (lo, hi), steps)

@@ -6,6 +6,16 @@ against the system/partition/potentials described by the config.  All reals
 in configs are decimal strings; CSV output is UTF-8 with header row and LF
 line endings, and re-running a config byte-reproduces it.
 
+The two-column tables whose cells are all numbers or symbol labels (digits
+joined by '-') are written line by line: ``frostman``, pp-pressure's
+``cover_solution``, ``pressure`` and ``scan``.  No such cell holds a comma,
+quote or line break, so ``csv.writer`` would quote none of them and the lines
+are its bytes.  Tables with string cells (validate witnesses, vp-check
+candidate names taken from the config, verdicts, "empty window") still go
+through ``csv.writer``.  Every artifact is encoded to UTF-8 before its file is
+opened, so a text that cannot be encoded leaves no file behind.  The manifest
+is encoded without a cycle check: a parsed config is a JSON tree.
+
 Exit codes: 0 success, 2 config/schema errors or an unusable output path,
 3 resource-guard trips, 4 mathematical precondition failures.
 """
@@ -130,6 +140,11 @@ def _optional(block: dict, key: str, where: str, kind: type, default):
     return _typed(block[key], kind, f"{where}.{key}") if key in block else default
 
 
+def _has_surrogate(text: str) -> bool:
+    """Whether ``text`` holds a lone surrogate, which has no UTF-8 encoding."""
+    return any("\ud800" <= c <= "\udfff" for c in text)
+
+
 def _pair(value, where: str):
     if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise ConfigError(f"{where}: expected a pair [a, b], got {value!r}")
@@ -161,7 +176,7 @@ class Run:
             not isinstance(self.prefix, str)
             or self.prefix in ("", ".", "..")
             or any(c in self.prefix for c in "/\\\0")
-            or any("\ud800" <= c <= "\udfff" for c in self.prefix)  # no UTF-8 encoding
+            or _has_surrogate(self.prefix)
         ):
             raise ConfigError(f"output.prefix: expected a file name, got {self.prefix!r}")
         size = len(self.prefix.encode("utf-8")) + len(_LONGEST_SUFFIX)
@@ -224,7 +239,9 @@ class Run:
             trans = {}
             for x, row in _require(block, "transition", "system", dict).items():
                 x = x if type(x) is str else str(x)
-                for u, y in _typed(row, dict, f"transition row {x}").items():
+                if type(row) is not dict:  # the message is built only for a row that fails
+                    _typed(row, dict, f"transition row {x}")
+                for u, y in row.items():
                     trans[(x, u if type(u) is str else str(u))] = y if type(y) is str else str(y)
             inv = _optional(block, "invariant_set", "system", list, None)
             inv = states if inv is None else tuple(s if type(s) is str else str(s) for s in inv)
@@ -441,6 +458,8 @@ class Run:
         for blk in _optional(self.task, "candidates", "task", list, []):
             kind = _require(_typed(blk, dict, "candidate"), "type", "candidate")
             name = blk.get("name", kind)
+            if isinstance(name, str) and _has_surrogate(name):
+                raise ConfigError(f"candidate.name: {name!r} has no UTF-8 encoding")
             if kind == "bernoulli":
                 probs = _require(blk, "p", "candidate", list)
                 mu = bernoulli_measure(self.lang, [_real(p, "p") for p in probs])
@@ -462,19 +481,44 @@ class Run:
         return {"vp_check": (["candidate", "estimate", "gap", "slack", "within_upper_bound"], rows)}
 
 
+#: The tables whose cells are all numbers or symbol labels, written by ``_lines``.
+_LINE_TABLES = frozenset({"frostman", "cover_solution", "pressure", "scan"})
+
+
+def _lines(header, rows) -> str:
+    """A two-column table as ``csv.writer`` writes it when no cell needs quoting."""
+    a, b = header
+    return f"{a},{b}\n" + "".join([f"{x},{y}\n" for x, y in rows])
+
+
+def _csv_text(header, rows) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
 def _write_artifact(path: str, text: str) -> None:
     """Write ``text`` to ``path`` through ``path.tmp``, so no reader sees a torn file.
 
-    The old file is unlinked before the rename, not renamed over: on ext4
-    (and other file systems with delayed allocation) replacing an existing
-    file by rename or truncation makes the kernel write the new data out at
-    once, which costs a disk flush per artifact when a run rewrites an
-    earlier run's directory.
+    The text is encoded before ``path.tmp`` is opened, so a text without a
+    UTF-8 encoding leaves no file.  The old file is unlinked before the
+    rename, not renamed over: on ext4 (and other file systems with delayed
+    allocation) replacing an existing file by rename or truncation makes the
+    kernel write the new data out at once, which costs a disk flush per
+    artifact when a run rewrites an earlier run's directory.
     """
+    data = memoryview(text.encode("utf-8"))
     tmp = path + ".tmp"
     try:
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        # O_BINARY (Windows only) keeps the LF line endings
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC | getattr(os, "O_BINARY", 0), 0o666)
+        try:
+            while data:  # a write may take fewer bytes than it is given
+                data = data[os.write(fd, data):]
+        finally:
+            os.close(fd)
         try:
             os.unlink(path)
         except FileNotFoundError:
@@ -504,11 +548,8 @@ def run(config: dict, out_dir: str, force_guards: bool = False, threads: int = 1
     for name, (header, rows) in outputs.items():
         stem = r.prefix if name == main_name else f"{r.prefix}_{name}"
         path = os.path.join(out_dir, f"{stem}.csv")
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-        _write_artifact(path, buf.getvalue())
+        render = _lines if name in _LINE_TABLES else _csv_text
+        _write_artifact(path, render(header, rows))
         written.append(os.path.basename(path))
     manifest = {
         "command": r.command,
@@ -519,10 +560,11 @@ def run(config: dict, out_dir: str, force_guards: bool = False, threads: int = 1
         "version": __version__,
         "wall_time_s": time.time() - started,
     }
-    # one compact line: json.dumps runs the C encoder, json.dump and indent never do
+    # one compact line: json.dumps runs the C encoder, json.dump and indent never do;
+    # a parsed config is a tree, so the encoder needs no cycle check
     _write_artifact(
         os.path.join(out_dir, "manifest.json"),
-        json.dumps(manifest, sort_keys=True, default=str) + "\n",
+        json.dumps(manifest, sort_keys=True, default=str, check_circular=False) + "\n",
     )
     return manifest
 

@@ -1,15 +1,21 @@
 """Config-driven runs: schema handling, exit codes, artifacts, determinism."""
 
+import csv
+import errno
 import hashlib
+import io
 import json
 import math
+import os
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import invpressure as ip
-from invpressure.cli import Run, _fraction, bundled_config_path, main, run
+from invpressure import cli
+from invpressure.cli import Run, _fraction, _lines, _write_artifact, bundled_config_path, main, run
 from invpressure.symbolic import MAX_DEPTH, MAX_GRID_POINTS
 
 BUNDLED = (
@@ -347,6 +353,29 @@ class TestExitCodes:
         assert 0.0 < cells["value"] and cells["error_bound"] <= 1e-6
         assert abs(cells["value"] - math.log(2) / float(spread)) <= cells["error_bound"]
 
+    @pytest.mark.parametrize("command", ["bowen-root", "characterize"])
+    @pytest.mark.parametrize(
+        "spread", [("1e300", "1"), ("1", "1e300"), ("1e308", "1")], ids=["1e300-1", "1-1e300", "1e308-1"]
+    )
+    def test_root_at_a_psi_spread_of_1e300_is_0(self, tmp_path, capsys, spread, command):
+        # golden mean, psi (a, b): 1 = exp(-beta*a) + exp(-beta*(a + b)) at the root,
+        # about ln 2 / M for (M, 1), and about 6.8e-298 for (1, 1e300)
+        cfg = load("golden-mean.json")
+        cfg["control_range"]["potentials"]["S"] = dict(zip("ab", spread))
+        cfg["task"] = {"command": command, "phi": "zero", "psi": "S", "T": "3",
+                       "beta_grid": ["-0.1", "0.1"]}
+        out = tmp_path / "o"
+        assert main(["--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        header, *rows = (out / "golden_mean.csv").read_text().splitlines()
+        if command == "characterize":
+            assert rows == ["-0.1,divergent-evidence", "0.1,convergent-with-bound"]
+            return
+        cells = dict(zip(header.split(","), map(float, rows[0].split(","))))
+        root = 6.8e-298 if spread[0] == "1" else math.log(2) / float(spread[0])
+        assert cells["error_bound"] <= 1e-9
+        assert abs(cells["beta_hat"] - root) <= cells["error_bound"]
+
     @pytest.mark.parametrize("end", [10**30, -(2**70), 2**63, 0])
     def test_relation_end_that_is_no_symbol_is_4(self, tmp_path, capsys, end):
         # an end past int64 is compared as the integer it is, never cast
@@ -497,6 +526,16 @@ class TestExitCodes:
         cfg["output"]["prefix"] = "x" * 233
         with pytest.raises(ip.ConfigError, match="256-byte file names"):
             Run(cfg)
+
+    def test_candidate_name_without_utf8_is_2(self, tmp_path, capsys):
+        cfg = load("golden-mean.json")
+        cfg["task"] = {"command": "vp-check", "phi": "scale", "D": 6,
+                       "candidates": [{"type": "parry", "name": "\ud800"}]}
+        assert main(["--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "config error: candidate.name: '\\ud800' has no UTF-8 encoding\n"
+        )
+        assert list(tmp_path.rglob("*.tmp")) == []
 
     def test_prefix_with_dots_inside_is_a_file_name(self, tmp_path):
         cfg = load("golden-mean.json")
@@ -967,3 +1006,124 @@ class TestFiniteStateGoldenBytes:
             for name in manifest["outputs"]
         }
         assert digests == FINITE_STATE_BYTES[system, command]
+
+
+def _csv_writer_bytes(header, rows) -> bytes:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue().encode("utf-8")
+
+
+def twelve_symbol_config(task: dict) -> dict:
+    """The full shift on 12 symbols, whose labels run to two digits, with a cylinder target."""
+    controls = [f"u{k}" for k in range(1, 13)]
+    rng = random.Random("twelve")
+    cfg = {
+        "control_range": {"values": controls, "potentials": {
+            "phi": {u: f"{rng.uniform(-1, 1):.3f}" for u in controls},
+            "w": {u: f"{rng.uniform(0.5, 2):.3f}" for u in controls},
+        }},
+        "partition": {"tau": 1, "control_words": {str(k): [u] for k, u in enumerate(controls, 1)}},
+        "system": {"type": "sft", "transitions": [[a, b] for a in range(1, 13) for b in range(1, 13)]},
+        "output": {"prefix": "twelve"},
+    }
+    cfg["task"] = dict(task, subset={"variant": "cylinders", "words": [[11, 12], [3], [10]]})
+    return cfg
+
+
+def twelve_cell_states_config(task: dict) -> dict:
+    """A finite-state system of 40 states over 12 cells at tau 1."""
+    rng = random.Random("twelve-cells")
+    controls = [f"u{k}" for k in range(1, 13)]
+    cfg = {
+        "control_range": {"values": controls, "potentials": {
+            "phi": {u: f"{rng.uniform(-1, 1):.3f}" for u in controls},
+            "w": {u: f"{rng.uniform(0.5, 2):.3f}" for u in controls},
+        }},
+        "partition": {"tau": 1, "control_words": {str(k): [u] for k, u in enumerate(controls, 1)}},
+        "system": {
+            "type": "finite-state",
+            "states": list(range(40)),
+            "transition": {str(x): {u: rng.randrange(40) for u in controls} for x in range(40)},
+            "cell_of": {str(x): x % 12 + 1 for x in range(40)},
+        },
+        "output": {"prefix": "cells"},
+    }
+    cfg["task"] = task
+    return cfg
+
+
+#: the tasks whose tables are written line by line
+LINE_TASKS = {
+    "frostman": {"command": "frostman", "phi": "w", "lambda": "0.6", "D": 3},
+    "pp-pressure": {"command": "pp-pressure", "phi": "phi", "D": 3},
+    "pressure": {"command": "pressure", "phi": "phi", "n_max": 12},
+    "scan": {"command": "scan", "phi": "phi", "psi": "w",
+             "beta_grid": {"start": "-1", "stop": "1", "step": "0.1"}},
+}
+
+
+class TestLineRendering:
+    @pytest.mark.parametrize("system", ["relation", "states"])
+    @pytest.mark.parametrize("command", sorted(LINE_TASKS))
+    def test_lines_equal_csv_writer(self, tmp_path, system, command):
+        make = twelve_symbol_config if system == "relation" else twelve_cell_states_config
+        cfg = make(dict(LINE_TASKS[command]))
+        tables = {name: (header, list(rows)) for name, (header, rows) in Run(cfg).execute().items()}
+        manifest = run(cfg, str(tmp_path))
+        assert len(manifest["outputs"]) == len(tables)
+        for name, (header, rows) in zip(manifest["outputs"], tables.values()):
+            assert (tmp_path / name).read_bytes() == _csv_writer_bytes(header, rows)
+        words = {"frostman": "frostman", "pp-pressure": "cover_solution"}.get(command)
+        if words:  # some label holds a two-digit symbol
+            assert any(len(s) == 2 for label, _ in tables[words][1] for s in label.split("-"))
+
+    def test_numpy_and_special_floats(self):
+        header = ["word", "mass"]
+        rows = [
+            ["1-12", np.float64(0.1)], ["2", math.inf], ["3", -math.inf], ["4", math.nan],
+            ["10-11", -0.0], ["5", np.float64(-0.0)], ["6", np.float64("nan")],
+            [np.int64(7), np.float64(math.inf)], [8, 5e-324], [9, 1e300], [10, 2**64],
+        ]
+        text = _lines(header, rows)
+        assert text.encode("utf-8") == _csv_writer_bytes(header, rows)
+        assert text.splitlines()[:8] == [
+            "word,mass", "1-12,0.1", "2,inf", "3,-inf", "4,nan", "10-11,-0.0", "5,-0.0", "6,nan",
+        ]
+
+    def test_failed_write_leaves_no_file(self, tmp_path, capsys, monkeypatch):
+        def fail(fd, data):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(cli.os, "write", fail)
+        out = tmp_path / "o"
+        assert main(["--config", bundled_config_path("golden-mean.json"), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write output: ") and err.count("\n") == 1
+        assert list(out.iterdir()) == []
+
+    def test_short_writes_give_the_same_bytes(self, tmp_path, monkeypatch):
+        cfg = twelve_symbol_config(LINE_TASKS["frostman"])
+        manifest = run(cfg, str(tmp_path / "whole"))
+        write = os.write
+        monkeypatch.setattr(cli.os, "write", lambda fd, data: write(fd, data[:7]))
+        run(cfg, str(tmp_path / "short"))
+        for name in manifest["outputs"]:
+            assert (tmp_path / "short" / name).read_bytes() == (tmp_path / "whole" / name).read_bytes()
+
+    def test_text_without_utf8_leaves_no_file(self, tmp_path):
+        path = tmp_path / "a.csv"
+        with pytest.raises(UnicodeEncodeError):
+            _write_artifact(str(path), "x,\ud800\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_artifacts_are_made_under_the_umask(self, tmp_path):
+        old = os.umask(0o027)
+        try:
+            manifest = run(load("golden-mean.json"), str(tmp_path))
+        finally:
+            os.umask(old)
+        for name in [*manifest["outputs"], "manifest.json"]:
+            assert (tmp_path / name).stat().st_mode & 0o777 == 0o640
