@@ -5,6 +5,11 @@ is finite-horizon data; its (1/(n*tau))-normalized limsup is the pressure.
 ``_forward_sums``, the package's one forward recursion, runs on the
 language's compiled ``unit_graph``: each level is one segment log-sum-exp over
 the edges, shifted by the maximum entering each unit, for one weight table.
+Once the units that carry mass nest from one level to the next, a level runs
+only on the segments entering them, and once they stop changing and each is
+entered by one edge from them, a level is one gather and one add; every bit
+is the whole graph's.  Inflow levels, supports that do not nest and
+transition relations keep the whole-graph loop.
 ``level_log_sums`` starts it from the empty word; the induced partial sum
 feeds it the words that cross a budget, level by level.
 For transition-relation languages the limit equals (1/tau) log of the spectral
@@ -77,30 +82,105 @@ def _forward_sums(
     that unit's own maximum: no unit underflows against another, however far
     apart their masses drift.  Only the current level's masses are kept.
     A level whose masses leave the float range is refused with GuardError.
+
+    Each level touches only the units that can carry mass, and every output
+    bit is the whole graph's.  The support S_n is the set of units whose mass
+    at level n is not -inf.  Until the inflow ends every level runs on the
+    whole graph.  After it, S_(n+1) is the set of children of S_n along the
+    finite steps, so once S_n lies within S_(n-1) every later support lies
+    within it too: the children of a subset are a subset.  From there a
+    level runs only on the segments entering the units kept, rebuilt when
+    the support halves.  A kept segment keeps all its edges in g's order,
+    dead ones included, so ``maximum.reduceat`` and ``add.reduceat`` see the
+    whole graph's floats in its order.  Dropping a dead edge would not be
+    exact: numpy's segment sum is pairwise, and a missing zero can change
+    how it associates.  The level sum folds ``logaddexp`` over the kept
+    units in unit order; -inf is an exact identity of that fold here,
+    because no mass after a push is -0.0.  A support that keeps its size
+    for one level is fixed for good.  If each of its units then has one
+    entering edge from it, that edge's value is the unit's maximum, and the
+    unit's log-sum-exp is log(1 + 0 + ...) = 0 added to it.  So a level is
+    one gather and one add, which overflows exactly where the segments would.
+
+    The whole-graph loop stays for the inflow's levels, for a support that
+    does not nest (tested at every level after the inflow), and for steps
+    that are not all finite.  It also stays, untested, for a support that
+    nests on every unit, as a relation's does from level 2 on when every
+    symbol has a predecessor, or on none.
     """
     inflow = iter(inflow)
-    live = np.array(next(inflow))  # a copy: each level overwrites it
-    entered = live[1:]  # the units with an entering edge
+    mass = np.array(next(inflow))  # a copy: each level overwrites it
+    entered = mass[1:]  # the units with an entering edge
+    src, edge_step, starts, seg = g.src, step, g.starts, g.seg  # the edges a level runs on
     out = np.empty(n_max)
+    testing, support, kept = True, None, None
     try:
         with np.errstate(divide="ignore", over="raise", invalid="raise"):  # log(0) = -inf: no mass
             for n in range(n_max):
-                vals = live[g.src]
-                vals += step
-                top = np.maximum.reduceat(vals, g.starts)
+                vals = mass[src]
+                vals += edge_step
+                top = np.maximum.reduceat(vals, starts)
                 np.maximum(top, _FLOOR, out=top)  # a massless unit: -inf - _FLOOR stays -inf
-                vals -= top[g.seg]
+                vals -= top[seg]
                 np.exp(vals, out=vals)
-                live[0] = NEG_INF  # unit 0, the empty word, has no entering edge
-                np.log(np.add.reduceat(vals, g.starts), out=entered)
+                mass[0] = NEG_INF  # unit 0, the empty word, has no entering edge
+                np.log(np.add.reduceat(vals, starts), out=entered)
                 entered += top
                 add = next(inflow, None)
                 if add is not None:
-                    np.logaddexp(live, add, out=live)
-                out[n] = np.logaddexp.reduce(live)
+                    np.logaddexp(mass, add, out=mass)
+                out[n] = np.logaddexp.reduce(mass)
+                if add is not None or not testing:
+                    continue
+                now = entered != NEG_INF
+                if kept is None:  # the whole graph: has the support nested?
+                    if support is not None and not (now > support).any():  # S_n within S_(n-1)
+                        kept = np.flatnonzero(now) + 1
+                        count = len(kept)  # |S_n|, for the next level's test
+                        testing = 0 < count < g.n_units - 1 and bool(np.isfinite(step).all())
+                        if testing:
+                            mass, src, edge_step, starts, seg = _segments(g, step, kept, entered[now])
+                            entered = mass[1:]
+                    support = now
+                    continue
+                size = np.count_nonzero(now)
+                if not size:
+                    out[n + 1:] = NEG_INF  # the support emptied
+                    break
+                testing = size < count  # else S_n = S_(n-1): fixed for good
+                count = size
+                if size < len(kept) and (not testing or 2 * size <= len(kept)):
+                    kept = kept[now]
+                    mass, src, edge_step, starts, seg = _segments(g, step, kept, entered[now])
+                    entered = mass[1:]
+                if not testing and np.count_nonzero(src) == size:
+                    # each unit's one live entering edge is its only edge from the support
+                    pick, gain = src[src > 0] - 1, edge_step[src > 0]
+                    for n in range(n + 1, n_max):  # n still names the level a GuardError reports
+                        entered = entered[pick]
+                        entered += gain
+                        out[n] = np.logaddexp.reduce(entered)
+                    break
     except FloatingPointError:
         raise GuardError(f"level sums left the float range at level {n + 1}") from None
     return out
+
+
+def _segments(g: UnitGraph, step: np.ndarray, units: np.ndarray, masses: np.ndarray):
+    """The whole segments entering ``units`` (ascending, unit 0 left out) as a graph
+    of their own: (mass, src, step, starts, seg) in the roles of ``_forward_sums``'
+    masses and g's arrays, the edges in g's order, dead ones included.
+
+    mass[0] = -inf stands for every unit left out, and mass[1:] = ``masses``.
+    """
+    first = g.starts[units - 1]
+    size = np.append(g.starts, len(g.src))[units] - first
+    starts = np.cumsum(size) - size
+    edges = np.arange(size.sum()) + np.repeat(first - starts, size)
+    where = np.zeros(g.n_units, dtype=np.intp)
+    where[units] = np.arange(1, len(units) + 1)
+    seg = np.repeat(np.arange(len(units)), size)
+    return np.append(NEG_INF, masses), where[g.src[edges]], step[edges], starts, seg
 
 
 @dataclass(frozen=True)
@@ -306,10 +386,9 @@ def cycle_mean_pressure(lang: ItineraryLanguage, weights: PerSymbolWeights) -> f
     """
     if not isinstance(lang, ItineraryLanguage):
         raise PreconditionError("cycle-mean pressure needs an itinerary language")
-    label = lang.label.tolist()
     best = NEG_INF
-    for cycle in lang.cycles:
-        mean = math.fsum(weights[label[x]] for x in cycle) / len(cycle)
+    for labels in lang._cycle_labels:
+        mean = math.fsum(map(weights.__getitem__, labels)) / len(labels)
         best = max(best, mean / weights.tau)
     return best
 

@@ -530,6 +530,12 @@ class ItineraryLanguage(WordLanguage):
         members = members.tolist()
         return tuple(tuple(members[a:b]) for a, b in zip(cuts, cuts[1:]))
 
+    @cached_property
+    def _cycle_labels(self) -> tuple[tuple[int, ...], ...]:
+        """The labels of each cycle's states, in the order of ``cycles``, read once."""
+        label = self.label.tolist()
+        return tuple(tuple(label[x] for x in cycle) for cycle in self.cycles)
+
 
 @dataclass
 class CylinderNode:

@@ -299,6 +299,38 @@ class UnitWalk:
         )
 
 
+def whole_graph_sums(g: UnitGraph, step, inflow, n_max: int) -> np.ndarray:
+    """Level log-sums with every level pushed along every edge of g: the reference
+    for ``capacity._forward_sums``, which reads the same arguments but touches only
+    the units that can carry mass.  A level is one log-sum-exp per unit over its
+    entering edges, shifted by that unit's maximum; a level whose masses leave
+    the float range raises GuardError."""
+    floor = -np.finfo(float).max  # a massless unit's shift: -inf - floor stays -inf
+    inflow = iter(inflow)
+    live = np.array(next(inflow))
+    entered = live[1:]
+    out = np.empty(n_max)
+    try:
+        with np.errstate(divide="ignore", over="raise", invalid="raise"):
+            for n in range(n_max):
+                vals = live[g.src]
+                vals += step
+                top = np.maximum.reduceat(vals, g.starts)
+                np.maximum(top, floor, out=top)
+                vals -= top[g.seg]
+                np.exp(vals, out=vals)
+                live[0] = NEG_INF  # unit 0, the empty word, has no entering edge
+                np.log(np.add.reduceat(vals, g.starts), out=entered)
+                entered += top
+                add = next(inflow, None)
+                if add is not None:
+                    np.logaddexp(live, add, out=live)
+                out[n] = np.logaddexp.reduce(live)
+    except FloatingPointError:
+        raise ip.GuardError(f"level sums left the float range at level {n + 1}") from None
+    return out
+
+
 def reference_partition_walk(system: ip.FiniteStateSystem, spec: ip.PartitionSpec):
     """(violations, tau-step map): every cell's states walked per symbol in turn,
     the violations in the order of the symbols, then of ``invariant_set``."""

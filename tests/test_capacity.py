@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import invpressure as ip
 from invpressure import capacity
-from invpressure.capacity import _perron_radius, level_log_sums
+from invpressure.capacity import _forward_sums, _perron_radius, level_log_sums
+from invpressure.symbolic import NEG_INF, UnitGraph
 from conftest import (
     UnitWalk,
     bisect_root,
@@ -25,6 +27,7 @@ from conftest import (
     single_branch,
     spanning_sum,
     weights,
+    whole_graph_sums,
     words,
 )
 
@@ -126,6 +129,7 @@ class TestCapacityPressure:
         assert est.oracle == pytest.approx(2.0, rel=1e-12)
         assert est.limsup_estimate == pytest.approx(2.0, abs=0.1)
         assert lang.cycles is lang.cycles  # found once per language
+        assert lang._cycle_labels is lang._cycle_labels  # and their labels read once
 
     def test_cycle_mean_oracle_refuses_a_relation(self):
         with pytest.raises(ip.PreconditionError, match="itinerary language"):
@@ -199,6 +203,188 @@ class TestLevelSumKernel:
             assert value == pytest.approx(separated_sum(lang, w, n) / n, rel=1e-12)
         ip.capacity_pressure(lang, w, 120, 10)
         assert lang.unit_graph(120).n_units <= 120 * len(names) + 1
+
+
+FUZZ = settings(max_examples=100, derandomize=True, deadline=None, database=None)
+
+
+def sums_or_refusal(kernel, g, step, inflow, n_max):
+    """A kernel's level sums as bytes, or its GuardError message."""
+    try:
+        return kernel(g, step, iter(inflow), n_max).tobytes()
+    except ip.GuardError as e:
+        return str(e)
+
+
+def assert_whole_graph_bits(g, step, inflow, n_max):
+    assert sums_or_refusal(_forward_sums, g, step, inflow, n_max) == sums_or_refusal(
+        whole_graph_sums, g, step, inflow, n_max
+    )
+
+
+def empty_word(g):
+    start = np.full(g.n_units, NEG_INF)
+    start[0] = 0.0
+    return [start]
+
+
+def supports(g, n_max):
+    """The units with mass after each level from the empty word, along every edge."""
+    alive = np.zeros(g.n_units, dtype=bool)
+    alive[0] = True
+    out = []
+    for _ in range(n_max):
+        nxt = np.zeros(g.n_units, dtype=bool)
+        nxt[g.seg[alive[g.src]] + 1] = True
+        alive = nxt
+        out.append(alive)
+    return out
+
+
+#: step weights: small, or spread to +-400 so unit masses drift past e^745 apart
+step_weights = st.one_of(st.floats(-5.0, 5.0), st.floats(-400.0, 400.0))
+
+
+@st.composite
+def finite_state_languages(draw):
+    """(language, symbol weights): the itinerary language of a random self-map on
+    1-60 states over 1-4 cells."""
+    n = draw(st.integers(1, 60))
+    cells = draw(st.integers(1, 4))
+    step = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    label = draw(st.lists(st.integers(1, cells), min_size=n, max_size=n))
+    lang = ip.ItineraryLanguage(tuple(range(n)), step, label)
+    return lang, np.array([draw(step_weights) for _ in lang.symbols])
+
+
+@st.composite
+def transient_relations(draw):
+    """(language, symbol weights): symbols 1..t form a transient block, whose edges
+    only go up, feeding a core t+1..q whose symbols have 1-3 successors each."""
+    q = draw(st.integers(1, 12))
+    t = draw(st.integers(0, q - 1))
+    edges = set()
+    for i in range(1, q + 1):
+        lo = i + 1 if i <= t else t + 1
+        ahead = range(min(lo, q), q + 1)
+        edges |= {(i, j) for j in draw(st.sets(st.sampled_from(ahead), min_size=1, max_size=3))}
+    lang = ip.compile_sft(range(1, q + 1), sorted(edges))
+    return lang, np.array([draw(step_weights) for _ in lang.symbols])
+
+
+@st.composite
+def unit_graphs(draw, acyclic: bool = False):
+    """(graph, edge steps): 2-40 units, each entered by 1-4 edges, whose sources are
+    any unit, or only lower ones when ``acyclic``, so the support empties within
+    the unit count."""
+    n_units = draw(st.integers(2, 40))
+    dst, src = [], []
+    for unit in range(1, n_units):
+        for _ in range(draw(st.integers(1, 4))):
+            dst.append(unit)
+            src.append(draw(st.integers(0, unit - 1 if acyclic else n_units - 1)))
+    return edge_graph(n_units, src, dst), np.array([draw(step_weights) for _ in src])
+
+
+def edge_graph(n_units, src, dst) -> UnitGraph:
+    """The unit graph of edges src[e] -> dst[e], given sorted by destination."""
+    dst = np.array(dst)
+    return UnitGraph(
+        n_units=n_units,
+        src=np.array(src, dtype=np.intp),
+        sym=np.zeros(len(dst), dtype=np.intp),
+        starts=np.flatnonzero(np.diff(dst, prepend=0)),
+        seg=dst - 1,
+    )
+
+
+class TestLevelSumsMatchTheWholeGraph:
+    """The kernel runs only on the units that can carry mass; every bit, and
+    every refusal, is the whole-graph loop's (``conftest.whole_graph_sums``)."""
+
+    @FUZZ
+    @given(finite_state_languages(), st.integers(1, 200))
+    def test_finite_state_languages(self, drawn, n_max):
+        lang, table = drawn
+        g = lang.unit_graph(n_max)
+        assert_whole_graph_bits(g, table[g.sym], empty_word(g), n_max)
+
+    @FUZZ
+    @given(transient_relations(), st.integers(1, 80))
+    def test_relations_with_transient_blocks(self, drawn, n_max):
+        lang, table = drawn
+        g = lang.unit_graph(n_max)
+        assert_whole_graph_bits(g, table[g.sym], empty_word(g), n_max)
+
+    @FUZZ
+    @given(finite_state_languages(), st.integers(1, 8), st.integers(0, 60))
+    def test_partial_graphs(self, drawn, depth, extra):
+        # a graph compiled to ``depth`` runs ``extra`` levels past it: mass that
+        # reaches a unit first met at that depth goes nowhere
+        lang, table = drawn
+        g = lang.unit_graph(depth)
+        assert_whole_graph_bits(g, table[g.sym], empty_word(g), depth + extra)
+
+    @FUZZ
+    @given(unit_graphs(acyclic=True), st.integers(0, 20))
+    def test_supports_that_empty(self, drawn, extra):
+        g, step = drawn
+        n_max = g.n_units + extra
+        assert_whole_graph_bits(g, step, empty_word(g), n_max)
+        assert whole_graph_sums(g, step, empty_word(g), n_max)[-1] == NEG_INF
+
+    @FUZZ
+    @given(
+        st.booleans().flatmap(unit_graphs).flatmap(lambda d: st.tuples(
+            st.just(d),
+            st.lists(
+                st.lists(st.one_of(st.just(NEG_INF), st.floats(-10.0, 10.0)),
+                         min_size=d[0].n_units, max_size=d[0].n_units),
+                min_size=1, max_size=6,
+            ),
+        )),
+        st.integers(1, 80),
+    )
+    def test_random_inflows(self, drawn, n_max):
+        (g, step), inflow = drawn
+        assert_whole_graph_bits(g, step, [np.array(v) for v in inflow], n_max)
+
+    def test_overflow_after_the_support_is_fixed(self, rng):
+        lang = random_itinerary(rng, 40, 3)
+        g = lang.unit_graph(1000)
+        table = np.array([3e305, 4e305, 2e305])
+        # the support is fixed by level 40, each of its units entered by one
+        # edge from it, so the overflow falls on the gather
+        levels = supports(g, 40)
+        fixed = next(n for n in range(1, 40) if np.array_equal(levels[n], levels[n - 1]))
+        core = levels[fixed]
+        assert np.count_nonzero(core[g.src]) == np.count_nonzero(core)
+        with pytest.raises(ip.GuardError, match="left the float range at level") as refused:
+            _forward_sums(g, table[g.sym], empty_word(g), 1000)
+        level = int(str(refused.value).rsplit(" ", 1)[1])
+        assert level > 400 and level > fixed + 2
+        assert_whole_graph_bits(g, table[g.sym], empty_word(g), 1000)
+
+    def test_dead_edges_inside_a_live_segment(self):
+        # unit 10's 16 entering edges alternate between unit 1, which keeps its
+        # mass for good, and units 2-9, which lose theirs after level 1.  numpy
+        # sums a segment of 8 or more terms pairwise, so the kept segment needs
+        # its 8 zeros for the sum to associate as the whole graph's does
+        src = [0, 1] + [0] * 8 + [u for dead in range(2, 10) for u in (1, dead)]
+        g = edge_graph(11, src, [1, 1] + list(range(2, 10)) + [10] * 16)
+        step = np.zeros(len(src))
+        step[10::2] = -np.arange(8) / 8
+        assert_whole_graph_bits(g, step, empty_word(g), 6)
+
+    def test_coprime_cycles_never_nest(self):
+        # the tail class gets a new unit at every level up to 210, so no support
+        # lies within the one before it, and every level runs on the whole graph
+        lang = coprime_cycles((2, 3, 5, 7))
+        g = lang.unit_graph(120)
+        levels = supports(g, 120)
+        assert not any((levels[n] <= levels[n - 1]).all() for n in range(1, 120))
+        table = np.array([0.25, -1.5])
+        assert_whole_graph_bits(g, table[g.sym], empty_word(g), 120)
 
 
 #: reducible relations: (symbols, edges, weights)
