@@ -362,7 +362,7 @@ class Run:
 
     def _cmd_pressure(self):
         n_max = self.task_depth("n_max", 120)
-        tail = self.task_int("tail_window", 10)
+        tail = self.task_int("tail_window", min(10, n_max))
         est = capacity_pressure(self.lang, self.weights("phi"), n_max, tail)
         self.info.update(
             limsup_estimate=est.limsup_estimate,

@@ -5,10 +5,11 @@ by cylinders with depths in [N, D].  Finite resolution D replaces countable
 families: reported values are exact for the truncated problem and monotone
 in D.  On the laminar cylinder family the fractional cover optimum equals
 the antichain optimum (min-cut on a tree), and the max-flow that certifies
-it doubles as the Frostman-type measure.  The target set decides whether a
-cylinder lies in it by ``SubsetSpec.contains``, one set lookup per distinct
-length of its words; the normalization of its word list and the measures'
-support tests use that one rule.
+it doubles as the Frostman-type measure.  Every target set is a union of
+cylinders, the whole space being the cylinder of the empty word.  It decides
+whether a cylinder lies in it by ``SubsetSpec.contains``, one set lookup per
+distinct length of its words; the normalization of its word list and the
+measures' support tests use that one rule.
 
 One unit-factored table computes that min-cut: the optimal cost below a
 cylinder, relative to its own, depends only on the cylinder's continuation
@@ -36,13 +37,13 @@ which the truncated optimum crosses 1, found by the package's one
 bracketing driver (``capacity._find_root``: ITP steps inside a sign-checked
 bracket, guessing by one-sided secants, which close in on the kink the
 log optimum has at its jump), with every evaluation on one compiled graph.
-``_jump_estimate`` is the one read-out of a jump, for ``pp_pressure`` and
-``bs_jump``: the search, then the cover values just below and above its
-final bracket.
-For cylinder-presented targets the crossing is measured relative to the target
-words' own cover cost, which removes the fixed head prefactor and makes the
-detector track the subtree jump (the whole-space case keeps the literal
-threshold 1).  ``bs_dimension`` is the zero of Bowen's equation
+``_jump_estimate`` is the one jump search, for ``pp_pressure`` and
+``bs_jump``: the search, its log optimum at the critical end, and the cover
+values just below and above its final bracket.  The crossing is measured
+relative to the target words' own cover cost, which removes the fixed head
+prefactor and makes the detector track the subtree jump; for the whole space
+that cost is the empty word's, 1, so the threshold is the literal 1.
+``bs_dimension`` is the zero of Bowen's equation
 Phi(t) = pp_pressure(-t*weight) = 0, read by its sign off one search: Phi(t)
 has the sign of the log optimum of the weight-cost sums exp(-t*weight(s)),
 so the ``bs_jump`` search brackets the root, and its final bracket is the
@@ -71,17 +72,18 @@ from .capacity import _LOG_MAX, RootCertificate, _find_root, bowen_root
 
 @dataclass(frozen=True)
 class SubsetSpec:
-    """Target set: the whole space, or a union of admissible cylinders.
+    """Target set: a union of admissible cylinders.
 
-    Cylinder lists are normalized to prefix-free antichains (a word with a
-    listed prefix is redundant and dropped).
+    The whole space is the cylinder of the empty word.  Cylinder lists are
+    normalized to prefix-free antichains (a word with a listed prefix is
+    redundant and dropped).
     """
 
-    words: tuple[tuple[int, ...], ...] | None
+    words: tuple[tuple[int, ...], ...]
 
     @staticmethod
     def whole_space() -> "SubsetSpec":
-        return SubsetSpec(None)
+        return SubsetSpec(((),))
 
     @staticmethod
     def cylinders(words: Sequence[Sequence[int]]) -> "SubsetSpec":
@@ -100,18 +102,12 @@ class SubsetSpec:
 
         One set lookup per distinct length of the listed words.
         """
-        if self.words is None:
-            return True
         listed, lengths = self._lookup
         return any(word[:n] in listed for n in lengths)
 
     @property
-    def is_whole_space(self) -> bool:
-        return self.words is None
-
-    @property
     def is_empty(self) -> bool:
-        return self.words is not None and not self.words
+        return not self.words
 
 
 class _CoverGraph:
@@ -120,21 +116,16 @@ class _CoverGraph:
     A node is a unit of ``lang.unit_graph(D)`` or, while still inside the
     target words, a node of their prefix trie (a terminal continues as its
     unit).  The units' child lists are the graph's own; trie nodes go on a
-    copy of them.  The root is unit 0, the empty word, for the whole space,
-    and the trie's root otherwise.  The nodes live at each depth are listed
-    once: ``layers[n][i]`` holds (symbol index, position at depth n + 1) for
-    each child of the i-th node live at depth n.  Building the graph is the
-    only step that reads the language, so every cost law on one (language,
-    target, D) shares it.
+    copy of them.  The root is the trie's, or unit 0 when the empty word is
+    a target.  The nodes live at each depth are listed once: ``layers[n][i]``
+    holds (symbol index, position at depth n + 1) for each child of the i-th
+    node live at depth n.  Building the graph is the only step that reads
+    the language, so every cost law on one (language, target, D) shares it.
     """
 
     def __init__(self, lang: WordLanguage, Z: SubsetSpec, D: int):
-        self.symbols, self.D, self.whole = lang.symbols, D, Z.is_whole_space
-        self.targets: list[tuple[int, ...]] = []  # target words as symbol indices
-        root, kids = 0, lang.unit_graph(D).children
-        if not Z.is_whole_space:
-            kids = list(kids)  # the graph's lists are shared: never extend them
-            root = self._add_trie(Z, kids)
+        self.symbols, self.D = lang.symbols, D
+        root, kids = self._add_trie(Z, lang.unit_graph(D).children)
         self.layers: list[list[list[tuple[int, int]]]] = []
         # a layer is shared by every depth with the same live nodes (for a
         # relation, every depth after the first)
@@ -150,15 +141,16 @@ class _CoverGraph:
             self.layers.append(layer)
         self.leaves = len(live)
 
-    def _add_trie(self, Z: SubsetSpec, kids: list[list[tuple[int, int]]]) -> int:
-        """Append the prefix trie of the target words to ``kids``; return its root."""
+    def _add_trie(self, Z: SubsetSpec, kids: list[list[tuple[int, int]]]):
+        """The root of the target words' prefix trie, and ``kids`` with the trie appended.
+
+        The units' lists are shared, so the trie goes on a copy; the empty
+        word roots at unit 0 and adds none.
+        """
         index = {s: k for k, s in enumerate(self.symbols)}
         units = len(kids)
-        trie: list[dict[int, int]] = [{}]
-        targets = set()
-        for word in Z.words or ():
-            if not word:
-                raise PreconditionError("empty word cannot present a cylinder")
+        leaf: dict[tuple[int, ...], int] = {}  # each target word, as symbol indices: its unit
+        for word in Z.words:
             if len(word) > self.D:
                 raise PreconditionError(f"target word {word} deeper than resolution D={self.D}")
             path, unit = [], 0
@@ -168,7 +160,12 @@ class _CoverGraph:
                 if unit is None:
                     raise PreconditionError(f"target word {word} is not admissible")
                 path.append(k)
-            targets.add(tuple(path))
+            leaf[tuple(path)] = unit
+        self.targets = sorted(leaf)
+        if () in leaf:
+            return 0, kids
+        trie: list[dict[int, int]] = [{}]
+        for path, unit in leaf.items():
             node = 0
             for k in path[:-1]:
                 child = trie[node].get(k)
@@ -180,9 +177,7 @@ class _CoverGraph:
                 node = child - units
             else:
                 trie[node][path[-1]] = unit
-        kids.extend(sorted(t.items()) for t in trie)
-        self.targets = sorted(targets)
-        return units
+        return units, kids + [sorted(t.items()) for t in trie]
 
 
 def _cover_graph(lang: WordLanguage, Z: SubsetSpec, D: int) -> _CoverGraph:
@@ -264,10 +259,9 @@ class _CoverTable:
     @property
     def head(self) -> float:
         """log cost of covering the target by its own defining words."""
-        if self.graph.whole:
-            return 0.0
         # a left fold: from Python 3.12 on the built-in sum compensates, so rounds otherwise
-        return logsumexp([reduce(add, map(self.step.__getitem__, w)) for w in self.graph.targets])
+        step = self.step.__getitem__
+        return logsumexp([reduce(add, map(step, w), 0.0) for w in self.graph.targets])
 
 
 def _steps(wts: Sequence[float], length_coeff: float, weight_coeff: float) -> list[float]:
@@ -370,66 +364,56 @@ def cover_solution(
 
 @dataclass(frozen=True)
 class JumpEstimate:
-    """Location of the infinity-to-zero jump of a cover sum, with its final bracket."""
+    """Location of the infinity-to-zero jump of a cover sum, with its final bracket.
+
+    ``residual`` is the searched log optimum at the critical end, below 0.
+    """
 
     critical: float
     value_below: float
     value_above: float
     iterations: int
     bracket: tuple[float, float]
+    residual: float
 
 
-def _detect_depth(Z: SubsetSpec, N: int, D: int) -> int:
-    """Least cover depth the jump detection counts: below the target words' own depths."""
+def _jump_estimate(
+    lang: WordLanguage, Z: SubsetSpec, N: int, D: int, steps, lo: float, hi: float, tol: float
+) -> JumpEstimate:
+    """The jump of the cost law lam -> steps(lam) on (lang, Z, D), with its flanking values.
+
+    The search brackets the sign change of the head-normalized log optimum
+    to at most ``tol``; the critical value is the bracket's upper end, where
+    the optimum was seen below the threshold.  Detection ignores cover
+    elements at or above the target words' own depths, which is where the
+    limit lives; the values just below and above the final bracket are the
+    optima at the least depth N, inf for one above the float range.
+    """
     if Z.is_empty:
         raise PreconditionError("critical exponent of the empty set is undefined")
-    n_detect = N if Z.is_whole_space else max(N, max(len(w) for w in Z.words) + 1)
+    n_detect = max(N, max(map(len, Z.words)) + 1)
     if n_detect > D:
-        raise PreconditionError("resolution D too shallow for the target words")
-    return n_detect
-
-
-def _jump(graph: _CoverGraph, steps, n_detect: int, lo: float, hi: float, tol: float):
-    """Sign change of the head-normalized optimum of the cost law lam -> steps(lam).
-
-    Returns (lo, hi, the head-normalized log optimum at hi, steps taken):
-    the final bracket, at most ``tol`` wide.  The critical value is its
-    upper end, where the optimum was seen below the threshold.
-    """
+        raise PreconditionError(
+            f"resolution D={D} too shallow: the jump search needs D >= {n_detect}"
+        )
+    graph = _cover_graph(lang, Z, D)
 
     def detect(lam: float) -> float:
         table = _CoverTable(graph, steps(lam), n_detect)
         return table.total - table.head
 
-    lo, hi, _, f_hi, iters = _find_root(detect, lo, hi, 0.5 * tol)
-    return lo, hi, f_hi, iters
-
-
-def _jump_estimate(
-    lang: WordLanguage, Z: SubsetSpec, N: int, D: int, steps, lo: float, hi: float, tol: float
-) -> tuple[JumpEstimate, float]:
-    """The jump of the cost law lam -> steps(lam) on (lang, Z, D), with its flanking values.
-
-    Detection ignores cover elements at or above the target words' own
-    depths, which is where the limit lives; the values just below and above
-    the final bracket are the optima at the least depth N, inf for one above
-    the float range.  Returns the estimate and the searched log optimum at
-    its critical end.
-    """
-    n_detect = _detect_depth(Z, N, D)
-    graph = _cover_graph(lang, Z, D)
-    lo, hi, f_hi, iters = _jump(graph, steps, n_detect, lo, hi, tol)
-
     def value(lam: float) -> float:
         total = _CoverTable(graph, steps(lam), N).total
         return math.exp(total) if total <= _LOG_MAX else math.inf
-    return JumpEstimate(hi, value(lo - tol), value(hi + tol), iters, (lo, hi)), f_hi
+
+    lo, hi, _, f_hi, iters = _find_root(detect, lo, hi, 0.5 * tol)
+    return JumpEstimate(hi, value(lo - tol), value(hi + tol), iters, (lo, hi), f_hi)
 
 
 def pp_pressure(
     lang: WordLanguage,
     weights: PerSymbolWeights,
-    Z: SubsetSpec | None = None,
+    Z: SubsetSpec = SubsetSpec.whole_space(),
     N: int = 1,
     D: int = 12,
     tol: float = 1e-9,
@@ -440,19 +424,18 @@ def pp_pressure(
     threshold, every evaluation on one compiled cover graph.  The critical
     value is the upper end of a final bracket at most ``tol`` wide.
     """
-    Z = Z or SubsetSpec.whole_space()
     if tol <= 0:
         raise PreconditionError("tol must be positive")
     wts, tau = [weights[s] for s in lang.symbols], weights.tau
     span = weights.rate_absmax() + math.log(max(2, len(lang.symbols))) / tau + 1.0
     steps = lambda lam: _steps(wts, -lam * tau, 1.0)
-    return _jump_estimate(lang, Z, N, D, steps, -span, span, tol)[0]
+    return _jump_estimate(lang, Z, N, D, steps, -span, span, tol)
 
 
 def bs_jump(
     lang: WordLanguage,
     weights: PerSymbolWeights,
-    Z: SubsetSpec | None = None,
+    Z: SubsetSpec = SubsetSpec.whole_space(),
     N: int = 1,
     D: int = 12,
     tol: float = 1e-9,
@@ -462,13 +445,6 @@ def bs_jump(
     The critical value is the upper end of a final bracket at most ``tol``
     wide.
     """
-    return _bs_jump(lang, weights, Z or SubsetSpec.whole_space(), N, D, tol)[0]
-
-
-def _bs_jump(
-    lang: WordLanguage, weights: PerSymbolWeights, Z: SubsetSpec, N: int, D: int, tol: float
-) -> tuple[JumpEstimate, float]:
-    """``bs_jump``, with the searched log optimum at its critical end."""
     weights.require_positive("dimension weight")
     wts = [weights[s] for s in lang.symbols]
     hi0 = math.log(max(2, len(lang.symbols))) / (weights.tau * weights.rate_min()) + 1.0
@@ -495,7 +471,7 @@ class BsDimension:
 def bs_dimension(
     lang: WordLanguage,
     weights: PerSymbolWeights,
-    Z: SubsetSpec | None = None,
+    Z: SubsetSpec = SubsetSpec.whole_space(),
     tol: float = 1e-6,
     N: int = 1,
     D: int = 12,
@@ -511,14 +487,14 @@ def bs_dimension(
     the search stops at float resolution), and residual the searched log
     optimum at hi, below 0.  The bound counts no rounding of cover values.
     """
-    Z = Z or SubsetSpec.whole_space()
     weights.require_positive("dimension weight")
     if tol <= 0:
         raise PreconditionError("tol must be positive")
     inner = tol * min(1.0 / 16.0, 0.5 * weights.rate_min())
-    jump, residual = _bs_jump(lang, weights, Z, N, D, inner)
+    jump = bs_jump(lang, weights, Z, N, D, inner)
     lo, hi = jump.bracket
-    return BsDimension(hi, RootCertificate(hi, residual, hi - lo, (lo, hi), jump.iterations), jump)
+    cert = RootCertificate(hi, jump.residual, hi - lo, jump.bracket, jump.iterations)
+    return BsDimension(hi, cert, jump)
 
 
 # ---------------------------------------------------------------------------

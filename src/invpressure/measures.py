@@ -179,9 +179,7 @@ class CylinderMeasure:
         return trie.mass[v]
 
     def supported_on(self, Z: SubsetSpec) -> bool:
-        if Z.is_whole_space:
-            return True
-        return all(Z.contains(leaf) for leaf, m in self.masses.items() if m > 0.0)
+        return Z.contains(()) or all(Z.contains(leaf) for leaf, m in self.masses.items() if m > 0.0)
 
 
 class _PrefixTrie:
@@ -368,7 +366,8 @@ def vp_check(
     lambda = max(0, lower end of the dimension's certified bracket) is
     appended automatically, so no cap exceeds 1; each estimate is
     compared against dimension + slack, with slack the candidate's own
-    tail-window oscillation.  ``max_nodes`` bounds every cylinder walk.
+    tail-window oscillation, over the last min(3, D) depths.  ``max_nodes``
+    bounds every cylinder walk.
     """
     weights.require_positive("dimension weight")
     if K.is_empty:
@@ -390,7 +389,7 @@ def vp_check(
     pool.append(("frostman", CylinderMeasure(lang, fw.D, fw.normalized())))
     dim_err = detail.certificate.error_bound
     for name, cand in pool:
-        est = lower_bs_pressure(cand, weights)
+        est = lower_bs_pressure(cand, weights, min(3, D))
         rows.append(
             VpCandidate(
                 name=name,

@@ -631,15 +631,16 @@ def word_cover_value(lang, weights, Z, lam: float, N: int, D: int) -> float:
 
     Recurses over every cylinder of the raw presentation with no factoring;
     the word/cylinder bijection makes it agree with ``cover_value`` on every
-    instance.
+    instance.  The empty word's cylinder is the whole space: every word lies
+    inside it.
     """
     if not 1 <= N <= D:
         raise ip.PreconditionError(f"need 1 <= N <= D, got N={N}, D={D}")
     if Z.is_empty:
         return 0.0
-    targets = set(Z.words or ())
-    if () in targets:
-        raise ip.PreconditionError("empty word cannot present a cylinder")
+    targets = set(Z.words)
+    whole = () in targets
+    targets.discard(())
     if any(len(word) > D for word in targets):
         raise ip.PreconditionError(f"target words deeper than resolution D={D}")
     prefixes = {word[:k] for word in targets for k in range(1, len(word))}
@@ -660,7 +661,7 @@ def word_cover_value(lang, weights, Z, lam: float, N: int, D: int) -> float:
         return min(own, ls) if len(word) >= N else ls
 
     total = logsumexp([
-        value((s,), u, weights[s], Z.is_whole_space) for u, s in initial_units(lang)
+        value((s,), u, weights[s], whole) for u, s in initial_units(lang)
     ])
     if found != targets:
         raise ip.PreconditionError(f"target words {sorted(targets - found)} are not admissible")

@@ -553,6 +553,35 @@ class TestExitCodes:
         assert main(["--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 4
         assert capsys.readouterr().err == f"precondition failed: {line}\n"
 
+    @pytest.mark.parametrize("task", [
+        {"command": "pressure", "phi": "scale", "n_max": 1},
+        {"command": "pressure", "phi": "scale", "n_max": 9},
+        {"command": "vp-check", "phi": "scale", "D": 1, "candidates": [{"type": "parry"}]},
+        {"command": "vp-check", "phi": "scale", "D": 2, "candidates": [{"type": "parry"}]},
+    ], ids=["pressure-1", "pressure-9", "vp-check-1", "vp-check-2"])
+    def test_default_window_is_clamped_to_a_shorter_horizon(self, tmp_path, task):
+        cfg = load("golden-mean.json")
+        cfg["task"] = task
+        assert main(["--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 0
+        manifest = json.loads((tmp_path / "o" / "manifest.json").read_text(encoding="utf-8"))
+        if task["command"] == "pressure":
+            assert manifest["info"]["tail_window"] == task["n_max"]
+
+    def test_explicit_window_longer_than_the_horizon_is_4(self, tmp_path, capsys):
+        cfg = load("golden-mean.json")
+        cfg["task"] = {"command": "pressure", "phi": "scale", "n_max": 5, "tail_window": 6}
+        assert main(["--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 4
+        assert capsys.readouterr().err == "precondition failed: need n_max >= tail_window >= 1\n"
+
+    @pytest.mark.parametrize("command", ["pp-pressure", "bs-dim", "vp-check"])
+    def test_zero_depth_names_the_depth_the_search_needs(self, tmp_path, capsys, command):
+        cfg = load("golden-mean.json")
+        cfg["task"] = {"command": command, "phi": "scale", "D": 0}
+        assert main(["--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 4
+        assert capsys.readouterr().err == (
+            "precondition failed: resolution D=0 too shallow: the jump search needs D >= 1\n"
+        )
+
     def test_math_precondition_is_4(self, tmp_path):
         cfg = load("golden-mean.json")
         cfg["control_range"]["potentials"]["scale"]["a"] = "-1.0"
@@ -730,6 +759,22 @@ class TestCommands:
         ]
         assert (tmp_path / "golden_mean.csv").read_text().splitlines()[1:] == rows
         assert manifest["info"]["dimension"] == rep.dimension
+
+    @pytest.mark.parametrize(
+        "command", ["pp-pressure", "bs-dim", "frostman", "vp-check", "sandwich"]
+    )
+    def test_the_empty_word_subset_is_the_whole_space(self, tmp_path, command):
+        cfg = load("golden-mean.json")
+        task = {"command": command, "phi": "scale", "D": 8, "lambda": "0.4", "epsilon": "0.05"}
+        if command == "vp-check":
+            task["candidates"] = [{"type": "parry"}]
+        outputs = []
+        empty_word = {"variant": "cylinders", "words": [[]]}
+        for name, subset in (("all", {"variant": "all"}), ("empty", empty_word)):
+            cfg["task"] = dict(task, subset=subset)
+            manifest = run(cfg, str(tmp_path / name))
+            outputs.append({f: (tmp_path / name / f).read_bytes() for f in manifest["outputs"]})
+        assert outputs[0] == outputs[1]
 
     def test_validate_on_finite_state_system(self, tmp_path):
         cfg = {

@@ -61,7 +61,9 @@ class TestSubsetSpec:
                      for _ in range(rng.randint(0, 6)) if pool]
             rng.shuffle(pool)
             assert ip.SubsetSpec.cylinders(pool).words == prefix_loop_cylinders(pool)
-        assert ip.SubsetSpec.cylinders([(), (1,)]).words == ((),)
+        # the empty word's cylinder is the whole space
+        assert ip.SubsetSpec.cylinders([(), (1,)]) == ip.SubsetSpec.cylinders([()]) == ALL
+        assert ALL.words == ((),)
 
     def test_cylinders_normalize_many_words_in_linear_time(self):
         # the pairwise loop it replaced is quadratic: tens of seconds on these words
@@ -78,6 +80,48 @@ class TestSubsetSpec:
             True, True, True, False, False, False,
         ]
         assert ALL.contains(()) and not ip.SubsetSpec.cylinders([]).contains((1,))
+
+
+def _same_bits(a, b) -> bool:
+    return [float(x).hex() for x in a] == [float(x).hex() for x in b]
+
+
+class TestEmptyWordTarget:
+    """The cylinder of the empty word, listed as a target word, is the whole space:
+    every read-out gives the same bits on it as on ``whole_space()``, each
+    on a graph compiled from a language of its own."""
+
+    @staticmethod
+    def twins(rng, make):
+        seed = rng.random()
+        return make(random.Random(seed)), make(random.Random(seed))
+
+    def read_outs(self, lang, w, Z, D):
+        pp = ip.pp_pressure(lang, w, Z, 1, D)
+        dim = ip.bs_dimension(lang, w, Z, 1e-6, 1, D)
+        sol = ip.cover_solution(lang, w, Z, pp.critical, 1, D)
+        fw = ip.frostman_measure(lang, w, Z, max(0.0, dim.certificate.bracket[0]), 1, D)
+        vp = ip.vp_check(lang, w, Z, [], D)
+        numbers = [
+            pp.critical, pp.value_below, pp.value_above, *pp.bracket, pp.residual,
+            dim.value, dim.certificate.residual, dim.certificate.error_bound,
+            *sol.costs, sol.cost, *fw.masses.values(), fw.total,
+            *[x for r in vp.candidates for x in (r.value, r.gap, r.slack)],
+        ]
+        return numbers, (pp.iterations, dim.certificate.iterations, sol.words, list(fw.masses))
+
+    def test_read_outs_give_the_same_bits(self, rng):
+        for trial in range(12):
+            if trial % 2:
+                make = lambda g: random_sft(g, g.randint(2, 4))
+            else:
+                make = lambda g: random_itinerary(g, g.randint(2, 12), g.randint(2, 4))
+            lang, twin = self.twins(rng, make)
+            w = random_weights(rng, lang, 0.3, 1.5)
+            D = rng.randint(3, 7)
+            got = self.read_outs(twin, w, ip.SubsetSpec.cylinders([()]), D)
+            ref = self.read_outs(lang, w, ALL, D)
+            assert _same_bits(got[0], ref[0]) and got[1] == ref[1]
 
 
 class TestCoverValue:
@@ -515,13 +559,13 @@ class TestSearchesOnOneGraph:
     def test_jump_search_that_stops_wide_reports_its_width(self, monkeypatch):
         # the search reports a bracket wider than its tolerance, as one stopped at float
         # resolution does: the certificate counts that width, and the root is not refused
-        real = covers._jump
+        real = covers._find_root
 
-        def wide(graph, steps, n_detect, lo, hi, tol):
-            lo, hi, f_hi, iters = real(graph, steps, n_detect, lo, hi, tol)
-            return lo - tol, hi, f_hi, iters
+        def wide(f, lo, hi, eps):
+            lo, hi, f_lo, f_hi, iters = real(f, lo, hi, eps)
+            return lo - 2 * eps, hi, f_lo, f_hi, iters
 
-        monkeypatch.setattr(covers, "_jump", wide)
+        monkeypatch.setattr(covers, "_find_root", wide)
         res = ip.bs_dimension(golden_mean(), weights({1: 1.0, 2: 2.0}), ALL, 1e-6, 1, 8)
         lo, hi = res.certificate.bracket
         assert res.certificate.error_bound == hi - lo > 1e-6 / 16
@@ -550,10 +594,10 @@ class TestSearchesOnOneGraph:
         assert jump.value_above < 1.0 <= jump.value_below
 
     def test_wrong_hint_gives_the_cold_jump(self):
-        graph = covers._CoverGraph(full_shift(3), ALL, 10)
+        lang = full_shift(3)
         steps = lambda lam: [-lam] * 3
         for lo, hi in ((-3.0, 3.0), (2.0, 2.5), (-4.0, -3.9), (1.0986, 1.09861)):
-            crit = covers._jump(graph, steps, 1, lo, hi, 1e-9)[0]
+            crit = covers._jump_estimate(lang, ALL, 1, 10, steps, lo, hi, 1e-9).critical
             assert abs(crit - math.log(3)) <= 1e-9 + 1e-15
 
     def test_bs_dimension_expands_each_unit_once(self, rng):

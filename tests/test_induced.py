@@ -405,6 +405,29 @@ def finite_state_systems(draw):
     return step, cell, dict(enumerate(phi, 1)), dict(enumerate(psi, 1))
 
 
+def _cycles(step):
+    """The cycles of the self-map x -> step[x], each as its list of states."""
+    found = {}
+    for x in range(len(step)):
+        for _ in range(len(step)):  # onto the cycle x falls into
+            x = step[x]
+        cycle, y = [x], step[x]
+        while y != x:
+            cycle.append(y)
+            y = step[y]
+        found[min(cycle)] = cycle
+    return list(found.values())
+
+
+def _self_map_language(step, cell, cells):
+    names = tuple(f"x{k}" for k in range(len(step)))
+    sys = ip.FiniteStateSystem(
+        names, {(names[k], "u"): names[j] for k, j in enumerate(step)}, names,
+        dict(zip(names, cell)),
+    )
+    return ip.itinerary_language(sys, ip.PartitionSpec(1, {i: ("u",) for i in cells}))
+
+
 class TestVerdictAgainstIndependentRoots:
     """The flip brackets a root found without the library: the series of
     phi - beta*psi converges exactly above the root of pressure(phi - beta*psi)."""
@@ -450,24 +473,39 @@ class TestVerdictAgainstIndependentRoots:
     @given(finite_state_systems(), st.floats(0.01, 0.09))
     def test_system_flip_brackets_the_best_cycle_ratio(self, system, shift):
         step, cell, phi, psi = system
-        root = -math.inf
-        for x in range(len(step)):
-            for _ in range(len(step)):  # onto the cycle x falls into
-                x = step[x]
-            cycle, y = [x], step[x]
-            while y != x:
-                cycle.append(y)
-                y = step[y]
-            ratio = math.fsum(phi[cell[y]] for y in cycle) / math.fsum(psi[cell[y]] for y in cycle)
-            root = max(root, ratio)
-        names = tuple(f"x{k}" for k in range(len(step)))
-        sys = ip.FiniteStateSystem(
-            names, {(names[k], "u"): names[j] for k, j in enumerate(step)}, names,
-            dict(zip(names, cell)),
+        root = max(
+            math.fsum(phi[cell[y]] for y in cycle) / math.fsum(psi[cell[y]] for y in cycle)
+            for cycle in _cycles(step)
         )
-        lang = ip.itinerary_language(sys, ip.PartitionSpec(1, {i: ("u",) for i in phi}))
+        lang = _self_map_language(step, cell, phi)
         betas = [root + shift + 0.1 * k for k in range(-10, 10)]
         assert _flip_brackets(lang, weights(phi), weights(psi), betas, 3.0, root)
+
+    def test_larger_systems_bracket_the_exact_cycle_ratio(self):
+        # 2-60 states in 2-8 cells, phi with 2 decimals and psi in [0.25, 2]: the root,
+        # the best cycle's sum(phi)/sum(psi), is exact in rationals, and every grid point
+        # lies at least 1e-6 from it, so each verdict must name the point's side
+        rng = random.Random(16)
+        near = Fraction(1, 10**6)
+        for _ in range(70):
+            n = rng.randint(2, 60)
+            cells = range(1, rng.randint(2, min(8, n)) + 1)
+            step = [rng.randrange(n) for _ in range(n)]
+            cell = [cells[k % len(cells)] for k in range(n)]
+            rng.shuffle(cell)
+            phi = {c: Fraction(rng.randint(-300, 300), 100) for c in cells}
+            psi = {c: Fraction(rng.randint(25, 200), 100) for c in cells}
+            root = max(
+                sum(phi[cell[y]] for y in cycle) / sum(psi[cell[y]] for y in cycle)
+                for cycle in _cycles(step)
+            )
+            betas = [float(root) + d for d in (-1.0, -0.1, -1e-3, -2e-6, 2e-6, 1e-3, 0.1, 1.0)]
+            assert all(abs(Fraction(b) - root) >= near for b in betas)
+            lang = _self_map_language(step, cell, cells)
+            w_phi, w_psi = (weights({c: float(v) for c, v in w.items()}) for w in (phi, psi))
+            results = ip.characterization_scan(lang, w_phi, w_psi, betas, 3.0)
+            expected = [ip.DIVERGENT if Fraction(b) < root else ip.CONVERGENT for b in betas]
+            assert [r.verdict for r in results] == expected, (step, cell, phi, psi)
 
     def test_one_root_per_grid(self, monkeypatch):
         # the grid's verdicts read one certificate: no level sums, and as many
